@@ -7,6 +7,12 @@ labeled pool while a strict majority of its cumulative votes backs one class;
 assignments are recomputed from the vote tallies on every commit, so early
 mistakes wash out. The updated pool's per-class census defines the class
 prior fed to the logit-adjusted loss.
+
+The cycle's state is one position-indexed label vector, aligned with the
+rows of the unlabeled split (and of its ``UnlabeledView``): entry ``i`` holds
+the class assigned to row ``i``, or -1 while that row is not in the pool.
+``PseudoRegistry.resolve`` produces it, ``update_pool`` gathers the pool from
+it, and ``metrics.pseudo_audit`` tallies it against hidden ground truth.
 """
 
 from __future__ import annotations
@@ -128,34 +134,43 @@ class PseudoRegistry:
         if self.first_vote_epoch[pos] < 0:
             self.first_vote_epoch[pos] = self.current_epoch
 
-    def record_votes(self, sample_ids: np.ndarray, labels: np.ndarray) -> None:
-        for sid, lab in zip(sample_ids, labels):
-            self.record_vote(int(sid), int(lab))
-
     def epochs_since_first_vote(self, sample_id: int) -> int:
         pos = self._index[int(sample_id)]
         first = self.first_vote_epoch[pos]
         return -1 if first < 0 else self.current_epoch - int(first)
 
-    def resolve(self, min_votes: int, majority_frac: float) -> dict[int, int]:
-        """Current assignments: ids whose modal class holds a strict majority.
+    def resolve(
+        self, min_votes: int, majority_frac: float, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Current assignments as a label vector: -1 where a row is unassigned.
 
         A sample is assigned iff its total votes reach ``min_votes`` and the
         modal class share strictly exceeds ``majority_frac``; modal ties stay
         unassigned. Recomputed from the cumulative tallies, so an id can gain,
         change, or lose its label as votes accrue.
+
+        Only ``rows`` (registry positions; all rows by default) are
+        recomputed; the others keep their last resolution. That is exact as
+        long as ``rows`` covers every row voted on since the last call with
+        the same ``min_votes`` and ``majority_frac``, because a row's
+        resolution depends on its own tallies alone. Returns a copy of
+        ``self.resolved``, aligned with ``self.ids``.
         """
         if min_votes < 1:
             raise ValueError("min_votes must be >= 1")
         if not 0.5 <= majority_frac <= 1.0:
             raise ValueError("majority_frac must lie in [0.5, 1]")
-        totals = self.votes.sum(axis=1)
-        modal = np.argmax(self.votes, axis=1)
-        modal_count = self.votes[np.arange(self.votes.shape[0]), modal]
-        tied = (self.votes == modal_count[:, None]).sum(axis=1) > 1
+        votes = self.votes if rows is None else self.votes[rows]
+        totals = votes.sum(axis=1)
+        modal = np.argmax(votes, axis=1)
+        modal_count = votes[np.arange(votes.shape[0]), modal]
+        tied = (votes == modal_count[:, None]).sum(axis=1) > 1
         ok = (totals >= min_votes) & (modal_count > majority_frac * totals) & ~tied
-        self.resolved = np.where(ok, modal, -1)
-        return {int(self.ids[pos]): int(modal[pos]) for pos in np.flatnonzero(ok)}
+        if rows is None:
+            self.resolved = np.where(ok, modal, -1)
+        else:
+            self.resolved[rows] = np.where(ok, modal, -1)
+        return self.resolved.copy()
 
     def snapshot(self) -> dict:
         """JSON-ready export: per id, vote counts, resolved label, first epoch."""
@@ -204,7 +219,6 @@ class LabeledPool:
         self.pseudo_ids = np.zeros(0, dtype=np.int64)
         self.pseudo_features = np.zeros((0, self.base_features.shape[1]))
         self.pseudo_labels = np.zeros(0, dtype=np.int64)
-        self._base_id_set = set(int(i) for i in self.base_ids)
 
     @classmethod
     def from_split(cls, split, num_classes: int) -> "LabeledPool":
@@ -240,33 +254,30 @@ class LabeledPool:
         """Per-class census recomputed from the raw example arrays (oracle path)."""
         return np.bincount(self.labels(), minlength=self.num_classes)
 
-    def with_assignments(
-        self, assignments: dict[int, int], source: UnlabeledView
-    ) -> "LabeledPool":
-        """New pool whose pseudo portion is exactly ``assignments``."""
-        clone = LabeledPool(self.base_ids, self.base_features, self.base_labels, self.num_classes)
-        if not assignments:
-            return clone
-        ids = np.array(sorted(assignments), dtype=np.int64)
-        collisions = [int(i) for i in ids if int(i) in self._base_id_set]
-        if collisions:
-            raise ValueError(f"pseudo ids collide with base labeled ids: {collisions[:5]}")
-        index = {int(i): pos for pos, i in enumerate(source.ids)}
-        try:
-            rows = np.array([index[int(i)] for i in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"assignment id {exc} not present in the unlabeled view") from None
-        clone.pseudo_ids = ids
-        clone.pseudo_features = source.features[rows]
-        clone.pseudo_labels = np.array([assignments[int(i)] for i in ids], dtype=np.int64)
-        return clone
 
+def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) -> LabeledPool:
+    """New pool whose pseudo portion is exactly the assigned rows of ``labels``.
 
-def update_pool(
-    pool: LabeledPool, assignments: dict[int, int], source: UnlabeledView
-) -> LabeledPool:
-    """Replace the pool's pseudo portion with the current assignments."""
-    return pool.with_assignments(assignments, source)
+    ``labels`` is the cycle's label vector, aligned with ``source`` rows (-1
+    means unassigned). Pseudo ids, features and labels are gathered in
+    ``source`` row order, which is id order for every split this library
+    builds. ``pool`` itself is left unchanged.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != source.ids.shape:
+        raise ValueError(
+            f"label vector of shape {labels.shape} does not match {source.ids.size} unlabeled rows"
+        )
+    rows = np.flatnonzero(labels >= 0)
+    ids = source.ids[rows]
+    collisions = ids[np.isin(ids, pool.base_ids)]
+    if collisions.size:
+        raise ValueError(f"pseudo ids collide with base labeled ids: {collisions[:5].tolist()}")
+    grown = LabeledPool(pool.base_ids, pool.base_features, pool.base_labels, pool.num_classes)
+    grown.pseudo_ids = ids
+    grown.pseudo_features = source.features[rows]
+    grown.pseudo_labels = labels[rows]
+    return grown
 
 
 def class_distribution(pool: LabeledPool) -> ClassPrior:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import stdtr
 
 from . import datasets
 from .losses import softmax
@@ -76,28 +75,25 @@ class PseudoLabelAudit:
 
 
 def pseudo_audit(
-    assignments: dict[int, int],
-    hidden_ids: np.ndarray,
-    hidden_labels: np.ndarray,
-    num_classes: int,
+    labels: np.ndarray, hidden_labels: np.ndarray, num_classes: int
 ) -> PseudoLabelAudit:
     """Tally accepted pseudo-labels as true/false positives per class.
 
+    ``labels`` is the cycle's label vector, aligned row for row with
+    ``hidden_labels`` (the unlabeled split); -1 means unassigned.
     error_rate = FP_total / max(1, accepted); utilization = accepted / M.
     """
-    hidden_ids = np.asarray(hidden_ids, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     hidden_labels = np.asarray(hidden_labels, dtype=np.int64)
-    lookup = {int(i): int(l) for i, l in zip(hidden_ids, hidden_labels)}
-    tp = np.zeros(num_classes, dtype=np.int64)
-    fp = np.zeros(num_classes, dtype=np.int64)
-    for sid, assigned in assignments.items():
-        truth = lookup[int(sid)]
-        if assigned == truth:
-            tp[assigned] += 1
-        else:
-            fp[assigned] += 1
-    m_hat = len(assignments)
-    m_total = hidden_ids.size
+    if labels.shape != hidden_labels.shape:
+        raise ValueError("labels and hidden_labels must be aligned row for row")
+    accepted = labels >= 0
+    assigned = labels[accepted]
+    correct = assigned == hidden_labels[accepted]
+    tp = np.bincount(assigned[correct], minlength=num_classes)
+    fp = np.bincount(assigned[~correct], minlength=num_classes)
+    m_hat = int(assigned.size)
+    m_total = hidden_labels.size
     return PseudoLabelAudit(
         tp=tp,
         fp=fp,
@@ -123,13 +119,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-8) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def _t_pdf(x: float, df: float) -> float:
-    log_norm = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi)
-    return float(np.exp(log_norm - (df + 1.0) / 2.0 * np.log1p(x * x / df)))
-
-
 def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> tuple[float, float, float]:
-    """Welch's unequal-variance t-test with a numerically integrated tail.
+    """Welch's unequal-variance t-test with the Student-t tail from ``stdtr``.
 
     Returns (t, Welch-Satterthwaite df, two-sided p). Requires >= 2 values
     per sample. When both variances vanish the test degenerates; the
@@ -151,8 +142,7 @@ def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> tuple[float, flo
     se2 = sa + sb
     t = (ma - mb) / np.sqrt(se2)
     df = se2**2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
-    tail, _ = quad(_t_pdf, abs(t), np.inf, args=(df,))
-    p = min(1.0, max(0.0, 2.0 * tail))
+    p = min(1.0, max(0.0, 2.0 * float(stdtr(df, -abs(t)))))
     return float(t), float(df), float(p)
 
 
@@ -227,28 +217,32 @@ def threshold_assignments(
     tau: float,
     rng: np.random.Generator,
     branch: str = "primary",
-) -> dict[int, int]:
+) -> np.ndarray:
     """Weak-view pseudo-labels over the whole unlabeled split, gated at tau.
 
-    This mirrors what a threshold-consistency learner is implicitly training
-    on, so its pseudo-label quality can be audited like the voting cycle's.
+    Returns a label vector aligned with the unlabeled rows (-1 below the
+    gate). This mirrors what a threshold-consistency learner is implicitly
+    training on, so its pseudo-label quality can be audited like the voting
+    cycle's.
     """
     view = bundle.unlabeled_view()
     weak = datasets.weak_view_batch(view.features, policy, rng)
     probs = softmax(head_logits(state, branch, encode(state, weak)))
     labels = np.argmax(probs, axis=1)
     confs = np.max(probs, axis=1)
-    keep = confs > tau
-    return {int(view.ids[i]): int(labels[i]) for i in np.flatnonzero(keep)}
+    return np.where(confs > tau, labels, -1)
 
 
 def evaluate_epoch(
     state: ModelState,
     bundle: datasets.SplitBundle,
-    assignments: dict[int, int],
+    labels: np.ndarray,
     branch: str = "primary",
 ) -> dict:
     """Test metrics plus the pseudo-label audit for one epoch.
+
+    ``labels`` is the cycle's label vector over the unlabeled rows (-1 means
+    unassigned).
 
     ``kl`` is the divergence from the accepted-pseudo-label class
     distribution to the ground-truth unlabeled distribution; None while
@@ -256,9 +250,7 @@ def evaluate_epoch(
     """
     c = bundle.spec.num_classes
     out = evaluate_classifier(state, bundle.test.features, bundle.test.labels, c, branch)
-    audit = pseudo_audit(
-        assignments, bundle.unlabeled.ids, bundle.unlabeled.hidden_labels, c
-    )
+    audit = pseudo_audit(labels, bundle.unlabeled.hidden_labels, c)
     out["error_rate"] = audit.error_rate
     out["utilization_rate"] = audit.utilization_rate
     out["audit"] = audit

@@ -286,23 +286,28 @@ def loss_and_grads(
 def sgd_step(
     state: ModelState, grads: dict[str, np.ndarray], opt: OptimizerConfig, lr: float
 ) -> ModelState:
-    """One SGD-with-momentum update, in place; returns the mutated state.
+    """One SGD-with-momentum update of ``state``; returns the updated state.
 
     buffer <- momentum*buffer + grad + weight_decay*param, then
-    param <- param - lr*buffer. Weight decay skips biases.
+    param <- param - lr*buffer. Weight decay skips biases. The step is
+    atomic: the new parameters and buffers are built as fresh arrays and
+    swapped in only once every new parameter is finite; otherwise it raises
+    ``NonFiniteLossError`` and leaves ``state`` untouched.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
+    params, momentum = {}, {}
     for name, param in state.params.items():
         g = grads[name]
         if opt.weight_decay and not name.endswith("_b"):
             g = g + opt.weight_decay * param
-        buf = state.momentum[name]
-        buf *= opt.momentum
+        buf = state.momentum[name] * opt.momentum
         buf += g
-        param -= lr * buf
-        if not np.all(np.isfinite(param)):
+        new = param - lr * buf
+        if not np.isfinite(new).all():
             raise NonFiniteLossError(f"non-finite update in parameter {name}")
+        params[name], momentum[name] = new, buf
+    state.params, state.momentum = params, momentum
     return state
 
 

@@ -226,7 +226,7 @@ def _epoch_report(
     config: TrainConfig,
     ledger: metrics_mod.RiskLedger,
     epoch: int,
-    assignments: dict[int, int],
+    labels: np.ndarray,
     primary_loss: float,
     aux_loss: float,
     pool: LabeledPool,
@@ -234,11 +234,11 @@ def _epoch_report(
     stats: ClassStats | None,
     started: float,
 ) -> EpochReport:
-    bundle = metrics_mod.evaluate_epoch(state, splits, assignments, config.predict_branch)
+    bundle = metrics_mod.evaluate_epoch(state, splits, labels, config.predict_branch)
     row = ledger.update(
         epoch=epoch,
         eps_t=bundle["error_rate"],
-        m_hat=len(assignments),
+        m_hat=bundle["audit"].m_hat,
         n=splits.labeled.ids.size,
         balanced_error=bundle["balanced_error"],
     )
@@ -290,7 +290,8 @@ def train(
     prior = class_distribution(pool)
     ledger = metrics_mod.RiskLedger()
     reports: list[EpochReport] = []
-    assignments: dict[int, int] = {}
+    # the cycle's state: class per unlabeled row, -1 while not in the pool
+    labels = np.full(m, -1, dtype=np.int64)
     global_step = 0
     start_epoch = 1
 
@@ -299,8 +300,10 @@ def train(
         opt = _resume["opt"]
         rngs = _resume["rngs"]
         registry = _resume["registry"]
-        assignments = _resume["assignments"]
-        pool = update_pool(pool, assignments, uview)
+        if not np.array_equal(registry.ids, uview.ids):
+            raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
+        labels = _resume["labels"]
+        pool = update_pool(pool, labels, uview)
         prior = class_distribution(pool)
         stats = _resume["stats"]
         ledger = _resume["ledger"]
@@ -333,16 +336,16 @@ def train(
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
                 for i in np.flatnonzero(fired):
                     registry.record_vote(int(uview.ids[u_rows[i]]), int(vpb.labels_weak[i]))
-                resolved = registry.resolve(config.min_votes, config.majority_frac)
+                # only the rows voted on this step can change their resolution
+                resolved = registry.resolve(
+                    config.min_votes, config.majority_frac, rows=u_rows[fired]
+                )
                 if config.freeze_resolved:
-                    # grow-only variant: once assigned, an id keeps its label
-                    merged = dict(assignments)
-                    for sid, lab in resolved.items():
-                        merged.setdefault(sid, lab)
-                    assignments = merged
+                    # grow-only variant: once assigned, a row keeps its label
+                    labels = np.where(labels >= 0, labels, resolved)
                 else:
-                    assignments = resolved
-                pool = update_pool(pool, assignments, uview)
+                    labels = resolved
+                pool = update_pool(pool, labels, uview)
                 prior = class_distribution(pool)
 
             rows = rngs["labeled"].integers(0, pool.size, size=b_l)
@@ -389,7 +392,7 @@ def train(
                 config,
                 ledger,
                 epoch,
-                assignments,
+                labels,
                 primary_sum / config.steps_per_epoch,
                 aux_sum / config.steps_per_epoch,
                 pool,
@@ -413,7 +416,7 @@ def train(
                 global_step,
                 rngs,
                 registry,
-                assignments,
+                labels,
                 stats,
                 ledger,
                 reports,
@@ -506,11 +509,9 @@ def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHist
             aux_sum += sum(part_means[1:])
 
         if kind == "consistency_ssl":
-            assignments = metrics_mod.threshold_assignments(
-                state, splits, policy, tau, rngs["audit"]
-            )
+            labels = metrics_mod.threshold_assignments(state, splits, policy, tau, rngs["audit"])
         else:
-            assignments = {}
+            labels = np.full(m, -1, dtype=np.int64)
         reports.append(
             _epoch_report(
                 state,
@@ -518,7 +519,7 @@ def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHist
                 config,
                 ledger,
                 epoch,
-                assignments,
+                labels,
                 primary_sum / config.steps_per_epoch,
                 aux_sum / config.steps_per_epoch,
                 pool,
@@ -547,7 +548,7 @@ def save_run_checkpoint(
     global_step: int,
     rngs: dict[str, np.random.Generator],
     registry: PseudoRegistry,
-    assignments: dict[int, int],
+    labels: np.ndarray,
     stats: ClassStats,
     ledger: metrics_mod.RiskLedger,
     reports: list[EpochReport],
@@ -555,7 +556,7 @@ def save_run_checkpoint(
     extra = {
         "config": train_config_to_dict(config),
         "global_step": global_step,
-        "assignments": {str(k): v for k, v in sorted(assignments.items())},
+        "assignments": _labels_to_json(registry.ids, labels),
         "registry_epoch": registry.current_epoch,
         "ledger": [vars(row) for row in ledger.rows],
         "reports": [
@@ -653,7 +654,7 @@ def resume_training(
         "opt": opt,
         "rngs": rngs,
         "registry": registry,
-        "assignments": {int(k): int(v) for k, v in extra["assignments"].items()},
+        "labels": _labels_from_json(registry.ids, extra["assignments"]),
         "stats": stats,
         "ledger": ledger,
         "reports": reports,
@@ -661,6 +662,21 @@ def resume_training(
         "epoch": epoch,
     }
     return train(config, splits, step_callback=step_callback, checkpoint_dir=checkpoint_dir, _resume=resume)
+
+
+def _labels_to_json(ids: np.ndarray, labels: np.ndarray) -> dict[str, int]:
+    """Checkpoint form of a label vector: ``{id: label}`` over assigned rows, by id."""
+    rows = np.flatnonzero(labels >= 0)
+    return {str(k): v for k, v in sorted(zip(ids[rows].tolist(), labels[rows].tolist()))}
+
+
+def _labels_from_json(ids: np.ndarray, assignments: dict[str, int]) -> np.ndarray:
+    """Inverse of ``_labels_to_json`` over the registry's ``ids``."""
+    position = {int(sid): pos for pos, sid in enumerate(ids)}
+    labels = np.full(ids.size, -1, dtype=np.int64)
+    for sid, label in assignments.items():
+        labels[position[int(sid)]] = int(label)
+    return labels
 
 
 def train_config_to_dict(config: TrainConfig) -> dict:

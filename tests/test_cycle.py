@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudopool.cycle import (
     LabeledPool,
@@ -184,24 +186,39 @@ class TestRegistry:
         assert reg.epochs_since_first_vote(1) == 0
 
 
+def brute_resolve(votes, min_votes, frac):
+    """The resolution rule row by row: strict, untied modal majority."""
+    expected = np.full(votes.shape[0], -1)
+    for pos, counts in enumerate(votes):
+        total = counts.sum()
+        if total < min_votes:
+            continue
+        top = counts.max()
+        winners = np.flatnonzero(counts == top)
+        if winners.size != 1 or not top > frac * total:
+            continue
+        expected[pos] = int(winners[0])
+    return expected
+
+
 class TestResolve:
     def test_simple_majority(self):
         reg = PseudoRegistry(np.array([0]), num_classes=3)
         for _ in range(3):
             reg.record_vote(0, 1)
-        assert reg.resolve(min_votes=3, majority_frac=0.5) == {0: 1}
+        assert reg.resolve(min_votes=3, majority_frac=0.5).tolist() == [1]
 
     def test_tie_stays_unassigned(self):
         reg = PseudoRegistry(np.array([0]), num_classes=3)
         for label in (1, 1, 2, 2):
             reg.record_vote(0, label)
-        assert reg.resolve(min_votes=3, majority_frac=0.5) == {}
+        assert reg.resolve(min_votes=3, majority_frac=0.5).tolist() == [-1]
 
     def test_below_min_votes_unassigned(self):
         reg = PseudoRegistry(np.array([0]), num_classes=3)
         reg.record_vote(0, 1)
         reg.record_vote(0, 1)
-        assert reg.resolve(min_votes=3, majority_frac=0.5) == {}
+        assert reg.resolve(min_votes=3, majority_frac=0.5).tolist() == [-1]
 
     def test_matches_brute_force_rule(self):
         rng = np.random.default_rng(9)
@@ -213,27 +230,16 @@ class TestResolve:
             min_votes = int(rng.integers(1, 6))
             frac = float(rng.choice([0.5, 0.6, 0.75, 0.9]))
             got = reg.resolve(min_votes, frac)
-            expected = {}
-            for pos, sid in enumerate(ids):
-                counts = reg.votes[pos]
-                total = counts.sum()
-                if total < min_votes:
-                    continue
-                top = counts.max()
-                winners = np.flatnonzero(counts == top)
-                if winners.size != 1 or not top > frac * total:
-                    continue
-                expected[int(sid)] = int(winners[0])
-            assert got == expected
+            assert np.array_equal(got, brute_resolve(reg.votes, min_votes, frac))
 
     def test_resolution_can_change_with_new_votes(self):
         reg = PseudoRegistry(np.array([0]), num_classes=2)
         for _ in range(3):
             reg.record_vote(0, 0)
-        assert reg.resolve(1, 0.5) == {0: 0}
+        assert reg.resolve(1, 0.5).tolist() == [0]
         for _ in range(5):
             reg.record_vote(0, 1)
-        assert reg.resolve(1, 0.5) == {0: 1}
+        assert reg.resolve(1, 0.5).tolist() == [1]
 
     def test_parameter_validation(self):
         reg = PseudoRegistry(np.array([0]), num_classes=2)
@@ -256,20 +262,25 @@ def unlabeled_source(n=6, offset=100):
     return UnlabeledView(ids=ids, features=feats)
 
 
+def label_vector(source, assignments):
+    """The cycle's label vector over ``source`` rows for an {id: label} map."""
+    return np.array([assignments.get(int(sid), -1) for sid in source.ids], dtype=np.int64)
+
+
 class TestPool:
     def test_empty_assignments_reverts_to_base(self):
         pool = small_pool()
         source = unlabeled_source()
-        grown = update_pool(pool, {100: 1, 101: 0}, source)
+        grown = update_pool(pool, label_vector(source, {100: 1, 101: 0}), source)
         assert grown.pseudo_size == 2
-        reverted = update_pool(grown, {}, source)
+        reverted = update_pool(grown, label_vector(source, {}), source)
         assert reverted.pseudo_size == 0
         assert np.array_equal(reverted.phi, reverted.n)
 
     def test_counts_add_up(self):
         pool = small_pool()  # n = (3, 1)
         source = unlabeled_source()
-        grown = update_pool(pool, {100: 0, 101: 1}, source)
+        grown = update_pool(pool, label_vector(source, {100: 0, 101: 1}), source)
         assert np.array_equal(grown.phi, [4, 2])
 
     def test_random_churn_matches_recount(self):
@@ -280,7 +291,7 @@ class TestPool:
             k = int(rng.integers(0, 15))
             chosen = rng.choice(source.ids, size=k, replace=False)
             assignments = {int(i): int(rng.integers(2)) for i in chosen}
-            pool = update_pool(pool, assignments, source)
+            pool = update_pool(pool, label_vector(source, assignments), source)
             assert np.array_equal(pool.phi, pool.recount())
             assert np.array_equal(pool.phi, pool.n + pool.m)
 
@@ -289,7 +300,7 @@ class TestPool:
         source = unlabeled_source()
         before_feats = pool.base_features.copy()
         before_labels = pool.base_labels.copy()
-        grown = update_pool(pool, {100: 1}, source)
+        grown = update_pool(pool, label_vector(source, {100: 1}), source)
         assert np.array_equal(grown.base_features, before_feats)
         assert np.array_equal(grown.base_labels, before_labels)
         assert np.array_equal(pool.base_labels, before_labels)
@@ -298,7 +309,7 @@ class TestPool:
         pool = small_pool()
         source = UnlabeledView(ids=np.array([2, 100]), features=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="collide"):
-            update_pool(pool, {2: 1}, source)
+            update_pool(pool, label_vector(source, {2: 1}), source)
 
     def test_base_needs_every_class(self):
         with pytest.raises(ValueError):
@@ -332,7 +343,8 @@ class TestClassDistribution:
         source = unlabeled_source(n=25)
         for _ in range(20):
             chosen = rng.choice(source.ids, size=int(rng.integers(0, 20)), replace=False)
-            pool = update_pool(pool, {int(i): int(rng.integers(2)) for i in chosen}, source)
+            assignments = {int(i): int(rng.integers(2)) for i in chosen}
+            pool = update_pool(pool, label_vector(source, assignments), source)
             assert abs(class_distribution(pool).probabilities.sum() - 1.0) < 1e-9
 
 
@@ -342,3 +354,71 @@ class TestIntegrationWithSplits:
         pool = LabeledPool.from_split(bundle.labeled, 3)
         assert pool.size == bundle.labeled.ids.size
         assert np.array_equal(pool.phi, bundle.labeled.class_counts(3))
+
+
+@st.composite
+def vote_rounds(draw):
+    """Registry size, class count, rounds of (row, label) votes, and the rule."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(2, 5))
+    vote = st.tuples(st.integers(0, n - 1), st.integers(0, c - 1))
+    rounds = draw(st.lists(st.lists(vote, max_size=20), min_size=1, max_size=8))
+    min_votes = draw(st.integers(1, 5))
+    frac = draw(st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]))
+    return n, c, rounds, min_votes, frac
+
+
+@st.composite
+def label_vectors(draw):
+    """Class count, row count, and a sequence of cycle label vectors."""
+    c = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 15))
+    vector = st.lists(st.integers(-1, c - 1), min_size=n, max_size=n).map(np.array)
+    return c, n, draw(st.lists(vector, min_size=1, max_size=10))
+
+
+class TestLabelVectorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(vote_rounds())
+    def test_incremental_resolve_equals_full_and_brute_force(self, case):
+        n, c, rounds, min_votes, frac = case
+        ids = np.arange(50, 50 + n)
+        incremental = PseudoRegistry(ids, c)
+        full = PseudoRegistry(ids, c)
+        for votes in rounds:
+            for pos, label in votes:
+                incremental.record_vote(int(ids[pos]), label)
+                full.record_vote(int(ids[pos]), label)
+            rows = np.array([pos for pos, _ in votes], dtype=np.int64)
+            got = incremental.resolve(min_votes, frac, rows=rows)
+            assert np.array_equal(got, full.resolve(min_votes, frac))
+            assert np.array_equal(got, brute_resolve(full.votes, min_votes, frac))
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_vectors())
+    def test_grow_only_merge_matches_setdefault_and_never_shrinks(self, case):
+        _, n, resolutions = case
+        labels = np.full(n, -1)
+        merged: dict[int, int] = {}
+        for resolved in resolutions:
+            grown = np.where(labels >= 0, labels, resolved)
+            for pos in np.flatnonzero(resolved >= 0):
+                merged.setdefault(int(pos), int(resolved[pos]))
+            assert {int(p): int(grown[p]) for p in np.flatnonzero(grown >= 0)} == merged
+            kept = labels >= 0
+            assert np.array_equal(grown[kept], labels[kept])
+            labels = grown
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_vectors())
+    def test_pool_census_matches_recount_under_churn(self, case):
+        c, n, vectors = case
+        pool = LabeledPool(np.arange(c), np.zeros((c, 2)), np.arange(c), num_classes=c)
+        source = unlabeled_source(n=n)
+        for labels in vectors:
+            pool = update_pool(pool, labels, source)
+            assigned = labels >= 0
+            assert np.array_equal(pool.phi, pool.recount())
+            assert np.array_equal(pool.pseudo_ids, source.ids[assigned])
+            assert np.array_equal(pool.pseudo_labels, labels[assigned])
+            assert pool.pseudo_size == int(assigned.sum())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import stats as scipy_stats
 
 from pseudopool.metrics import (
@@ -59,13 +60,13 @@ class TestPseudoAudit:
     def test_all_correct(self):
         ids = np.arange(5)
         hidden = np.array([0, 1, 2, 1, 0])
-        audit = pseudo_audit({0: 0, 2: 2}, ids, hidden, 3)
+        audit = pseudo_audit(np.array([0, -1, 2, -1, -1]), hidden, 3)
         assert audit.error_rate == 0.0
         assert audit.m_hat == 2
         assert audit.utilization_rate == pytest.approx(0.4)
 
     def test_no_assignments_convention(self):
-        audit = pseudo_audit({}, np.arange(4), np.zeros(4, dtype=int), 2)
+        audit = pseudo_audit(np.full(4, -1), np.zeros(4, dtype=int), 2)
         assert audit.error_rate == 0.0
         assert audit.utilization_rate == 0.0
 
@@ -78,7 +79,8 @@ class TestPseudoAudit:
             hidden = rng.integers(c, size=m)
             chosen = rng.choice(m, size=int(rng.integers(0, m)), replace=False)
             assignments = {int(ids[i]): int(rng.integers(c)) for i in chosen}
-            audit = pseudo_audit(assignments, ids, hidden, c)
+            labels = np.array([assignments.get(int(i), -1) for i in ids])
+            audit = pseudo_audit(labels, hidden, c)
             tp = np.zeros(c, dtype=int)
             fp = np.zeros(c, dtype=int)
             for i in chosen:
@@ -146,6 +148,14 @@ class TestWelch:
             ref = scipy_stats.ttest_ind(a, b, equal_var=False)
             assert t == pytest.approx(ref.statistic, abs=1e-10)
             assert p == pytest.approx(ref.pvalue, abs=1e-9)
+
+    def test_far_tail_matches_mpmath(self):
+        # t ~ -1.5e8 on df ~ 3.2: the two-sided p is I_{df/(df+t^2)}(df/2, 1/2)
+        t, df, p = welch_t_test([0.0, 1e-8, 2e-8], [1.0, 1.0, 1.0 + 1e-8])
+        with mp.workdps(50):
+            ref = float(mp.betainc(mp.mpf(df) / 2, 0.5, 0, df / (df + mp.mpf(t) ** 2), regularized=True))
+        assert p == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert ref == pytest.approx(1.8225710045053908e-26, rel=1e-12, abs=0.0)
 
     def test_antisymmetry(self):
         a = [1.0, 2.5, 3.0, 0.5]

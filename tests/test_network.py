@@ -261,6 +261,21 @@ class TestSgdStep:
         assert np.allclose(p0 - p1, 0.1 * 2.0, atol=1e-15)
         assert np.allclose(p1 - p2, 0.1 * 2.0 * (1 + m), atol=1e-12)
 
+    def test_diverging_step_leaves_state_unchanged(self):
+        state = init(small_config(seed=14))
+        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
+        sgd_step(state, {k: np.ones_like(v) for k, v in state.params.items()}, opt, lr=0.1)
+        params = {k: v.copy() for k, v in state.params.items()}
+        momentum = {k: v.copy() for k, v in state.momentum.items()}
+        grads = {k: np.full_like(v, 0.5) for k, v in state.params.items()}
+        last = list(state.params)[-1]
+        grads[last][0] = np.inf  # only the last layer diverges
+        with pytest.raises(NonFiniteLossError):
+            sgd_step(state, grads, opt, lr=0.1)
+        for name in state.params:
+            assert np.array_equal(state.params[name], params[name])
+            assert np.array_equal(state.momentum[name], momentum[name])
+
     def test_weight_decay_skips_biases(self):
         state = init(small_config(seed=13))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5, total_steps=10)

@@ -193,17 +193,29 @@ class TestBaselines:
 
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tiny_splits, tmp_path):
-        cfg = fast_config(total_epochs=20, warmup_epochs=4, checkpoint_every=8)
-        full = train(cfg, tiny_splits)
+        for freeze in (False, True):
+            cfg = fast_config(
+                total_epochs=20, warmup_epochs=4, checkpoint_every=8, freeze_resolved=freeze
+            )
+            full = train(cfg, tiny_splits)
+            train(cfg, tiny_splits, checkpoint_dir=tmp_path / str(freeze))
+            ckpt = tmp_path / str(freeze) / "checkpoint_epoch0008.npz"
+            assert ckpt.exists()
+            resumed = resume_training(ckpt, tiny_splits)
+            assert json.dumps(resumed.to_records()) == json.dumps(full.to_records())
+            for name in full.state.params:
+                assert np.array_equal(full.state.params[name], resumed.state.params[name])
+                assert np.array_equal(full.state.momentum[name], resumed.state.momentum[name])
+            assert np.array_equal(full.registry.votes, resumed.registry.votes)
+            assert np.array_equal(full.pool.pseudo_ids, resumed.pool.pseudo_ids)
+            assert np.array_equal(full.pool.pseudo_labels, resumed.pool.pseudo_labels)
+
+    def test_resume_onto_other_unlabeled_rows_rejected(self, tiny_splits, tmp_path):
+        cfg = fast_config(total_epochs=10, warmup_epochs=2, checkpoint_every=4)
         train(cfg, tiny_splits, checkpoint_dir=tmp_path)
-        ckpt = tmp_path / "checkpoint_epoch0008.npz"
-        assert ckpt.exists()
-        resumed = resume_training(ckpt, tiny_splits)
-        assert json.dumps(resumed.to_records()) == json.dumps(full.to_records())
-        for name in full.state.params:
-            assert np.array_equal(full.state.params[name], resumed.state.params[name])
-            assert np.array_equal(full.state.momentum[name], resumed.state.momentum[name])
-        assert np.array_equal(full.registry.votes, resumed.registry.votes)
+        other = generate_splits(tiny_spec(m_max=90))
+        with pytest.raises(ValueError, match="unlabeled"):
+            resume_training(tmp_path / "checkpoint_epoch0004.npz", other)
 
 
 class TestHiddenLabelFirewall:
@@ -245,9 +257,14 @@ class TestFreezeResolved:
     def test_frozen_assignments_never_shrink(self, tiny_splits):
         cfg = fast_config(total_epochs=30, warmup_epochs=5, freeze_resolved=True, min_votes=2)
         sizes = []
+        kept: dict[int, int] = {}
 
         def callback(info):
             sizes.append(info.pool.pseudo_size)
+            pool = dict(zip(info.pool.pseudo_ids.tolist(), info.pool.pseudo_labels.tolist()))
+            assert all(pool.get(sid) == label for sid, label in kept.items())
+            kept.update(pool)
 
         train(cfg, tiny_splits, step_callback=callback)
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+        assert kept
