@@ -10,18 +10,21 @@ through the registry it left behind.
 import numpy as np
 
 from pseudopool import DatasetSpec, generate_splits
-from pseudopool.cycle import ViewPrediction, reliability_mask
+from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
 from pseudopool.training import TrainConfig, train
 
 print("the three-clause filter on hand-built view predictions (tau = 0.95):")
 cases = [
-    ("both confident, labels agree", ViewPrediction(2, 0.97, 2, 0.96)),
-    ("strong view not confident   ", ViewPrediction(2, 0.97, 2, 0.80)),
-    ("views disagree on the label ", ViewPrediction(1, 0.99, 2, 0.99)),
-    ("exactly at the threshold    ", ViewPrediction(2, 0.95, 2, 0.99)),
+    # (name, weak label, weak confidence, strong label, strong confidence)
+    ("both confident, labels agree", 2, 0.97, 2, 0.96),
+    ("strong view not confident   ", 2, 0.97, 2, 0.80),
+    ("views disagree on the label ", 1, 0.99, 2, 0.99),
+    ("exactly at the threshold    ", 2, 0.95, 2, 0.99),
 ]
-for name, vp in cases:
-    print(f"  {name} -> mask {reliability_mask(vp, 0.95)}")
+names, *columns = zip(*cases)
+views = ViewPredictionBatch(*(np.array(col) for col in columns))
+for name, fired in zip(names, reliability_mask_batch(views, 0.95)):
+    print(f"  {name} -> mask {int(fired)}")
 
 spec = DatasetSpec(
     num_classes=5, feature_dim=16, n_max=100, m_max=900,

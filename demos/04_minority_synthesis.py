@@ -10,8 +10,8 @@ import numpy as np
 
 from pseudopool.augment import (
     ClassStats,
-    augment_batch,
     minority_classes,
+    plan_synthesis,
     synthesize,
     update_class_stats,
 )
@@ -33,14 +33,18 @@ phi = np.array([140, 40, 12])
 print(f"\npool census {phi} -> minority classes {[int(c) for c in minority_classes(phi)]}")
 
 h = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-copies = synthesize(h, radius=stats.radius[2], rng=rng, count=3, label=2, origin_id=7)
+radii = np.full(3, stats.radius[2])
+copies = synthesize(np.tile(h, (3, 1)), radii, rng.standard_normal((3, 8)))
 print(f"\nthree copies of one representation (norm {np.linalg.norm(h):.1f}):")
 for rep in copies:
-    print("  ", np.round(rep.representation[:4], 3), "...")
+    print("  ", np.round(rep[:4], 3), "...")
 
 batch_reps = np.vstack([tight[:2], medium[:2], loose[:3]])
 batch_labels = np.array([0, 0, 1, 1, 2, 2, 2])
-out_reps, out_labels = augment_batch(batch_reps, batch_labels, stats, phi, rng)
+origin, radii, noise = plan_synthesis(batch_labels, minority_classes(phi), stats, rng)
+synth = synthesize(batch_reps[origin], radii, noise)
+out_labels = np.concatenate([batch_labels, batch_labels[origin]])
 print(f"\nbatch of {len(batch_labels)} -> {len(out_labels)} after expanding "
-      f"{int(np.sum(batch_labels == 2))} minority samples tenfold")
+      f"{int(np.sum(batch_labels == 2))} minority samples tenfold "
+      f"({synth.shape[0]} copies, all labelled {set(batch_labels[origin].tolist())})")
 print(f"census untouched by augmentation: {phi}")

@@ -6,14 +6,12 @@ minority classes are reinforced with synthesized representations. Baselines,
 metrics, and a config-driven experiment harness come along.
 """
 
-from .augment import ClassStats, minority_classes, synthesize, update_class_stats
+from .augment import ClassStats, minority_classes, plan_synthesis, synthesize, update_class_stats
 from .cycle import (
     LabeledPool,
     PseudoRegistry,
-    ViewPrediction,
     class_distribution,
-    predict_views,
-    reliability_mask,
+    reliability_mask_batch,
     update_pool,
 )
 from .datasets import (
@@ -24,10 +22,10 @@ from .datasets import (
     load_csv,
     long_tailed_counts,
     shape_counts,
-    strong_view,
-    weak_view,
+    strong_view_batch,
+    weak_view_batch,
 )
-from .losses import ClassPrior, LossSpec, aux_loss, la_loss, overall_loss
+from .losses import ClassPrior
 from .metrics import (
     PseudoLabelAudit,
     RiskLedger,
@@ -48,7 +46,7 @@ from .network import (
     init,
     sgd_step,
 )
-from .training import RunHistory, TrainConfig, predict, run_baseline, train
+from .training import RunHistory, TrainConfig, predict, predict_views, run_baseline, train
 
 __version__ = "0.1.0"
 
@@ -58,7 +56,6 @@ __all__ = [
     "ClassStats",
     "DatasetSpec",
     "LabeledPool",
-    "LossSpec",
     "ModelConfig",
     "ModelState",
     "OptimizerConfig",
@@ -68,9 +65,7 @@ __all__ = [
     "RunHistory",
     "SplitBundle",
     "TrainConfig",
-    "ViewPrediction",
     "accuracy",
-    "aux_loss",
     "class_distribution",
     "cosine_lr",
     "encode",
@@ -78,25 +73,24 @@ __all__ = [
     "head_logits",
     "init",
     "kl_divergence",
-    "la_loss",
     "load_csv",
     "long_tailed_counts",
     "macro_f1",
     "minority_classes",
-    "overall_loss",
     "per_class_accuracy",
+    "plan_synthesis",
     "predict",
     "predict_views",
     "pseudo_audit",
-    "reliability_mask",
+    "reliability_mask_batch",
     "run_baseline",
     "sgd_step",
     "shape_counts",
-    "strong_view",
+    "strong_view_batch",
     "synthesize",
     "train",
     "update_class_stats",
     "update_pool",
-    "weak_view",
+    "weak_view_batch",
     "welch_t_test",
 ]

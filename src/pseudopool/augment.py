@@ -15,20 +15,11 @@ pool census or the class prior.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 ALPHA_FLOOR = 0.1
-
-
-@dataclass
-class SynthesizedRep:
-    representation: np.ndarray
-    label: int
-    origin_id: int
 
 
 class ClassStats:
@@ -111,27 +102,6 @@ def minority_classes(phi: np.ndarray) -> np.ndarray:
     return np.flatnonzero(phi < lower_median)
 
 
-def synthesize(
-    h: np.ndarray,
-    radius: float,
-    rng: np.random.Generator,
-    count: int = 10,
-    label: int = -1,
-    origin_id: int = -1,
-) -> list[SynthesizedRep]:
-    """Noisy copies of one representation along its unit direction."""
-    h = np.asarray(h, dtype=np.float64)
-    norm = np.linalg.norm(h)
-    if norm == 0:
-        raise ValueError("cannot synthesize from a zero-norm representation")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    unit = h / norm
-    noise = rng.standard_normal((count, h.size))
-    reps = h + unit * (radius * noise)
-    return [SynthesizedRep(reps[i], label, origin_id) for i in range(count)]
-
-
 def plan_synthesis(
     labels: np.ndarray,
     minority: np.ndarray,
@@ -161,36 +131,14 @@ def plan_synthesis(
     return origin, radii, noise
 
 
-def apply_synthesis_plan(
-    reps: np.ndarray, origin: np.ndarray, radii: np.ndarray, noise: np.ndarray
-) -> np.ndarray:
-    """Materialize planned copies from current representations."""
-    base = reps[origin]
-    norms = np.linalg.norm(base, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot synthesize from a zero-norm representation")
-    return base + (base / norms) * (radii[:, None] * noise)
+def synthesize(h: np.ndarray, radii: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Synthesized copies h' = h + (h/||h||) * (radius * noise), one per row.
 
-
-def augment_batch(
-    reps: np.ndarray,
-    labels: np.ndarray,
-    stats: ClassStats,
-    phi: np.ndarray,
-    rng: np.random.Generator,
-    count: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend a batch of representations with minority-class copies.
-
-    Originals are retained; every sample whose label is a minority class of
-    ``phi`` contributes ``count`` synthesized representations carrying its
-    own label. The census ``phi`` itself is never touched.
+    ``h`` holds the representation of each copy's origin row, ``radii`` one
+    radius per copy and ``noise`` one standard-normal row per copy (the
+    output of ``plan_synthesis``, gathered by origin).
     """
-    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    plan = plan_synthesis(labels, minority_classes(phi), stats, rng, count)
-    if plan is None:
-        return reps, labels
-    origin, radii, noise = plan
-    synth = apply_synthesis_plan(reps, origin, radii, noise)
-    return np.concatenate([reps, synth], axis=0), np.concatenate([labels, labels[origin]])
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("zero-norm representation cannot be synthesized from")
+    return h + (h / norms) * (radii[:, None] * noise)

@@ -21,82 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import AugmentationPolicy, UnlabeledView, strong_view, strong_view_batch, weak_view, weak_view_batch
-from .losses import ClassPrior, softmax
-from .network import ModelState, encode, head_logits
-
-
-@dataclass
-class ViewPrediction:
-    """Pseudo-label and confidence per augmentation view of one sample."""
-
-    label_weak: int
-    conf_weak: float
-    label_strong: int
-    conf_strong: float
+from .datasets import UnlabeledView
+from .losses import ClassPrior
 
 
 @dataclass
 class ViewPredictionBatch:
+    """Pseudo-label and confidence per row under the weak and the strong view
+    (made by ``training.predict_views``)."""
+
     labels_weak: np.ndarray
     confs_weak: np.ndarray
     labels_strong: np.ndarray
     confs_strong: np.ndarray
 
 
-def _predict_one(state: ModelState, x: np.ndarray, branch: str) -> tuple[int, float]:
-    probs = softmax(head_logits(state, branch, encode(state, x)))
-    # np.argmax breaks ties toward the lowest class index
-    label = int(np.argmax(probs))
-    return label, float(probs[label])
-
-
-def predict_views(
-    state: ModelState,
-    x_u: np.ndarray,
-    policy: AugmentationPolicy,
-    rng: np.random.Generator,
-    branch: str = "primary",
-) -> ViewPrediction:
-    """Predict (argmax, max softmax) for the weak and strong view of a sample."""
-    lw, cw = _predict_one(state, weak_view(x_u, policy, rng), branch)
-    ls, cs = _predict_one(state, strong_view(x_u, policy, rng), branch)
-    return ViewPrediction(lw, cw, ls, cs)
-
-
-def predict_views_batch(
-    state: ModelState,
-    X_u: np.ndarray,
-    policy: AugmentationPolicy,
-    rng: np.random.Generator,
-    branch: str = "primary",
-) -> ViewPredictionBatch:
-    """Batched view predictions (weak noise drawn first, then strong)."""
-    weak = weak_view_batch(X_u, policy, rng)
-    strong = strong_view_batch(X_u, policy, rng)
-    pw = softmax(head_logits(state, branch, encode(state, weak)))
-    ps = softmax(head_logits(state, branch, encode(state, strong)))
-    return ViewPredictionBatch(
-        labels_weak=np.argmax(pw, axis=1),
-        confs_weak=np.max(pw, axis=1),
-        labels_strong=np.argmax(ps, axis=1),
-        confs_strong=np.max(ps, axis=1),
-    )
-
-
-def reliability_mask(vp: ViewPrediction, tau: float) -> int:
-    """1 iff both confidences strictly exceed tau and the view labels agree.
-
-    tau = 1.0 is legal and selects nothing (the comparisons are strict).
-    """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
-    return int(
-        (vp.conf_weak > tau) and (vp.conf_strong > tau) and (vp.label_weak == vp.label_strong)
-    )
-
-
 def reliability_mask_batch(vpb: ViewPredictionBatch, tau: float) -> np.ndarray:
+    """Per row: True iff both confidences strictly exceed tau and the view
+    labels agree. tau = 1.0 is legal and selects nothing."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     return (

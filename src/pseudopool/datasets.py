@@ -286,25 +286,10 @@ def policy_from_features(
     return policy
 
 
-def weak_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x + policy.weak_noise_sigma * rng.standard_normal(x.shape)
-
-
-def strong_view(x: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator) -> np.ndarray:
-    """Heavier noise, then a fixed fraction of coordinates zeroed."""
-    x = np.asarray(x, dtype=np.float64)
-    out = x + policy.strong_noise_sigma * rng.standard_normal(x.shape)
-    k = int(round(policy.strong_mask_rate * x.shape[-1]))
-    if k > 0:
-        masked = rng.choice(x.shape[-1], size=k, replace=False)
-        out[..., masked] = 0.0
-    return out
-
-
 def weak_view_batch(
     X: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator
 ) -> np.ndarray:
+    """Weak view of each row: additive Gaussian noise."""
     X = np.asarray(X, dtype=np.float64)
     return X + policy.weak_noise_sigma * rng.standard_normal(X.shape)
 
@@ -312,6 +297,8 @@ def weak_view_batch(
 def strong_view_batch(
     X: np.ndarray, policy: AugmentationPolicy, rng: np.random.Generator
 ) -> np.ndarray:
+    """Strong view of each row: heavier noise, then a fixed fraction of its
+    coordinates zeroed."""
     X = np.asarray(X, dtype=np.float64)
     out = X + policy.strong_noise_sigma * rng.standard_normal(X.shape)
     k = int(round(policy.strong_mask_rate * X.shape[1]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .datasets import (
     spec_to_dict,
 )
 from .metrics import welch_t_test
-from .training import TrainConfig, train_config_from_dict, train_config_to_dict
+from .training import TrainConfig, train_config_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -110,9 +110,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("dataset", str(exc)) from None
 
     train_raw = dict(data.get("train", {}))
-    allowed_train = set(train_config_to_dict(TrainConfig()).keys())
-    _check_keys(train_raw, allowed_train, "train.")
-    merged = train_config_to_dict(TrainConfig())
+    merged = asdict(TrainConfig())
+    _check_keys(train_raw, set(merged), "train.")
     for key, value in train_raw.items():
         if isinstance(merged.get(key), dict) and isinstance(value, dict):
             sub = dict(merged[key])
@@ -161,7 +160,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "method": config.method,
         "dataset": spec_to_dict(config.dataset),
-        "train": train_config_to_dict(config.train),
+        "train": asdict(config.train),
         "seeds": list(config.seeds),
         "output_dir": config.output_dir,
         "scenarios": list(config.scenarios),
@@ -169,15 +168,14 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _coerce_method_config(config: ExperimentConfig) -> TrainConfig:
-    """Baselines ignore the component toggles (with a warning when set)."""
+    """Baselines ignore the component toggles (with a warning when set);
+    ``run_baseline`` switches them off itself."""
     cfg = config.train
-    if config.method == "cpg":
-        return cfg
-    if cfg.use_aux_branch or cfg.use_cycle or cfg.use_synthesis:
+    if config.method != "cpg" and (cfg.use_aux_branch or cfg.use_cycle or cfg.use_synthesis):
         logger.warning(
             "method %s ignores component toggles (aux/cycle/synthesis)", config.method
         )
-    return replace(cfg, use_aux_branch=False, use_cycle=False, use_synthesis=False)
+    return cfg
 
 
 def _run_single(config: ExperimentConfig, seed: int) -> training.RunHistory:

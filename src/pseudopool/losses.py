@@ -1,9 +1,12 @@
-"""Logit-adjusted cross-entropy, the consistency loss, and loss routing.
+"""The class prior and the stabilized softmax behind the logit-adjusted loss.
 
-The adjusted loss adds per-class log-prior offsets to the logits inside a
-softmax cross-entropy, so the minimizer targets balanced error instead of
-plain accuracy. All losses are computed with max-subtraction stabilization
-and stay finite for logit magnitudes far beyond float64 exp range.
+The adjusted loss adds per-class log-prior offsets (``ClassPrior.log``) to
+the logits inside a softmax cross-entropy, so the minimizer targets balanced
+error instead of plain accuracy; with no prior it is plain cross-entropy,
+the consistency term. The loss itself, with its gradient, is
+``network._xent_forward_backward``. ``log_softmax`` subtracts the row max
+first, so losses stay finite for logit magnitudes far beyond float64 exp
+range.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-LOSS_KINDS = ("la_primary", "la_auxiliary", "aux_consistency")
 
 
 @dataclass
@@ -54,75 +55,3 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(z))
-
-
-def cross_entropy(logits: np.ndarray, y: int) -> float:
-    """Plain softmax cross-entropy of one logit vector against class y."""
-    return float(-log_softmax(logits)[int(y)])
-
-
-def la_loss(logits: np.ndarray, y: int, prior: ClassPrior) -> float:
-    """Logit-adjusted cross-entropy: logits are shifted by ln(prior) first."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != prior.probabilities.shape:
-        raise ValueError("logits and prior must have matching length")
-    return cross_entropy(logits + prior.log, y)
-
-
-def aux_loss(strong_logits: np.ndarray, pseudo_label: int) -> float:
-    """Consistency term: plain cross-entropy of the strong-view logits
-    against the pseudo-label produced from the weak view."""
-    return cross_entropy(strong_logits, pseudo_label)
-
-
-def xent_rows(logits: np.ndarray, y: np.ndarray, log_prior: np.ndarray | None = None) -> np.ndarray:
-    """Per-row (optionally adjusted) cross-entropy for a batch of logits."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    if log_prior is not None:
-        logits = logits + log_prior
-    rows = np.arange(logits.shape[0])
-    return -log_softmax(logits)[rows, np.asarray(y, dtype=np.int64)]
-
-
-@dataclass
-class LossSpec:
-    """Names one loss term and the branch its head-gradient flows to.
-
-    ``omega`` is 1 exactly when the term targets the auxiliary branch.
-    """
-
-    kind: str
-    prior: ClassPrior | None = None
-    omega: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"kind must be one of {LOSS_KINDS}")
-        expected = 0 if self.kind == "la_primary" else 1
-        if self.omega is None:
-            self.omega = expected
-        elif self.omega != expected:
-            raise ValueError(f"{self.kind} requires omega={expected}, got {self.omega}")
-        if self.kind in ("la_primary", "la_auxiliary") and self.prior is None:
-            raise ValueError(f"{self.kind} requires a class prior")
-
-    @property
-    def branch(self) -> str:
-        return "primary" if self.kind == "la_primary" else "auxiliary"
-
-
-def overall_loss(parts: list[tuple[LossSpec, float]]) -> tuple[float, list[str]]:
-    """Combine routed loss terms: adjusted terms plus omega-gated aux terms.
-
-    Returns the scalar total and, per part, the branch its head-gradient
-    belongs to, so the model layer can enforce head isolation.
-    """
-    total = 0.0
-    routing = []
-    for spec, value in parts:
-        if spec.kind == "aux_consistency":
-            total += spec.omega * float(value)
-        else:
-            total += float(value)
-        routing.append(spec.branch)
-    return total, routing

@@ -11,17 +11,18 @@ encoder parameters (the noise and radii are constants of the step).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .augment import synthesize
 from .losses import log_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -201,13 +202,6 @@ class BatchPart:
     normalizer: int | None = None
 
 
-def _apply_synthesis(h: np.ndarray, radii: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm representation cannot be synthesized from")
-    return h + (h / norms) * (radii[:, None] * noise), norms
-
-
 def _xent_forward_backward(
     logits: np.ndarray, labels: np.ndarray, log_prior: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +253,7 @@ def loss_and_grads(
         if n_synth:
             plan = part.synth
             h0, cache0 = _forward_encoder(state, plan.inputs)
-            h_prime, norms = _apply_synthesis(h0, plan.radii, plan.noise)
+            h_prime = synthesize(h0, plan.radii, plan.noise)
             logits = h_prime @ head_w + state.params[b_key]
             losses, d_logits = _xent_forward_backward(logits, plan.labels, part.log_prior)
             loss_sum += float(losses.sum())
@@ -272,6 +266,7 @@ def loss_and_grads(
             u = plan.noise * d_hp
             r = plan.radii[:, None]
             inner = np.sum(h0 * u, axis=1, keepdims=True)
+            norms = np.linalg.norm(h0, axis=1, keepdims=True)
             d_h0 = d_hp + r * u / norms - h0 * (r * inner / norms**3)
             _backprop_encoder(state, cache0, d_h0, grads)
 
@@ -342,19 +337,8 @@ def save_checkpoint(
     path = Path(path)
     header = {
         "version": CHECKPOINT_VERSION,
-        "model": {
-            "input_dim": state.config.input_dim,
-            "num_classes": state.config.num_classes,
-            "hidden_dims": list(state.config.hidden_dims),
-            "activation": state.config.activation,
-            "init_seed": state.config.init_seed,
-        },
-        "optimizer": {
-            "base_lr": opt.base_lr,
-            "momentum": opt.momentum,
-            "weight_decay": opt.weight_decay,
-            "total_steps": opt.total_steps,
-        },
+        "model": asdict(state.config),
+        "optimizer": asdict(opt),
         "epoch": epoch,
         "rng_states": rng_states,
         "extra": extra,
@@ -379,13 +363,7 @@ def load_checkpoint(path: str | Path):
         header = json.loads(bytes(data["header"]).decode("utf-8"))
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
-        model_cfg = ModelConfig(
-            input_dim=header["model"]["input_dim"],
-            num_classes=header["model"]["num_classes"],
-            hidden_dims=tuple(header["model"]["hidden_dims"]),
-            activation=header["model"]["activation"],
-            init_seed=header["model"]["init_seed"],
-        )
+        model_cfg = ModelConfig(**header["model"])
         params = {
             k[len("param_"):]: data[k].copy() for k in data.files if k.startswith("param_")
         }

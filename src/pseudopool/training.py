@@ -2,9 +2,11 @@
 (filter -> vote -> pool update -> prior refresh -> losses -> SGD step), with
 optional minority-class synthesis and an auxiliary consistency branch.
 
-Baselines share the batch-sampling stream and schedule with the full
-trainer, so the trainer with every component disabled reproduces the
-supervised logit-adjusted baseline's trajectory exactly.
+The baselines are this same loop with components off: every baseline runs
+with the aux branch, the cycle and synthesis disabled; ``supervised_ce`` and
+``consistency_ssl`` also drop the logit adjustment, and ``consistency_ssl``
+adds a gated weak-to-strong term on the primary head. The trainer with every
+component disabled is therefore the supervised logit-adjusted baseline.
 
 RNG discipline: one PCG64 stream per concern (batch sampling, view noise,
 synthesis noise, audits), spawned from the run seed. A concern that is
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,12 @@ class TrainConfig:
         if not 0.0 < self.confidence_threshold <= 1.0:
             # 1.0 is legal: the strict > gate then never fires
             raise ValueError("confidence_threshold must lie in (0, 1]")
+        if self.min_votes < 1:
+            raise ValueError("min_votes must be >= 1")
+        if not 0.5 <= self.majority_frac <= 1.0:
+            raise ValueError("majority_frac must lie in [0.5, 1]")
+        if not 0.0 <= self.ema_decay < 1.0:
+            raise ValueError("ema_decay must lie in [0, 1)")
         if self.predict_branch not in ("primary", "auxiliary"):
             raise ValueError("predict_branch must be primary or auxiliary")
         if self.synth_count < 1:
@@ -119,11 +127,10 @@ class TrainConfig:
 
 def paper_scale_config(**overrides) -> TrainConfig:
     """Preset mirroring the original large-scale recipe (2**18 total steps,
-    labeled batch 64); keep the desk-scale defaults for everything else."""
-    cfg = TrainConfig(
-        total_epochs=256, steps_per_epoch=1024, labeled_batch=64, **overrides
-    )
-    return cfg
+    labeled batch 64); keep the desk-scale defaults for everything else.
+    ``overrides`` win over the preset."""
+    preset = TrainConfig(total_epochs=256, steps_per_epoch=1024, labeled_batch=64)
+    return replace(preset, **overrides)
 
 
 @dataclass
@@ -144,7 +151,7 @@ class EpochReport:
             "epoch": self.epoch,
             "acc": self.metrics["acc"],
             "macro_f1": self.metrics["macro_f1"],
-            "per_class_acc": [float(v) for v in self.metrics["per_class_acc"]],
+            "per_class_acc": self.metrics["per_class_acc"],
             "err_rate": self.metrics["error_rate"],
             "util_rate": self.metrics["utilization_rate"],
             "kl": self.metrics["kl"],
@@ -244,6 +251,7 @@ def _epoch_report(
     )
     bundle.pop("audit")
     bundle.pop("balanced_error")
+    bundle["per_class_acc"] = bundle["per_class_acc"].tolist()
     bundle["o_t"] = row.o_t
     bundle["eps_t"] = row.eps_t
     bundle["r_t"] = row.r_t
@@ -276,6 +284,33 @@ def train(
     votes, re-resolves the pool, refreshes the prior, and optionally expands
     minority classes before the SGD step at the cosine learning rate.
     """
+    return _run("cpg", config, splits, step_callback, checkpoint_dir, _resume)
+
+
+def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHistory:
+    """Reference learners: the training loop with the aux branch, the cycle
+    and synthesis switched off, so they share its sampling streams and schedule.
+
+    supervised_ce: plain cross-entropy on labeled data. supervised_la: the
+    logit-adjusted loss with the base labeled prior. consistency_ssl: CE on
+    labeled data plus strong-view CE against weak-view pseudo-labels gated at
+    the confidence threshold (single head, no pool growth, no adjustment).
+    """
+    if kind not in BASELINE_KINDS:
+        raise ValueError(f"kind must be one of {BASELINE_KINDS}")
+    config = replace(config, use_aux_branch=False, use_cycle=False, use_synthesis=False)
+    return _run(kind, config, splits)
+
+
+def _run(
+    method: str,
+    config: TrainConfig,
+    splits: SplitBundle,
+    step_callback=None,
+    checkpoint_dir: str | Path | None = None,
+    _resume: dict | None = None,
+) -> RunHistory:
+    """The one training loop behind ``train`` ("cpg") and every baseline kind."""
     config.validate()
     c = splits.spec.num_classes
     policy = _resolve_policy(config, splits)
@@ -283,6 +318,8 @@ def train(
     rngs = _streams(config.seed)
     uview = splits.unlabeled_view()
     m = uview.ids.size
+    adjusted = method in ("cpg", "supervised_la")
+    gated_consistency = method == "consistency_ssl"
 
     pool = LabeledPool.from_split(splits.labeled, c)
     registry = PseudoRegistry(uview.ids, c)
@@ -322,7 +359,7 @@ def train(
         for step in range(1, config.steps_per_epoch + 1):
             cycle_active = config.use_cycle and epoch > config.warmup_epochs
             synth_active = config.use_synthesis and epoch > config.warmup_epochs
-            need_unlabeled = config.use_aux_branch or cycle_active
+            need_unlabeled = config.use_aux_branch or cycle_active or gated_consistency
 
             weak_u = strong_u = None
             if need_unlabeled:
@@ -332,7 +369,7 @@ def train(
                 strong_u = strong_view_batch(x_u, policy, rngs["views"])
 
             if cycle_active:
-                vpb = _views_from_arrays(state, weak_u, strong_u, "primary")
+                vpb = predict_views(state, weak_u, strong_u, "primary")
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
                 for i in np.flatnonzero(fired):
                     registry.record_vote(int(uview.ids[u_rows[i]]), int(vpb.labels_weak[i]))
@@ -351,7 +388,7 @@ def train(
             rows = rngs["labeled"].integers(0, pool.size, size=b_l)
             x_b = pool.features()[rows]
             y_b = pool.labels()[rows]
-            log_pi = prior.log
+            log_pi = prior.log if adjusted else None
 
             primary = BatchPart("primary", x_b, y_b, log_pi)
             if synth_active:
@@ -373,6 +410,13 @@ def train(
                 pseudo = np.argmax(aux_weak, axis=1)
                 parts.append(BatchPart("auxiliary", strong_u, pseudo, None))
 
+            if gated_consistency:
+                probs = softmax(head_logits(state, "primary", encode(state, weak_u)))
+                keep = np.max(probs, axis=1) > config.confidence_threshold
+                if keep.any():
+                    pseudo = np.argmax(probs, axis=1)[keep]
+                    parts.append(BatchPart("primary", strong_u[keep], pseudo, None, normalizer=b_u))
+
             try:
                 _, part_means, grads = loss_and_grads(state, parts)
             except NonFiniteLossError as exc:
@@ -385,6 +429,10 @@ def train(
             if step_callback is not None:
                 step_callback(StepInfo(epoch, step, global_step, pool, prior))
 
+        if gated_consistency:
+            labels = metrics_mod.threshold_assignments(
+                state, splits, policy, config.confidence_threshold, rngs["audit"]
+            )
         reports.append(
             _epoch_report(
                 state,
@@ -423,17 +471,21 @@ def train(
             )
 
     return RunHistory(
-        method="cpg",
+        method=method,
         reports=reports,
         state=state,
         ledger=ledger,
-        registry=registry,
+        registry=registry if method == "cpg" else None,
         pool=pool,
         policy=policy,
     )
 
 
-def _views_from_arrays(state, weak, strong, branch) -> ViewPredictionBatch:
+def predict_views(
+    state: ModelState, weak: np.ndarray, strong: np.ndarray, branch: str = "primary"
+) -> ViewPredictionBatch:
+    """(argmax, max softmax) of the selected head per row of the weak and the
+    strong view; argmax ties go to the lowest class index."""
     pw = softmax(head_logits(state, branch, encode(state, weak)))
     ps = softmax(head_logits(state, branch, encode(state, strong)))
     return ViewPredictionBatch(
@@ -441,96 +493,6 @@ def _views_from_arrays(state, weak, strong, branch) -> ViewPredictionBatch:
         confs_weak=np.max(pw, axis=1),
         labels_strong=np.argmax(ps, axis=1),
         confs_strong=np.max(ps, axis=1),
-    )
-
-
-def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHistory:
-    """Reference learners sharing the trainer's sampling streams and schedule.
-
-    supervised_ce: plain cross-entropy on labeled data. supervised_la: the
-    logit-adjusted loss with the base labeled prior. consistency_ssl: CE on
-    labeled data plus strong-view CE against weak-view pseudo-labels gated at
-    the confidence threshold (single head, no pool growth, no adjustment).
-    """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}")
-    config.validate()
-    c = splits.spec.num_classes
-    policy = _resolve_policy(config, splits)
-    state, opt = _build_model(config, splits)
-    rngs = _streams(config.seed)
-    uview = splits.unlabeled_view()
-    m = uview.ids.size
-
-    pool = LabeledPool.from_split(splits.labeled, c)
-    prior = class_distribution(pool)
-    log_pi = prior.log if kind == "supervised_la" else None
-    ledger = metrics_mod.RiskLedger()
-    reports: list[EpochReport] = []
-    tau = config.confidence_threshold
-    global_step = 0
-
-    for epoch in range(1, config.total_epochs + 1):
-        started = time.perf_counter()
-        primary_sum = 0.0
-        aux_sum = 0.0
-        for step in range(1, config.steps_per_epoch + 1):
-            parts = []
-            if kind == "consistency_ssl":
-                u_rows = rngs["unlabeled"].integers(0, m, size=config.unlabeled_batch)
-                x_u = uview.features[u_rows]
-                weak_u = weak_view_batch(x_u, policy, rngs["views"])
-                strong_u = strong_view_batch(x_u, policy, rngs["views"])
-                probs = softmax(head_logits(state, "primary", encode(state, weak_u)))
-                labels_w = np.argmax(probs, axis=1)
-                confs_w = np.max(probs, axis=1)
-                keep = confs_w > tau
-                if keep.any():
-                    parts.append(
-                        BatchPart(
-                            "primary",
-                            strong_u[keep],
-                            labels_w[keep],
-                            None,
-                            normalizer=config.unlabeled_batch,
-                        )
-                    )
-
-            rows = rngs["labeled"].integers(0, pool.size, size=config.labeled_batch)
-            parts.insert(0, BatchPart("primary", pool.features()[rows], pool.labels()[rows], log_pi))
-
-            try:
-                _, part_means, grads = loss_and_grads(state, parts)
-            except NonFiniteLossError as exc:
-                raise TrainingDiverged(epoch, step, str(exc)) from exc
-            sgd_step(state, grads, opt, cosine_lr(global_step, opt))
-            global_step += 1
-            primary_sum += part_means[0]
-            aux_sum += sum(part_means[1:])
-
-        if kind == "consistency_ssl":
-            labels = metrics_mod.threshold_assignments(state, splits, policy, tau, rngs["audit"])
-        else:
-            labels = np.full(m, -1, dtype=np.int64)
-        reports.append(
-            _epoch_report(
-                state,
-                splits,
-                config,
-                ledger,
-                epoch,
-                labels,
-                primary_sum / config.steps_per_epoch,
-                aux_sum / config.steps_per_epoch,
-                pool,
-                prior,
-                None,
-                started,
-            )
-        )
-
-    return RunHistory(
-        method=kind, reports=reports, state=state, ledger=ledger, pool=pool, policy=policy
     )
 
 
@@ -554,24 +516,12 @@ def save_run_checkpoint(
     reports: list[EpochReport],
 ) -> Path:
     extra = {
-        "config": train_config_to_dict(config),
+        "config": asdict(config),
         "global_step": global_step,
         "assignments": _labels_to_json(registry.ids, labels),
         "registry_epoch": registry.current_epoch,
-        "ledger": [vars(row) for row in ledger.rows],
-        "reports": [
-            {
-                "record": r.to_record(),
-                "class_stats": r.class_stats,
-                "wall_clock": r.wall_clock,
-                "primary_loss": r.primary_loss,
-                "aux_loss": r.aux_loss,
-                "pool_n": r.pool_n,
-                "pool_m": r.pool_m,
-                "pi": r.pi,
-            }
-            for r in reports
-        ],
+        "ledger": [asdict(row) for row in ledger.rows],
+        "reports": [asdict(r) for r in reports],
     }
     extra_arrays = {
         "votes": registry.votes,
@@ -619,35 +569,7 @@ def resume_training(
     stats.count_seen = extra_arrays["count_seen"]
 
     ledger = metrics_mod.RiskLedger(rows=[metrics_mod.RiskRow(**row) for row in extra["ledger"]])
-    reports = []
-    for item in extra["reports"]:
-        rec = item["record"]
-        metrics_bundle = {
-            "acc": rec["acc"],
-            "macro_f1": rec["macro_f1"],
-            "per_class_acc": rec["per_class_acc"],
-            "error_rate": rec["err_rate"],
-            "utilization_rate": rec["util_rate"],
-            "kl": rec["kl"],
-            "o_t": rec["O_t"],
-            "eps_t": rec["eps_t"],
-            "r_t": rec["R_t"],
-            "lambda_t": rec["lambda_t"],
-            "cum_eps": rec["cum_eps"],
-        }
-        reports.append(
-            EpochReport(
-                epoch=rec["epoch"],
-                primary_loss=item["primary_loss"],
-                aux_loss=item["aux_loss"],
-                pool_n=item["pool_n"],
-                pool_m=item["pool_m"],
-                pi=item["pi"],
-                metrics=metrics_bundle,
-                class_stats=item["class_stats"],
-                wall_clock=item["wall_clock"],
-            )
-        )
+    reports = [EpochReport(**item) for item in extra["reports"]]
 
     resume = {
         "state": state,
@@ -677,44 +599,6 @@ def _labels_from_json(ids: np.ndarray, assignments: dict[str, int]) -> np.ndarra
     for sid, label in assignments.items():
         labels[position[int(sid)]] = int(label)
     return labels
-
-
-def train_config_to_dict(config: TrainConfig) -> dict:
-    out = {
-        "total_epochs": config.total_epochs,
-        "warmup_epochs": config.warmup_epochs,
-        "steps_per_epoch": config.steps_per_epoch,
-        "labeled_batch": config.labeled_batch,
-        "unlabeled_ratio": config.unlabeled_ratio,
-        "confidence_threshold": config.confidence_threshold,
-        "min_votes": config.min_votes,
-        "majority_frac": config.majority_frac,
-        "freeze_resolved": config.freeze_resolved,
-        "use_aux_branch": config.use_aux_branch,
-        "use_cycle": config.use_cycle,
-        "use_synthesis": config.use_synthesis,
-        "ema_decay": config.ema_decay,
-        "synth_count": config.synth_count,
-        "predict_branch": config.predict_branch,
-        "checkpoint_every": config.checkpoint_every,
-        "hidden_dims": list(config.hidden_dims),
-        "activation": config.activation,
-        "optimizer": {
-            "base_lr": config.optimizer.base_lr,
-            "momentum": config.optimizer.momentum,
-            "weight_decay": config.optimizer.weight_decay,
-            "total_steps": config.optimizer.total_steps,
-        },
-        "augmentation": None
-        if config.augmentation is None
-        else {
-            "weak_noise_sigma": config.augmentation.weak_noise_sigma,
-            "strong_noise_sigma": config.augmentation.strong_noise_sigma,
-            "strong_mask_rate": config.augmentation.strong_mask_rate,
-        },
-        "seed": config.seed,
-    }
-    return out
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:

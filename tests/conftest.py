@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pseudopool.datasets import DatasetSpec, generate_splits
@@ -43,12 +42,3 @@ def desk_spec(unlabeled_shape: str = "arbitrary", seed: int = 0) -> DatasetSpec:
 def rel_err(analytic: float, numeric: float, floor: float = 1e-8) -> float:
     return abs(analytic - numeric) / max(floor, abs(analytic), abs(numeric))
 
-
-class StubRng:
-    """Deterministic stand-in for a Generator whose normal draws are fixed."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def standard_normal(self, shape):
-        return np.full(shape, self.value, dtype=np.float64)

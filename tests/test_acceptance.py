@@ -13,12 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pseudopool.cycle import ViewPrediction, reliability_mask
+from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
 from pseudopool.datasets import generate_splits
 from pseudopool.experiments import compare_runs, parse_config, run_experiment
-from pseudopool.losses import ClassPrior, cross_entropy, la_loss
+from pseudopool.losses import ClassPrior
 from pseudopool.metrics import welch_t_test
-from pseudopool.network import init
+from pseudopool.network import _xent_forward_backward, init
 from pseudopool.training import TrainConfig, run_baseline, train
 
 from conftest import desk_spec
@@ -123,23 +123,29 @@ class TestExactCriteria:
             c = int(rng.integers(2, 9))
             logits = rng.normal(scale=4.0, size=c)
             y = int(rng.integers(c))
-            gap = abs(la_loss(logits, y, ClassPrior.uniform(c)) - cross_entropy(logits, y))
+            adjusted, _ = _xent_forward_backward(logits[None], [y], ClassPrior.uniform(c).log)
+            plain, _ = _xent_forward_backward(logits[None], [y], None)
+            gap = abs(float(adjusted[0]) - float(plain[0]))
             worst = max(worst, gap)
         report(2, "uniform-prior reduction", worst < 1e-9, f"max gap {worst:.2e}")
 
     def test_criterion_3_filter_equivalence(self):
         rng = np.random.default_rng(300)
         tau = 0.95
-        mismatches = 0
+        rows = []
         for i in range(10_000):
             conf_w = float(rng.choice([rng.uniform(0.2, 1.0), tau, 0.96]))
             conf_s = float(rng.choice([rng.uniform(0.2, 1.0), tau]))
-            vp = ViewPrediction(int(rng.integers(4)), conf_w, int(rng.integers(4)), conf_s)
-            brute = int(
-                (vp.conf_weak > tau) and (vp.conf_strong > tau) and (vp.label_weak == vp.label_strong)
-            )
-            mismatches += int(reliability_mask(vp, tau) != brute)
-        boundary = reliability_mask(ViewPrediction(0, tau, 0, 0.99), tau)
+            rows.append((int(rng.integers(4)), conf_w, int(rng.integers(4)), conf_s))
+        label_w, conf_w, label_s, conf_s = (np.array(col) for col in zip(*rows))
+        brute = [(cw > tau) and (cs > tau) and (lw == ls) for lw, cw, ls, cs in rows]
+        mask = reliability_mask_batch(ViewPredictionBatch(label_w, conf_w, label_s, conf_s), tau)
+        mismatches = int(np.sum(mask != np.array(brute)))
+        boundary = int(
+            reliability_mask_batch(
+                ViewPredictionBatch(np.array([0]), np.array([tau]), np.array([0]), np.array([0.99])), tau
+            )[0]
+        )
         report(3, "filter equivalence", mismatches == 0 and boundary == 0,
                f"{mismatches} mismatches on 10^4 draws; boundary->0")
 

@@ -5,15 +5,17 @@ import pytest
 
 from pseudopool.augment import (
     ClassStats,
-    apply_synthesis_plan,
-    augment_batch,
     minority_classes,
     plan_synthesis,
     synthesize,
     update_class_stats,
 )
 
-from conftest import StubRng
+
+def copies(h, radius, noise):
+    """Synthesized copies of one representation, one per noise row."""
+    noise = np.atleast_2d(noise)
+    return synthesize(np.tile(h, (noise.shape[0], 1)), np.full(noise.shape[0], radius), noise)
 
 
 class TestClassStats:
@@ -92,32 +94,35 @@ class TestMinorityClasses:
 
 class TestSynthesize:
     def test_zero_noise_returns_original(self):
-        out = synthesize(np.array([3.0, 4.0]), radius=2.0, rng=StubRng(0.0), count=4)
-        assert len(out) == 4
-        for rep in out:
-            assert np.allclose(rep.representation, [3.0, 4.0])
+        out = copies(np.array([3.0, 4.0]), 2.0, np.zeros((4, 2)))
+        assert out.shape == (4, 2)
+        assert np.allclose(out, [3.0, 4.0])
 
     def test_hand_computed_elementwise_case(self):
         # h=(3,4), r=2, noise=1: h' = h + unit(h)*(r*1) = (3+0.6*2, 4+0.8*2)
-        out = synthesize(np.array([3.0, 4.0]), radius=2.0, rng=StubRng(1.0), count=1)
-        assert np.allclose(out[0].representation, [4.2, 5.6])
+        out = copies(np.array([3.0, 4.0]), 2.0, np.ones((1, 2)))
+        assert np.allclose(out[0], [4.2, 5.6])
 
     def test_default_count_is_ten(self):
-        out = synthesize(np.array([1.0, 1.0]), radius=1.0, rng=StubRng(0.5))
-        assert len(out) == 10
+        stats = prepared_stats()
+        origin, radii, noise = plan_synthesis(np.array([2]), np.array([2]), stats, np.random.default_rng(0))
+        assert origin.size == radii.size == noise.shape[0] == 10
 
     def test_labels_and_origin_carried(self):
-        out = synthesize(np.array([1.0, 0.0]), 1.0, StubRng(0.0), count=2, label=3, origin_id=42)
-        assert all(r.label == 3 and r.origin_id == 42 for r in out)
+        # every copy points back at its origin row, whose label it takes
+        stats = prepared_stats()
+        labels = np.array([0, 2, 1, 2])
+        origin, radii, _ = plan_synthesis(labels, np.array([2]), stats, np.random.default_rng(0), count=2)
+        assert list(origin) == [1, 1, 3, 3]
+        assert set(labels[origin]) == {2}
+        assert np.all(radii == stats.radius[2])
 
     def test_monte_carlo_coordinate_std(self):
         # per-coordinate std of (h' - h) is r*|h_k|/||h||
         h = np.array([3.0, 4.0])
         r = 1.5
         rng = np.random.default_rng(2)
-        reps = np.stack(
-            [s.representation for s in synthesize(h, r, rng, count=10_000)]
-        )
+        reps = copies(h, r, rng.standard_normal((10_000, 2)))
         sds = (reps - h).std(axis=0)
         expected = r * np.abs(h) / np.linalg.norm(h)
         assert np.all(np.abs(sds - expected) / expected < 0.05)
@@ -125,12 +130,12 @@ class TestSynthesize:
     def test_zero_mean_displacement(self):
         h = np.array([2.0, -1.0, 0.5])
         rng = np.random.default_rng(3)
-        reps = np.stack([s.representation for s in synthesize(h, 2.0, rng, count=20_000)])
+        reps = copies(h, 2.0, rng.standard_normal((20_000, 3)))
         assert np.allclose(reps.mean(axis=0), h, atol=0.05)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            synthesize(np.zeros(3), 1.0, StubRng(0.0))
+            copies(np.zeros(3), 1.0, np.zeros((1, 3)))
 
     def test_radius_compactness_antitonicity(self):
         stats = ClassStats(num_classes=2, rep_dim=2)
@@ -151,13 +156,25 @@ def prepared_stats(num_classes=3, rep_dim=4):
     return stats
 
 
+def expand(reps, labels, stats, phi, rng, count=10):
+    """The training step's batch expansion: plan copies of the minority rows,
+    then synthesize them from their origin representations."""
+    plan = plan_synthesis(labels, minority_classes(phi), stats, rng, count)
+    if plan is None:
+        return reps, labels
+    origin, radii, noise = plan
+    synth = synthesize(reps[origin], radii, noise)
+    return np.concatenate([reps, synth]), np.concatenate([labels, labels[origin]])
+
+
 class TestAugmentBatch:
     def test_no_minority_samples_leaves_batch_unchanged(self):
         stats = prepared_stats()
         phi = np.array([10, 10, 2])  # minority is class 2
         reps = np.ones((4, 4))
         labels = np.array([0, 0, 1, 1])
-        out_reps, out_labels = augment_batch(reps, labels, stats, phi, np.random.default_rng(5))
+        assert plan_synthesis(labels, minority_classes(phi), stats, np.random.default_rng(5)) is None
+        out_reps, out_labels = expand(reps, labels, stats, phi, np.random.default_rng(5))
         assert out_reps.shape == (4, 4)
         assert np.array_equal(out_labels, labels)
 
@@ -166,7 +183,7 @@ class TestAugmentBatch:
         phi = np.array([10, 10, 2])
         reps = np.ones((3, 4))
         labels = np.array([0, 1, 2])
-        out_reps, out_labels = augment_batch(reps, labels, stats, phi, np.random.default_rng(6))
+        out_reps, out_labels = expand(reps, labels, stats, phi, np.random.default_rng(6))
         assert out_reps.shape == (13, 4)
         assert list(out_labels[3:]) == [2] * 10
 
@@ -176,7 +193,7 @@ class TestAugmentBatch:
         rng = np.random.default_rng(7)
         labels = np.array([0, 1, 2, 1, 0, 2, 2])
         reps = rng.normal(size=(7, 4)) + 1.0
-        out_reps, out_labels = augment_batch(reps, labels, stats, phi, rng)
+        out_reps, out_labels = expand(reps, labels, stats, phi, rng)
         minority_count = int(np.sum(labels == 2))
         assert out_reps.shape[0] == 7 + 10 * minority_count
         assert out_labels.shape[0] == out_reps.shape[0]
@@ -186,14 +203,14 @@ class TestAugmentBatch:
         phi = np.array([20, 3, 20])
         labels = np.array([1, 1, 0])
         reps = np.ones((3, 4))
-        _, out_labels = augment_batch(reps, labels, stats, phi, np.random.default_rng(8))
+        _, out_labels = expand(reps, labels, stats, phi, np.random.default_rng(8))
         assert set(out_labels[3:]) == {1}
 
     def test_census_not_touched(self):
         stats = prepared_stats()
         phi = np.array([20, 3, 2])
         before = phi.copy()
-        augment_batch(np.ones((3, 4)), np.array([0, 1, 2]), stats, phi, np.random.default_rng(9))
+        expand(np.ones((3, 4)), np.array([0, 1, 2]), stats, phi, np.random.default_rng(9))
         assert np.array_equal(phi, before)
 
     def test_plan_and_apply_round_trip(self):
@@ -203,7 +220,7 @@ class TestAugmentBatch:
         origin, radii, noise = plan
         assert origin.size == 10  # two minority rows, five copies each
         reps = np.random.default_rng(11).normal(size=(3, 4)) + 2.0
-        synth = apply_synthesis_plan(reps, origin, radii, noise)
+        synth = synthesize(reps[origin], radii, noise)
         assert synth.shape == (10, 4)
 
     def test_plan_none_when_no_candidates(self):

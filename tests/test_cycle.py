@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 from pseudopool.cycle import (
     LabeledPool,
     PseudoRegistry,
-    ViewPrediction,
+    ViewPredictionBatch,
     class_distribution,
-    predict_views,
-    predict_views_batch,
-    reliability_mask,
     reliability_mask_batch,
     update_pool,
 )
-from pseudopool.datasets import AugmentationPolicy, UnlabeledView, generate_splits
+from pseudopool.datasets import (
+    AugmentationPolicy,
+    UnlabeledView,
+    generate_splits,
+    strong_view_batch,
+    weak_view_batch,
+)
 from pseudopool.network import ModelConfig, init
+from pseudopool.training import predict_views
 
 from conftest import tiny_spec
 
@@ -42,80 +46,102 @@ def axis_decision_state():
     return state
 
 
+def views_of(state, X, policy, rng):
+    """View predictions as training makes them: weak noise drawn first."""
+    X = np.atleast_2d(X)
+    return predict_views(state, weak_view_batch(X, policy, rng), strong_view_batch(X, policy, rng))
+
+
+def one_view(label_weak, conf_weak, label_strong, conf_strong):
+    """A one-row view prediction."""
+    return ViewPredictionBatch(
+        np.array([label_weak]), np.array([conf_weak]), np.array([label_strong]), np.array([conf_strong])
+    )
+
+
+def brute_mask(vpb, tau):
+    """The filter's three clauses, evaluated row by row."""
+    return np.array(
+        [
+            vpb.confs_weak[i] > tau and vpb.confs_strong[i] > tau and vpb.labels_weak[i] == vpb.labels_strong[i]
+            for i in range(vpb.labels_weak.size)
+        ],
+        dtype=bool,
+    )
+
+
 class TestPredictViews:
     def test_zero_logit_model_ties_to_class_zero(self):
         state = zero_logit_state(num_classes=4)
         policy = AugmentationPolicy(0.0, 0.0, 0.0)
-        vp = predict_views(state, np.ones(3), policy, np.random.default_rng(0))
-        assert vp.label_weak == 0 and vp.label_strong == 0
-        assert vp.conf_weak == pytest.approx(0.25)
-        assert vp.conf_strong == pytest.approx(0.25)
+        vp = views_of(state, np.ones(3), policy, np.random.default_rng(0))
+        assert vp.labels_weak[0] == 0 and vp.labels_strong[0] == 0
+        assert vp.confs_weak[0] == pytest.approx(0.25)
+        assert vp.confs_strong[0] == pytest.approx(0.25)
 
     def test_identical_views_when_no_perturbation(self):
         cfg = ModelConfig(input_dim=3, num_classes=3, hidden_dims=(6,), init_seed=1)
         state = init(cfg)
         policy = AugmentationPolicy(0.0, 0.0, 0.0)
-        vp = predict_views(state, np.array([0.3, -1.2, 2.0]), policy, np.random.default_rng(0))
-        assert vp.label_weak == vp.label_strong
-        assert vp.conf_weak == pytest.approx(vp.conf_strong, abs=1e-15)
+        vp = views_of(state, np.array([0.3, -1.2, 2.0]), policy, np.random.default_rng(0))
+        assert vp.labels_weak[0] == vp.labels_strong[0]
+        assert vp.confs_weak[0] == pytest.approx(vp.confs_strong[0], abs=1e-15)
 
     def test_matches_analytic_decision_regions(self):
         state = axis_decision_state()
         policy = AugmentationPolicy(0.0, 0.0, 0.0)
-        rng = np.random.default_rng(0)
-        for x, expected in [([3.0, 1.0], 0), ([1.0, 3.0], 1), ([0.2, 5.0], 1), ([2.0, 2.0], 0)]:
-            vp = predict_views(state, np.array(x), policy, rng)
-            assert vp.label_weak == expected
+        X = np.array([[3.0, 1.0], [1.0, 3.0], [0.2, 5.0], [2.0, 2.0]])
+        vp = views_of(state, X, policy, np.random.default_rng(0))
+        assert list(vp.labels_weak) == [0, 1, 1, 0]
 
     def test_batch_variant_consistent_fields(self):
         state = zero_logit_state()
         policy = AugmentationPolicy(0.1, 0.2, 0.25)
-        vpb = predict_views_batch(state, np.ones((7, 3)), policy, np.random.default_rng(2))
+        vpb = views_of(state, np.ones((7, 3)), policy, np.random.default_rng(2))
         assert vpb.labels_weak.shape == (7,)
         assert np.all(vpb.confs_weak >= 1.0 / 4 - 1e-12)
 
 
 class TestReliabilityMask:
     def test_fires_when_all_clauses_hold(self):
-        assert reliability_mask(ViewPrediction(2, 0.96, 2, 0.97), 0.95) == 1
+        assert reliability_mask_batch(one_view(2, 0.96, 2, 0.97), 0.95)[0]
 
     def test_rejects_low_strong_confidence(self):
-        assert reliability_mask(ViewPrediction(2, 0.96, 2, 0.90), 0.95) == 0
+        assert not reliability_mask_batch(one_view(2, 0.96, 2, 0.90), 0.95)[0]
 
     def test_rejects_label_disagreement(self):
-        assert reliability_mask(ViewPrediction(1, 0.99, 2, 0.99), 0.95) == 0
+        assert not reliability_mask_batch(one_view(1, 0.99, 2, 0.99), 0.95)[0]
 
     def test_boundary_equality_is_rejected(self):
-        assert reliability_mask(ViewPrediction(0, 0.95, 0, 0.99), 0.95) == 0
-        assert reliability_mask(ViewPrediction(0, 0.99, 0, 0.95), 0.95) == 0
+        assert not reliability_mask_batch(one_view(0, 0.95, 0, 0.99), 0.95)[0]
+        assert not reliability_mask_batch(one_view(0, 0.99, 0, 0.95), 0.95)[0]
 
     def test_matches_brute_force_conjunction(self):
         rng = np.random.default_rng(4)
         tau = 0.8
-        for _ in range(1000):
-            vp = ViewPrediction(
-                label_weak=int(rng.integers(3)),
-                conf_weak=float(rng.choice([rng.uniform(0.3, 1.0), tau])),
-                label_strong=int(rng.integers(3)),
-                conf_strong=float(rng.choice([rng.uniform(0.3, 1.0), tau])),
-            )
-            clauses = [vp.conf_weak > tau, vp.conf_strong > tau, vp.label_weak == vp.label_strong]
-            assert reliability_mask(vp, tau) == int(all(clauses))
+        n = 1000
+        vpb = ViewPredictionBatch(
+            labels_weak=rng.integers(3, size=n),
+            confs_weak=np.where(rng.random(n) < 0.5, rng.uniform(0.3, 1.0, size=n), tau),
+            labels_strong=rng.integers(3, size=n),
+            confs_strong=np.where(rng.random(n) < 0.5, rng.uniform(0.3, 1.0, size=n), tau),
+        )
+        assert np.array_equal(reliability_mask_batch(vpb, tau), brute_mask(vpb, tau))
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            vp = ViewPrediction(
-                int(rng.integers(2)), float(rng.uniform(0.4, 1.0)),
-                int(rng.integers(2)), float(rng.uniform(0.4, 1.0)),
-            )
+        n = 300
+        vpb = ViewPredictionBatch(
+            rng.integers(2, size=n), rng.uniform(0.4, 1.0, size=n),
+            rng.integers(2, size=n), rng.uniform(0.4, 1.0, size=n),
+        )
+        for _ in range(50):
             taus = sorted(rng.uniform(0.41, 0.99, size=2))
-            assert reliability_mask(vp, taus[1]) <= reliability_mask(vp, taus[0])
+            high, low = reliability_mask_batch(vpb, taus[1]), reliability_mask_batch(vpb, taus[0])
+            assert not np.any(high & ~low)
 
     def test_batch_equals_scalar(self):
         rng = np.random.default_rng(6)
-        from pseudopool.cycle import ViewPredictionBatch
-
         n = 200
         vpb = ViewPredictionBatch(
             labels_weak=rng.integers(3, size=n),
@@ -125,11 +151,8 @@ class TestReliabilityMask:
         )
         batch = reliability_mask_batch(vpb, 0.7)
         for i in range(n):
-            vp = ViewPrediction(
-                int(vpb.labels_weak[i]), float(vpb.confs_weak[i]),
-                int(vpb.labels_strong[i]), float(vpb.confs_strong[i]),
-            )
-            assert batch[i] == bool(reliability_mask(vp, 0.7))
+            row = one_view(vpb.labels_weak[i], vpb.confs_weak[i], vpb.labels_strong[i], vpb.confs_strong[i])
+            assert batch[i] == reliability_mask_batch(row, 0.7)[0]
 
 
 class TestRegistry:

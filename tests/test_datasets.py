@@ -17,9 +17,7 @@ from pseudopool.datasets import (
     policy_from_features,
     save_splits,
     shape_counts,
-    strong_view,
     strong_view_batch,
-    weak_view,
     weak_view_batch,
 )
 
@@ -167,28 +165,28 @@ class TestGenerateSplits:
 class TestViews:
     def test_zero_sigma_weak_is_identity(self):
         policy = AugmentationPolicy(0.0, 0.0, 0.0)
-        x = np.arange(5.0)
-        out = weak_view(x, policy, np.random.default_rng(0))
+        x = np.arange(10.0).reshape(2, 5)
+        out = weak_view_batch(x, policy, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_full_mask_zeroes_everything(self):
         policy = AugmentationPolicy(0.0, 0.0, 1.0)
-        out = strong_view(np.arange(1.0, 6.0), policy, np.random.default_rng(0))
-        assert np.array_equal(out, np.zeros(5))
+        out = strong_view_batch(np.arange(1.0, 11.0).reshape(2, 5), policy, np.random.default_rng(0))
+        assert np.array_equal(out, np.zeros((2, 5)))
 
     def test_weak_noise_is_centered(self):
         # Monte-Carlo: per-coordinate mean within 3*sigma/sqrt(n) of zero
         policy = AugmentationPolicy(0.3, 0.3, 0.0)
         rng = np.random.default_rng(42)
-        x = np.ones(4)
-        draws = np.stack([weak_view(x, policy, rng) - x for _ in range(10_000)])
+        x = np.ones((10_000, 4))
+        draws = weak_view_batch(x, policy, rng) - x
         assert np.all(np.abs(draws.mean(axis=0)) < 3 * 0.3 / 100)
 
     def test_strong_masks_fixed_fraction(self):
         policy = AugmentationPolicy(0.0, 0.0, 0.5)
         rng = np.random.default_rng(1)
-        out = strong_view(np.ones(10), policy, rng)
-        assert int(np.sum(out == 0.0)) == 5
+        out = strong_view_batch(np.ones((20, 10)), policy, rng)
+        assert np.all(np.sum(out == 0.0, axis=1) == 5)
 
     def test_batch_views_match_contract(self):
         policy = AugmentationPolicy(0.1, 0.2, 0.25)

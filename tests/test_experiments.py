@@ -77,6 +77,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="train.optimizer.warp"):
             parse_config(data)
 
+    @pytest.mark.parametrize(
+        "field, value", [("min_votes", 0), ("majority_frac", 0.2), ("ema_decay", 1.5)]
+    )
+    def test_cycle_parameters_validated(self, field, value):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["train"][field] = value
+        with pytest.raises(ConfigError, match=f"^train: {field}") as err:
+            parse_config(data)
+        assert err.value.fieldname == "train"
+
     def test_bad_method(self):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["method"] = "alchemy"

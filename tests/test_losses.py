@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from pseudopool.losses import (
-    ClassPrior,
-    LossSpec,
-    aux_loss,
-    cross_entropy,
-    la_loss,
-    overall_loss,
-    xent_rows,
-)
+from pseudopool.losses import ClassPrior
+from pseudopool.network import BatchPart, ModelConfig, _xent_forward_backward, init, loss_and_grads
+
+
+def la_loss(logits, y, prior):
+    """Adjusted cross-entropy of one logit vector, on the training loss path."""
+    losses, _ = _xent_forward_backward(np.atleast_2d(logits), [y], prior.log)
+    return float(losses[0])
+
+
+def plain_ce(logits, y):
+    """Plain cross-entropy (no prior) of one logit vector, on the training loss path."""
+    losses, _ = _xent_forward_backward(np.atleast_2d(logits), [y], None)
+    return float(losses[0])
 
 
 def brute_force_adjusted_xent(logits, y, probs):
@@ -52,7 +57,7 @@ class TestLaLoss:
             logits = rng.normal(scale=3.0, size=c)
             y = int(rng.integers(c))
             prior = ClassPrior.uniform(c)
-            assert abs(la_loss(logits, y, prior) - cross_entropy(logits, y)) < 1e-9
+            assert abs(la_loss(logits, y, prior) - plain_ce(logits, y)) < 1e-9
 
     def test_matches_brute_force_on_small_logits(self):
         rng = np.random.default_rng(1)
@@ -86,18 +91,19 @@ class TestLaLoss:
         assert np.argmax(logits + big_gap.log) == 1
 
     def test_dimension_mismatch(self):
+        # the prior's length must broadcast against the class axis
         with pytest.raises(ValueError):
             la_loss(np.zeros(3), 0, ClassPrior.uniform(2))
 
 
 class TestAuxLoss:
     def test_flat_logits(self):
-        assert aux_loss(np.zeros(4), 2) == pytest.approx(math.log(4), abs=1e-12)
+        assert plain_ce(np.zeros(4), 2) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_saturated_correct(self):
         logits = np.zeros(4)
         logits[1] = 30.0
-        assert aux_loss(logits, 1) < 1e-9
+        assert plain_ce(logits, 1) < 1e-9
 
     def test_matches_independent_softmax_ce(self):
         rng = np.random.default_rng(2)
@@ -105,40 +111,44 @@ class TestAuxLoss:
             logits = rng.normal(size=3)
             y = int(rng.integers(3))
             probs = np.exp(logits) / np.exp(logits).sum()
-            assert aux_loss(logits, y) == pytest.approx(-math.log(probs[y]), abs=1e-12)
+            assert plain_ce(logits, y) == pytest.approx(-math.log(probs[y]), abs=1e-12)
+
+
+def random_batch(state, rng, n=6):
+    d, c = state.config.input_dim, state.config.num_classes
+    prior = ClassPrior.from_counts(np.arange(1, c + 1))
+    x = rng.normal(size=(n, d))
+    y = rng.integers(c, size=n)
+    return prior, x, y
 
 
 class TestOverallLoss:
+    """The overall loss is ``loss_and_grads``' total: the sum of its parts'
+    batch means, each routed to the head its part names."""
+
+    def setup_method(self):
+        self.state = init(ModelConfig(input_dim=3, num_classes=4, hidden_dims=(5,), init_seed=0))
+        self.rng = np.random.default_rng(7)
+
     def test_primary_only(self):
-        prior = ClassPrior.uniform(2)
-        total, routing = overall_loss([(LossSpec("la_primary", prior), 0.7)])
-        assert total == pytest.approx(0.7)
-        assert routing == ["primary"]
+        prior, x, y = random_batch(self.state, self.rng)
+        total, means, grads = loss_and_grads(self.state, [BatchPart("primary", x, y, prior.log)])
+        assert total == means[0]
+        assert not grads["head_auxiliary_w"].any() and not grads["head_auxiliary_b"].any()
 
     def test_additivity_with_aux(self):
-        prior = ClassPrior.uniform(2)
-        total, routing = overall_loss(
-            [(LossSpec("la_primary", prior), 0.7), (LossSpec("aux_consistency"), 0.5)]
-        )
-        assert total == pytest.approx(1.2)
-        assert routing == ["primary", "auxiliary"]
-
-    def test_aux_with_zero_omega_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec("aux_consistency", omega=0)
-
-    def test_primary_with_omega_one_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec("la_primary", ClassPrior.uniform(2), omega=1)
-
-    def test_la_kinds_require_prior(self):
-        with pytest.raises(ValueError):
-            LossSpec("la_auxiliary")
+        prior, x, y = random_batch(self.state, self.rng)
+        strong = self.rng.normal(size=x.shape)
+        parts = [BatchPart("primary", x, y, prior.log), BatchPart("auxiliary", strong, y, None)]
+        total, means, _ = loss_and_grads(self.state, parts)
+        assert total == pytest.approx(means[0] + means[1], abs=1e-15)
+        assert means[1] == pytest.approx(loss_and_grads(self.state, parts[1:])[0], abs=1e-15)
 
     def test_auxiliary_la_routes_to_auxiliary(self):
-        spec = LossSpec("la_auxiliary", ClassPrior.uniform(3))
-        assert spec.omega == 1
-        assert spec.branch == "auxiliary"
+        prior, x, y = random_batch(self.state, self.rng)
+        _, _, grads = loss_and_grads(self.state, [BatchPart("auxiliary", x, y, prior.log)])
+        assert not grads["head_primary_w"].any() and not grads["head_primary_b"].any()
+        assert grads["head_auxiliary_w"].any()
 
 
 class TestXentRows:
@@ -147,6 +157,7 @@ class TestXentRows:
         logits = rng.normal(size=(5, 4))
         labels = rng.integers(4, size=5)
         prior = ClassPrior.uniform(4)
-        rows = xent_rows(logits, labels, prior.log)
+        rows, _ = _xent_forward_backward(logits, labels, prior.log)
         for i in range(5):
-            assert rows[i] == pytest.approx(la_loss(logits[i], labels[i], prior), abs=1e-12)
+            expected = brute_force_adjusted_xent(logits[i], labels[i], prior.probabilities)
+            assert rows[i] == pytest.approx(expected, abs=1e-12)

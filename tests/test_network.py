@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from pseudopool import network
 from pseudopool.losses import ClassPrior
 from pseudopool.network import (
     BatchPart,
@@ -340,3 +341,11 @@ class TestCheckpoint:
             assert state.params[name].tobytes() == loaded.params[name].tobytes()
             assert state.momentum[name].tobytes() == loaded.momentum[name].tobytes()
         assert loaded.config == state.config
+
+    def test_other_version_rejected(self, tmp_path, monkeypatch):
+        state = init(small_config(seed=1))
+        monkeypatch.setattr(network, "CHECKPOINT_VERSION", network.CHECKPOINT_VERSION - 1)
+        path = save_checkpoint(tmp_path / "old.npz", state, OptimizerConfig(total_steps=5), epoch=1)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(path)

@@ -1,8 +1,12 @@
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pseudopool.augment
 import pseudopool.cycle
@@ -210,6 +214,32 @@ class TestCheckpointResume:
             assert np.array_equal(full.pool.pseudo_ids, resumed.pool.pseudo_ids)
             assert np.array_equal(full.pool.pseudo_labels, resumed.pool.pseudo_labels)
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        stop=st.integers(1, 9),
+        use_synthesis=st.booleans(),
+        freeze_resolved=st.booleans(),
+    )
+    def test_resume_at_any_epoch_matches_uninterrupted_run(self, stop, use_synthesis, freeze_resolved):
+        splits = generate_splits(tiny_spec())
+        cfg = fast_config(
+            total_epochs=10,
+            warmup_epochs=2,
+            steps_per_epoch=3,
+            min_votes=2,
+            hidden_dims=(8,),
+            checkpoint_every=stop,
+            use_synthesis=use_synthesis,
+            freeze_resolved=freeze_resolved,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            full = train(cfg, splits, checkpoint_dir=tmp)
+            resumed = resume_training(Path(tmp) / f"checkpoint_epoch{stop:04d}.npz", splits)
+        assert resumed.to_records() == full.to_records()
+        assert [r.class_stats for r in resumed.reports] == [r.class_stats for r in full.reports]
+        assert np.array_equal(resumed.pool.pseudo_ids, full.pool.pseudo_ids)
+        assert np.array_equal(resumed.pool.pseudo_labels, full.pool.pseudo_labels)
+
     def test_resume_onto_other_unlabeled_rows_rejected(self, tiny_splits, tmp_path):
         cfg = fast_config(total_epochs=10, warmup_epochs=2, checkpoint_every=4)
         train(cfg, tiny_splits, checkpoint_dir=tmp_path)
@@ -251,6 +281,24 @@ class TestPresets:
         assert cfg.unlabeled_batch == 7 * 64
         assert cfg.warmup_epochs == 30
         assert cfg.confidence_threshold == 0.95
+
+    def test_paper_scale_overrides_win(self):
+        cfg = paper_scale_config(total_epochs=4, warmup_epochs=1, seed=3)
+        assert (cfg.total_epochs, cfg.warmup_epochs, cfg.seed) == (4, 1, 3)
+        assert cfg.steps_per_epoch == 1024 and cfg.labeled_batch == 64
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("min_votes", 0), ("majority_frac", 0.2), ("majority_frac", 1.5), ("ema_decay", 1.5), ("ema_decay", -0.1)],
+    )
+    def test_cycle_parameters_rejected_before_epoch_one(self, tiny_splits, field, value):
+        steps = []
+        cfg = replace(fast_config(), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            train(cfg, tiny_splits, step_callback=steps.append)
+        assert steps == []
 
 
 class TestFreezeResolved:
