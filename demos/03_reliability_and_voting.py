@@ -9,9 +9,9 @@ through the registry it left behind.
 
 import numpy as np
 
-from pseudopool import DatasetSpec, generate_splits
+from pseudopool import DatasetSpec, encode, generate_splits, strong_view_batch, weak_view_batch
 from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
-from pseudopool.training import TrainConfig, train
+from pseudopool.training import TrainConfig, predict_views, train
 
 print("the three-clause filter on hand-built view predictions (tau = 0.95):")
 cases = [
@@ -52,6 +52,18 @@ for lo, hi in [(0.5, 0.8), (0.8, 0.95), (0.95, 1.0)]:
     n = int(np.sum(nonzero & (shares >= lo) & (shares < hi)))
     print(f"  share in [{lo:.2f}, {hi:.2f}): {n}")
 print(f"  unanimous (share = 1.0):   {int(np.sum(nonzero & (shares == 1.0)))}")
+
+# the filter on the trained model, as a training step runs it: both views of
+# a batch go through one encoder forward, and predict_views splits the heads'
+# predictions back into the weak and the strong half
+rng = np.random.default_rng(1)
+batch = splits.unlabeled.features[rng.integers(0, registry.ids.size, size=112)]
+weak = weak_view_batch(batch, history.policy, rng)
+strong = strong_view_batch(batch, history.policy, rng)
+views = predict_views(history.state, encode(history.state, np.concatenate([weak, strong])))
+fired = reliability_mask_batch(views, 0.95)
+print(f"\none batch of {batch.shape[0]} unlabeled samples under the trained model:")
+print(f"  reliable (would vote): {int(fired.sum())}")
 
 pool = history.pool
 print(f"\npool census: base {pool.n} + accepted {pool.m} = {pool.phi}")

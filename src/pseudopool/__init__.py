@@ -46,7 +46,7 @@ from .network import (
     init,
     sgd_step,
 )
-from .training import RunHistory, TrainConfig, predict, predict_views, run_baseline, train
+from .training import RunHistory, TrainConfig, predict_views, run_baseline, train
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "minority_classes",
     "per_class_accuracy",
     "plan_synthesis",
-    "predict",
     "predict_views",
     "pseudo_audit",
     "reliability_mask_batch",

@@ -67,30 +67,40 @@ def update_class_stats(
         raise ValueError("ema_decay must lie in [0, 1)")
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    for c in np.unique(labels):
-        members = reps[labels == c]
-        norms = np.linalg.norm(members, axis=1)
-        if np.any(norms == 0):
-            logger.warning("class %d: skipping %d zero-norm representation(s)", c, int((norms == 0).sum()))
-            members = members[norms > 0]
-            norms = norms[norms > 0]
-        if members.shape[0] == 0:
-            continue
-        batch_mean = members.mean(axis=0)
-        if stats.has_centroid[c]:
-            stats.centroids[c] = ema_decay * stats.centroids[c] + (1.0 - ema_decay) * batch_mean
-        else:
-            stats.centroids[c] = batch_mean
-            stats.has_centroid[c] = True
-        centroid_norm = np.linalg.norm(stats.centroids[c])
-        if centroid_norm == 0:
-            logger.warning("class %d: zero-norm centroid, compactness left unchanged", c)
-            continue
-        cosines = (members @ stats.centroids[c]) / (norms * centroid_norm)
-        alpha = float(np.clip(np.mean(cosines), -1.0, 1.0))
-        stats.alpha[c] = alpha
-        stats.radius[c] = 1.0 / max(alpha, ALPHA_FLOOR)
-        stats.count_seen[c] += members.shape[0]
+    norms = np.linalg.norm(reps, axis=1)
+    if np.any(norms == 0):
+        for c, n in zip(*np.unique(labels[norms == 0], return_counts=True)):
+            logger.warning("class %d: skipping %d zero-norm representation(s)", c, n)
+        keep = norms > 0
+        reps, labels, norms = reps[keep], labels[keep], norms[keep]
+    counts = np.bincount(labels, minlength=stats.num_classes)
+    present = counts > 0
+    sums = np.zeros_like(stats.centroids)
+    np.add.at(sums, labels, reps)
+    batch_mean = sums[present] / counts[present, None]
+    stats.centroids[present] = np.where(
+        stats.has_centroid[present, None],
+        ema_decay * stats.centroids[present] + (1.0 - ema_decay) * batch_mean,
+        batch_mean,
+    )
+    stats.has_centroid |= present
+    centroid_norms = np.linalg.norm(stats.centroids, axis=1)
+    for c in np.flatnonzero(present & (centroid_norms == 0)):
+        logger.warning("class %d: zero-norm centroid, compactness left unchanged", c)
+    updated = present & (centroid_norms > 0)
+    rows = updated[labels]
+    members = labels[rows]
+    cosines = np.einsum("ij,ij->i", reps[rows], stats.centroids[members]) / (
+        norms[rows] * centroid_norms[members]
+    )
+    alpha = np.clip(
+        np.bincount(members, weights=cosines, minlength=stats.num_classes)[updated] / counts[updated],
+        -1.0,
+        1.0,
+    )
+    stats.alpha[updated] = alpha
+    stats.radius[updated] = 1.0 / np.maximum(alpha, ALPHA_FLOOR)
+    stats.count_seen[updated] += counts[updated]
 
 
 def minority_classes(phi: np.ndarray) -> np.ndarray:

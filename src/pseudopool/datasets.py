@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -331,18 +331,17 @@ def load_csv(path: str | Path, role: str, num_classes: int, id_start: int = 0) -
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
+        rows = _numbered_rows(csv.reader(fh), path)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise ValueError(f"{path}: empty file, header row required")
         if len(header) < 2 or header[-1] != "label":
             raise ValueError(f"{path}: header must be f0,...,f{{d-1}},label")
         feature_dim = len(header) - 1
         if header != _expected_header(feature_dim):
             raise ValueError(f"{path}: header must be f0,...,f{{d-1}},label")
         examples = []
-        for row_num, row in enumerate(reader, start=2):
+        for row_num, row in rows:
             if len(row) != feature_dim + 1:
                 raise ValueError(
                     f"{path}: row {row_num}: expected {feature_dim + 1} columns, got {len(row)}"
@@ -371,6 +370,22 @@ def load_csv(path: str | Path, role: str, num_classes: int, id_start: int = 0) -
             else:
                 examples.append(LabeledExample(sample_id, feats, label=label))
     return examples
+
+
+def _numbered_rows(reader, path: Path):
+    """Yield (row number, cells) per record, the header being row 1. Faults
+    the csv reader itself raises (a NUL byte before Python 3.11, a field over
+    the size limit) become ``ValueError`` naming the row."""
+    row_num = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {row_num}: {exc}") from None
+        yield row_num, row
+        row_num += 1
 
 
 def _write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
@@ -428,22 +443,9 @@ def load_splits(in_dir: str | Path) -> SplitBundle:
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
-    out = {
-        "num_classes": spec.num_classes,
-        "feature_dim": spec.feature_dim,
-        "n_max": spec.n_max,
-        "m_max": spec.m_max,
-        "gamma_l": spec.gamma_l,
-        "gamma_u": spec.gamma_u,
-        "labeled_shape": spec.labeled_shape,
-        "unlabeled_shape": spec.unlabeled_shape,
-        "test_per_class": spec.test_per_class,
-        "mean_scale": spec.mean_scale,
-        "cov_scale": spec.cov_scale,
-        "class_means": None if spec.class_means is None else np.asarray(spec.class_means).tolist(),
-        "arbitrary_mode": spec.arbitrary_mode,
-        "seed": spec.seed,
-    }
+    out = asdict(spec)
+    if spec.class_means is not None:
+        out["class_means"] = np.asarray(spec.class_means).tolist()
     return out
 
 

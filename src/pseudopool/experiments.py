@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("dataset", "mapping is required")
 
     dataset_raw = dict(data["dataset"])
-    allowed_dataset = set(spec_to_dict(DatasetSpec(2, 1, 1, 1)).keys())
+    allowed_dataset = {f.name for f in fields(DatasetSpec)}
     _check_keys(dataset_raw, allowed_dataset, "dataset.")
     for name in DATASET_REQUIRED:
         if name not in dataset_raw:

@@ -4,8 +4,11 @@ The forward pass, the backward pass, and the optimizer are written out in
 numpy (float64 throughout) so every gradient can be checked against central
 finite differences. A loss is described as a list of ``BatchPart`` objects;
 each part is a batch-mean term routed to one head, optionally extended by
-synthesized representations whose construction stays differentiable in the
-encoder parameters (the noise and radii are constants of the step).
+synthesized representations of some of its own rows. ``loss_and_grads``
+encodes the distinct input arrays of all parts in one stacked forward, builds
+the synthesized copies from those same representations (so they stay
+differentiable in the encoder parameters; the noise and radii are constants
+of the step) and runs one encoder backward.
 """
 
 from __future__ import annotations
@@ -113,25 +116,26 @@ def init(config: ModelConfig) -> ModelState:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+    """The activation, computed in place over the pre-activation ``z``."""
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    # relu subgradient at exactly 0 is taken as 0
-    return (z > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    # relu: a > 0 exactly where the pre-activation is; its subgradient at 0 is 0
+    return (a > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
 
 
 def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass caching (input, pre-activation, activation) per layer."""
+    """Forward pass caching (input, activation) per layer; the backward needs
+    no pre-activation, so none is kept."""
     cfg = state.config
     a = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if a.shape[1] != cfg.input_dim:
         raise ValueError(f"expected input dim {cfg.input_dim}, got {a.shape[1]}")
     cache = []
     for i in range(len(cfg.hidden_dims)):
-        z = a @ state.params[f"enc{i}_w"] + state.params[f"enc{i}_b"]
-        out = _activate(z, cfg.activation)
-        cache.append((a, z, out))
+        out = _activate(a @ state.params[f"enc{i}_w"] + state.params[f"enc{i}_b"], cfg.activation)
+        cache.append((a, out))
         a = out
     return a, cache
 
@@ -161,29 +165,31 @@ def _backprop_encoder(
     cfg = state.config
     delta = d_h
     for i in reversed(range(len(cache))):
-        a_in, z, a_out = cache[i]
-        delta = delta * _activate_grad(z, a_out, cfg.activation)
+        a_in, a_out = cache[i]
+        delta = delta * _activate_grad(a_out, cfg.activation)
         grads[f"enc{i}_w"] += a_in.T @ delta
         grads[f"enc{i}_b"] += delta.sum(axis=0)
-        delta = delta @ state.params[f"enc{i}_w"].T
+        if i:  # the input needs no gradient
+            delta = delta @ state.params[f"enc{i}_w"].T
 
 
 @dataclass
 class SynthPlan:
     """Synthesized-representation block attached to a batch part.
 
-    ``inputs`` are re-encoded on every evaluation so the synthesized
-    representations h' = h + (h/||h||) * (radius * noise) remain functions of
-    the encoder parameters; ``radii`` and ``noise`` are step constants.
+    Copy ``k`` is built from row ``origin[k]`` of its part's inputs, and
+    carries that row's label: h' = h + (h/||h||) * (radius * noise), with h
+    taken from the same forward pass as the part's own rows, so the copies
+    remain functions of the encoder parameters. ``radii`` and ``noise`` are
+    step constants.
     """
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    origin: np.ndarray
     radii: np.ndarray
     noise: np.ndarray
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.origin.shape[0]
 
 
 @dataclass
@@ -192,6 +198,7 @@ class BatchPart:
 
     ``log_prior`` None means plain cross-entropy. ``normalizer`` overrides the
     mean denominator (used for gated terms averaged over the full batch).
+    Parts that pass the same ``inputs`` array object share its encoder rows.
     """
 
     branch: str
@@ -221,60 +228,74 @@ def loss_and_grads(
 ) -> tuple[float, list[float], dict[str, np.ndarray]]:
     """Exact analytic gradients of the summed per-part batch means.
 
-    Returns (total loss, per-part means, gradient dict covering every
-    parameter; entries for heads a part never touches stay exactly zero).
+    The distinct input arrays of ``parts`` are stacked into one encoder
+    forward; every part reads its rows (and its synthesized copies' origins)
+    from that block, adds its representation gradient into it, and one
+    encoder backward follows. Returns (total loss, per-part means, gradient
+    dict covering every parameter; entries for heads a part never touches
+    stay exactly zero).
     """
     grads = state.zeros_like_params()
-    part_means: list[float] = []
-    total = 0.0
+    offsets: dict[int, int] = {}
+    blocks: list[np.ndarray] = []
+    spans: list[tuple[int, int] | None] = []
+    n_rows = 0
     for part in parts:
         if part.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}")
-        n_plain = np.atleast_2d(part.inputs).shape[0] if part.inputs.size else 0
-        n_synth = len(part.synth) if part.synth is not None else 0
-        denom = part.normalizer if part.normalizer is not None else n_plain + n_synth
-        if denom <= 0 or (n_plain + n_synth) == 0:
+        if part.inputs.size == 0 or (part.normalizer is not None and part.normalizer <= 0):
+            spans.append(None)
+            continue
+        x = np.atleast_2d(part.inputs)
+        if id(part.inputs) not in offsets:
+            offsets[id(part.inputs)] = n_rows
+            blocks.append(x)
+            n_rows += x.shape[0]
+        spans.append((offsets[id(part.inputs)], x.shape[0]))
+    if not blocks:
+        return 0.0, [0.0] * len(parts), grads
+
+    h, cache = _forward_encoder(state, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+    d_h = np.zeros_like(h)
+    part_means: list[float] = []
+    total = 0.0
+    for part, span in zip(parts, spans):
+        if span is None:
             part_means.append(0.0)
             continue
+        start, n_plain = span
+        h_rows, d_rows = h[start : start + n_plain], d_h[start : start + n_plain]
+        labels = np.asarray(part.labels, dtype=np.int64)
+        plan = part.synth if part.synth is not None and len(part.synth) else None
+        if plan is not None:
+            h0 = h_rows[plan.origin]
+            h_rows = np.concatenate([h_rows, synthesize(h0, plan.radii, plan.noise)])
+            labels = np.concatenate([labels, labels[plan.origin]])
+        denom = part.normalizer if part.normalizer is not None else h_rows.shape[0]
         w_key, b_key = f"head_{part.branch}_w", f"head_{part.branch}_b"
         head_w = state.params[w_key]
-        loss_sum = 0.0
-
-        if n_plain:
-            h, cache = _forward_encoder(state, part.inputs)
-            logits = h @ head_w + state.params[b_key]
-            losses, d_logits = _xent_forward_backward(logits, part.labels, part.log_prior)
-            loss_sum += float(losses.sum())
-            d_logits /= denom
-            grads[w_key] += h.T @ d_logits
-            grads[b_key] += d_logits.sum(axis=0)
-            _backprop_encoder(state, cache, d_logits @ head_w.T, grads)
-
-        if n_synth:
-            plan = part.synth
-            h0, cache0 = _forward_encoder(state, plan.inputs)
-            h_prime = synthesize(h0, plan.radii, plan.noise)
-            logits = h_prime @ head_w + state.params[b_key]
-            losses, d_logits = _xent_forward_backward(logits, plan.labels, part.log_prior)
-            loss_sum += float(losses.sum())
-            d_logits /= denom
-            grads[w_key] += h_prime.T @ d_logits
-            grads[b_key] += d_logits.sum(axis=0)
-            d_hp = d_logits @ head_w.T
-            # Jacobian of h' = h + (h/||h||) * (r * noise) w.r.t. h:
-            #   d_h = d_hp + r*(noise . d_hp)/||h|| - h * (h . (r*noise . d_hp)) / ||h||^3
-            u = plan.noise * d_hp
-            r = plan.radii[:, None]
-            inner = np.sum(h0 * u, axis=1, keepdims=True)
-            norms = np.linalg.norm(h0, axis=1, keepdims=True)
-            d_h0 = d_hp + r * u / norms - h0 * (r * inner / norms**3)
-            _backprop_encoder(state, cache0, d_h0, grads)
-
-        mean = loss_sum / denom
+        logits = h_rows @ head_w + state.params[b_key]
+        losses, d_logits = _xent_forward_backward(logits, labels, part.log_prior)
+        mean = float(losses.sum()) / denom
         if not np.isfinite(mean):
             raise NonFiniteLossError("loss is not finite")
         part_means.append(mean)
         total += mean
+        d_logits /= denom
+        grads[w_key] += h_rows.T @ d_logits
+        grads[b_key] += d_logits.sum(axis=0)
+        d_out = d_logits @ head_w.T
+        d_rows += d_out[:n_plain]
+        if plan is not None:
+            # Jacobian of h' = h + (h/||h||) * (r * noise) w.r.t. h:
+            #   d_h = d_hp + r*(noise . d_hp)/||h|| - h * (h . (r*noise . d_hp)) / ||h||^3
+            d_hp = d_out[n_plain:]
+            u = plan.noise * d_hp
+            r = plan.radii[:, None]
+            inner = np.sum(h0 * u, axis=1, keepdims=True)
+            norms = np.linalg.norm(h0, axis=1, keepdims=True)
+            np.add.at(d_rows, plan.origin, d_hp + r * u / norms - h0 * (r * inner / norms**3))
+    _backprop_encoder(state, cache, d_h, grads)
     return total, part_means, grads
 
 

@@ -194,15 +194,6 @@ class StepInfo:
     prior: ClassPrior
 
 
-def predict(state: ModelState, x: np.ndarray, branch: str = "primary") -> int:
-    """Class with the highest confidence under the selected head.
-
-    No prior re-adjustment at inference; ties go to the lowest index.
-    """
-    logits = head_logits(state, branch, encode(state, x))
-    return int(np.argmax(logits))
-
-
 def _streams(seed: int) -> dict[str, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
     return {name: np.random.default_rng(child) for name, child in zip(STREAM_NAMES, children)}
@@ -361,15 +352,24 @@ def _run(
             synth_active = config.use_synthesis and epoch > config.warmup_epochs
             need_unlabeled = config.use_aux_branch or cycle_active or gated_consistency
 
-            weak_u = strong_u = None
             if need_unlabeled:
                 u_rows = rngs["unlabeled"].integers(0, m, size=b_u)
                 x_u = uview.features[u_rows]
                 weak_u = weak_view_batch(x_u, policy, rngs["views"])
                 strong_u = strong_view_batch(x_u, policy, rngs["views"])
+                # one forward serves every reader of the batch (only the filter
+                # reads the strong view); it is dropped once read, since holding
+                # it through the pool update raised the peak RSS of wide runs
+                h_u = encode(state, np.concatenate([weak_u, strong_u]) if cycle_active else weak_u)
+                if cycle_active:
+                    vpb = predict_views(state, h_u, "primary")
+                if config.use_aux_branch:
+                    aux_pseudo = np.argmax(head_logits(state, "auxiliary", h_u[:b_u]), axis=1)
+                if gated_consistency:
+                    weak_probs = softmax(head_logits(state, "primary", h_u[:b_u]))
+                del h_u
 
             if cycle_active:
-                vpb = predict_views(state, weak_u, strong_u, "primary")
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
                 for i in np.flatnonzero(fired):
                     registry.record_vote(int(uview.ids[u_rows[i]]), int(vpb.labels_weak[i]))
@@ -399,22 +399,17 @@ def _run(
                 )
                 if plan is not None:
                     origin, radii, noise = plan
-                    primary.synth = SynthPlan(
-                        inputs=x_b[origin], labels=y_b[origin], radii=radii, noise=noise
-                    )
+                    primary.synth = SynthPlan(origin, radii, noise)
             parts = [primary]
 
             if config.use_aux_branch:
                 parts.append(BatchPart("auxiliary", x_b, y_b, log_pi))
-                aux_weak = softmax(head_logits(state, "auxiliary", encode(state, weak_u)))
-                pseudo = np.argmax(aux_weak, axis=1)
-                parts.append(BatchPart("auxiliary", strong_u, pseudo, None))
+                parts.append(BatchPart("auxiliary", strong_u, aux_pseudo, None))
 
             if gated_consistency:
-                probs = softmax(head_logits(state, "primary", encode(state, weak_u)))
-                keep = np.max(probs, axis=1) > config.confidence_threshold
+                keep = np.max(weak_probs, axis=1) > config.confidence_threshold
                 if keep.any():
-                    pseudo = np.argmax(probs, axis=1)[keep]
+                    pseudo = np.argmax(weak_probs, axis=1)[keep]
                     parts.append(BatchPart("primary", strong_u[keep], pseudo, None, normalizer=b_u))
 
             try:
@@ -481,18 +476,18 @@ def _run(
     )
 
 
-def predict_views(
-    state: ModelState, weak: np.ndarray, strong: np.ndarray, branch: str = "primary"
-) -> ViewPredictionBatch:
+def predict_views(state: ModelState, reps: np.ndarray, branch: str = "primary") -> ViewPredictionBatch:
     """(argmax, max softmax) of the selected head per row of the weak and the
-    strong view; argmax ties go to the lowest class index."""
-    pw = softmax(head_logits(state, branch, encode(state, weak)))
-    ps = softmax(head_logits(state, branch, encode(state, strong)))
+    strong view; argmax ties go to the lowest class index.
+
+    ``reps`` is the encoding of the stacked ``[weak; strong]`` block, one
+    forward for both views: its first half holds the weak rows.
+    """
+    probs = softmax(head_logits(state, branch, reps))
+    labels, confs = np.argmax(probs, axis=1), np.max(probs, axis=1)
+    n = reps.shape[0] // 2
     return ViewPredictionBatch(
-        labels_weak=np.argmax(pw, axis=1),
-        confs_weak=np.max(pw, axis=1),
-        labels_strong=np.argmax(ps, axis=1),
-        confs_strong=np.max(ps, axis=1),
+        labels_weak=labels[:n], confs_weak=confs[:n], labels_strong=labels[n:], confs_strong=confs[n:]
     )
 
 

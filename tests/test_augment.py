@@ -2,8 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudopool.augment import (
+    ALPHA_FLOOR,
     ClassStats,
     minority_classes,
     plan_synthesis,
@@ -18,7 +21,61 @@ def copies(h, radius, noise):
     return synthesize(np.tile(h, (noise.shape[0], 1)), np.full(noise.shape[0], radius), noise)
 
 
+def loop_update_class_stats(stats, reps, labels, ema_decay):
+    """Reference: the per-class loop the array update replaced."""
+    for c in np.unique(labels):
+        members = reps[labels == c]
+        norms = np.linalg.norm(members, axis=1)
+        members, norms = members[norms > 0], norms[norms > 0]
+        if members.shape[0] == 0:
+            continue
+        batch_mean = members.mean(axis=0)
+        if stats.has_centroid[c]:
+            stats.centroids[c] = ema_decay * stats.centroids[c] + (1.0 - ema_decay) * batch_mean
+        else:
+            stats.centroids[c] = batch_mean
+            stats.has_centroid[c] = True
+        centroid_norm = np.linalg.norm(stats.centroids[c])
+        if centroid_norm == 0:
+            continue
+        alpha = float(np.clip(np.mean((members @ stats.centroids[c]) / (norms * centroid_norm)), -1.0, 1.0))
+        stats.alpha[c] = alpha
+        stats.radius[c] = 1.0 / max(alpha, ALPHA_FLOOR)
+        stats.count_seen[c] += members.shape[0]
+
+
 class TestClassStats:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batches=st.integers(1, 6),
+        ema_decay=st.sampled_from([0.0, 0.5, 0.9]),
+    )
+    def test_array_update_matches_per_class_loop(self, seed, batches, ema_decay):
+        rng = np.random.default_rng(seed)
+        fast, slow = ClassStats(4, 3), ClassStats(4, 3)
+        for _ in range(batches):
+            n = int(rng.integers(1, 10))
+            reps = rng.normal(size=(n, 3))
+            reps[rng.random(n) < 0.2] = 0.0  # some zero-norm rows
+            labels = rng.integers(4, size=n)
+            update_class_stats(fast, reps, labels, ema_decay)
+            loop_update_class_stats(slow, reps, labels, ema_decay)
+        assert np.array_equal(fast.has_centroid, slow.has_centroid)
+        assert np.array_equal(fast.count_seen, slow.count_seen)
+        for name in ("centroids", "alpha", "radius"):
+            assert np.allclose(getattr(fast, name), getattr(slow, name), rtol=1e-12, atol=1e-14, equal_nan=True)
+
+    def test_zero_norm_centroid_leaves_compactness_with_warning(self, caplog):
+        stats = ClassStats(num_classes=1, rep_dim=2)
+        update_class_stats(stats, np.array([[1.0, 0.0]]), np.zeros(1, dtype=int))
+        with caplog.at_level(logging.WARNING):
+            # the EMA lands the centroid exactly on the origin
+            update_class_stats(stats, np.array([[-1.0, 0.0]]), np.zeros(1, dtype=int), ema_decay=0.5)
+        assert "zero-norm centroid" in caplog.text
+        assert np.array_equal(stats.centroids[0], [0.0, 0.0])
+        assert stats.alpha[0] == 1.0 and stats.count_seen[0] == 1
+
     def test_identical_reps_give_unit_compactness(self):
         stats = ClassStats(num_classes=2, rep_dim=3)
         reps = np.tile([1.0, 2.0, 2.0], (4, 1))

@@ -20,7 +20,7 @@ from pseudopool.datasets import (
     strong_view_batch,
     weak_view_batch,
 )
-from pseudopool.network import ModelConfig, init
+from pseudopool.network import ModelConfig, encode, init
 from pseudopool.training import predict_views
 
 from conftest import tiny_spec
@@ -49,7 +49,9 @@ def axis_decision_state():
 def views_of(state, X, policy, rng):
     """View predictions as training makes them: weak noise drawn first."""
     X = np.atleast_2d(X)
-    return predict_views(state, weak_view_batch(X, policy, rng), strong_view_batch(X, policy, rng))
+    weak = weak_view_batch(X, policy, rng)
+    strong = strong_view_batch(X, policy, rng)
+    return predict_views(state, encode(state, np.concatenate([weak, strong])))
 
 
 def one_view(label_weak, conf_weak, label_strong, conf_strong):

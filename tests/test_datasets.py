@@ -1,8 +1,13 @@
+import csv
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from pseudopool.datasets import (
@@ -266,3 +271,40 @@ class TestCsv:
         sidecar = json.loads((tmp_path / "out" / "dataset.json").read_text())
         assert sidecar["seed"] == 4
         assert sidecar["num_classes"] == 3
+
+    # cells a malformed row may carry: text of any kind (NUL, quotes,
+    # newlines), non-finite or out-of-range numbers, and a field past the csv
+    # module's size limit
+    CELLS = st.one_of(
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6),
+        st.sampled_from(["", " ", "nan", "-inf", "1e400", "2.5", "-1", "3", "1_0", "\x00", "9" * 40]),
+        st.just("7" * 140_000),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        feature_dim=st.integers(1, 3),
+        n_rows=st.integers(1, 5),
+        bad_at=st.integers(0, 4),
+        cells=st.lists(CELLS, max_size=5),
+        role=st.sampled_from(["labeled", "unlabeled", "test"]),
+    )
+    def test_fuzzed_row_loads_or_raises_naming_its_row(self, feature_dim, n_rows, bad_at, cells, role):
+        bad_at = min(bad_at, n_rows - 1)
+        rng = np.random.default_rng(n_rows)
+        good = [[repr(float(v)) for v in rng.normal(size=feature_dim)] + ["1"] for _ in range(n_rows)]
+        good[bad_at] = cells
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"f{j}" for j in range(feature_dim)] + ["label"])
+                writer.writerows(good)
+            try:
+                rows = load_csv(path, role, num_classes=3)
+            except ValueError as exc:
+                # the header is row 1, so record i of the body is row i + 2
+                assert f"row {bad_at + 2}:" in str(exc)
+            else:
+                assert len(rows) == n_rows
+                assert np.array_equal(rows[bad_at].features, [float(v) for v in cells[:-1]])

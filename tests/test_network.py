@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from pseudopool import network
+from pseudopool.augment import synthesize
 from pseudopool.losses import ClassPrior
 from pseudopool.network import (
+    BRANCHES,
     BatchPart,
     ModelConfig,
     NonFiniteLossError,
@@ -137,6 +141,10 @@ def finite_difference_check(state, parts, step=1e-4, tol=1e-4):
 
 
 def random_parts(state, rng, with_synth=False, with_aux=True):
+    """Parts shaped like a training step's: the primary and the labeled aux
+    part share one input array, synthesis expands rows of it by origin (with
+    repeats, so the scatter-add is exercised), and an unlabeled aux part
+    brings a second array."""
     cfg = state.config
     n = 8
     x = rng.normal(size=(n, cfg.input_dim))
@@ -144,10 +152,9 @@ def random_parts(state, rng, with_synth=False, with_aux=True):
     prior = ClassPrior(rng.dirichlet(np.ones(cfg.num_classes) * 5))
     primary = BatchPart("primary", x, y, prior.log)
     if with_synth:
-        k = 3
+        k = 6
         primary.synth = SynthPlan(
-            inputs=rng.normal(size=(k, cfg.input_dim)) + 1.0,
-            labels=rng.integers(cfg.num_classes, size=k),
+            origin=rng.integers(n, size=k),
             radii=rng.uniform(0.5, 2.0, size=k),
             noise=rng.normal(size=(k, cfg.rep_dim)),
         )
@@ -228,6 +235,136 @@ class TestGradients:
         x = np.full((2, 3), np.nan)
         with pytest.raises(NonFiniteLossError):
             loss_and_grads(state, [BatchPart("primary", x, np.zeros(2, dtype=int), None)])
+
+
+def per_block_reference(state, part):
+    """One part evaluated the way the loss worked before the fused pass: the
+    part's rows get a forward and a backward of their own, and the origin
+    rows of its synthesized copies are copied out and re-encoded for a
+    second forward and backward. Returns (mean, grads)."""
+    grads = state.zeros_like_params()
+    w_key, b_key = f"head_{part.branch}_w", f"head_{part.branch}_b"
+    head_w = state.params[w_key]
+    labels = np.asarray(part.labels)
+    plan = part.synth
+    blocks = [(part.inputs, labels, None)]
+    if plan is not None and len(plan):
+        blocks.append((part.inputs[plan.origin], labels[plan.origin], plan))
+    denom = part.normalizer or sum(x.shape[0] for x, _, _ in blocks)
+    loss_sum = 0.0
+    for x, y, synth in blocks:
+        h0, cache = network._forward_encoder(state, x)
+        h = h0 if synth is None else synthesize(h0, synth.radii, synth.noise)
+        losses, d_logits = network._xent_forward_backward(h @ head_w + state.params[b_key], y, part.log_prior)
+        loss_sum += float(losses.sum())
+        d_logits /= denom
+        grads[w_key] += h.T @ d_logits
+        grads[b_key] += d_logits.sum(axis=0)
+        d_h = d_logits @ head_w.T
+        if synth is not None:
+            u = synth.noise * d_h
+            r = synth.radii[:, None]
+            norms = np.linalg.norm(h0, axis=1, keepdims=True)
+            inner = np.sum(h0 * u, axis=1, keepdims=True)
+            d_h = d_h + r * u / norms - h0 * (r * inner / norms**3)
+        network._backprop_encoder(state, cache, d_h, grads)
+    return loss_sum / denom, grads
+
+
+def assert_same_loss(a, b):
+    """Two ``loss_and_grads`` results agree: means to 1e-12, gradients allclose."""
+    assert a[0] == pytest.approx(b[0], abs=1e-12)
+    assert np.allclose(a[1], b[1], rtol=0, atol=1e-12)
+    for name in a[2]:
+        assert np.allclose(a[2][name], b[2][name], rtol=1e-9, atol=1e-12), name
+
+
+class TestFusedLoss:
+    """``loss_and_grads`` stacks the distinct inputs of its parts into one
+    forward and runs one backward; none of that may change what it computes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.lists(
+            st.tuples(
+                st.sampled_from(BRANCHES),
+                st.integers(0, 2),  # which input array the part reads (shared when repeated)
+                st.booleans(),  # logit-adjusted
+                st.integers(0, 4),  # synthesized copies
+                st.sampled_from([None, 0, 11]),  # normalizer
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        sizes=st.tuples(st.integers(0, 6), st.integers(1, 6), st.integers(1, 6)),
+    )
+    def test_equals_sum_of_parts_evaluated_alone(self, seed, layout, sizes):
+        rng = np.random.default_rng(seed)
+        state = init(small_config(seed=seed % 97))
+        arrays = [rng.normal(size=(n, 3)) for n in sizes]
+        parts = []
+        for branch, source, adjusted, k, normalizer in layout:
+            x = arrays[source]
+            n = x.shape[0]
+            prior = ClassPrior(rng.dirichlet(np.ones(3))).log if adjusted else None
+            part = BatchPart(branch, x, rng.integers(3, size=n), prior, normalizer=normalizer)
+            if k and n:
+                part.synth = SynthPlan(
+                    rng.integers(n, size=k), rng.uniform(0.5, 2.0, size=k), rng.normal(size=(k, 4))
+                )
+            parts.append(part)
+        fused = loss_and_grads(state, parts)
+        alone = [loss_and_grads(state, [part]) for part in parts]
+        summed = {name: sum(result[2][name] for result in alone) for name in fused[2]}
+        means = [result[0] for result in alone]
+        assert_same_loss(fused, (sum(means), means, summed))
+        for part, (mean, _, grads) in zip(parts, alone):
+            if part.inputs.size and part.normalizer != 0:
+                ref_mean, ref_grads = per_block_reference(state, part)
+                assert_same_loss((mean, [mean], grads), (ref_mean, [ref_mean], ref_grads))
+
+    def test_shared_inputs_equal_copies(self):
+        rng = np.random.default_rng(21)
+        state = init(small_config(seed=3))
+        x = rng.normal(size=(6, 3))
+        y = rng.integers(3, size=6)
+        prior = ClassPrior(rng.dirichlet(np.ones(3))).log
+        plan = SynthPlan(np.array([0, 2, 2, 5]), rng.uniform(0.5, 2.0, size=4), rng.normal(size=(4, 4)))
+
+        def parts(first, second):
+            return [BatchPart("primary", first, y, prior, synth=plan), BatchPart("auxiliary", second, y, prior)]
+
+        assert_same_loss(loss_and_grads(state, parts(x, x)), loss_and_grads(state, parts(x, x.copy())))
+
+    def test_origin_synthesis_equals_re_encoded_copies(self):
+        rng = np.random.default_rng(22)
+        for activation in ("tanh", "relu"):
+            state = init(small_config(activation=activation, seed=5))
+            x = rng.normal(size=(7, 3)) + 1.0
+            origin = np.array([6, 0, 0, 3, 6, 6])
+            plan = SynthPlan(origin, rng.uniform(0.5, 2.0, size=6), rng.normal(size=(6, 4)))
+            part = BatchPart("primary", x, rng.integers(3, size=7), ClassPrior.uniform(3).log, synth=plan)
+            total, means, grads = loss_and_grads(state, [part])
+            ref_mean, ref_grads = per_block_reference(state, part)
+            assert_same_loss((total, means, grads), (ref_mean, [ref_mean], ref_grads))
+
+    def test_one_forward_and_one_backward_per_call(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(network, "_forward_encoder", counted("forward", network._forward_encoder))
+        monkeypatch.setattr(network, "_backprop_encoder", counted("backward", network._backprop_encoder))
+        state = init(small_config(seed=4))
+        parts = random_parts(state, np.random.default_rng(23), with_synth=True, with_aux=True)
+        loss_and_grads(state, parts)
+        assert calls == {"forward": 1, "backward": 1}
 
 
 class TestSgdStep:

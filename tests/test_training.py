@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from pseudopool.training import (
     TrainConfig,
     TrainingDiverged,
     paper_scale_config,
-    predict,
     resume_training,
     run_baseline,
     train,
@@ -75,13 +75,13 @@ class TestPredict:
         state = init(ModelConfig(input_dim=2, num_classes=3, hidden_dims=(4,), init_seed=0))
         state.params["head_primary_w"][:] = 0.0
         state.params["head_primary_b"][:] = np.array([2.0, 1.0, 0.0])
-        assert predict(state, np.zeros(2)) == 0
+        assert predict_batch(state, np.zeros((1, 2))).tolist() == [0]
 
     def test_tie_breaks_to_lowest_index(self):
         state = init(ModelConfig(input_dim=2, num_classes=4, hidden_dims=(4,), init_seed=0))
         for name in state.params:
             state.params[name][:] = 0.0
-        assert predict(state, np.ones(2)) == 0
+        assert predict_batch(state, np.ones((3, 2))).tolist() == [0, 0, 0]
 
     def test_handcrafted_linear_regions(self):
         state = init(ModelConfig(input_dim=2, num_classes=2, hidden_dims=(2,), init_seed=0))
@@ -89,14 +89,13 @@ class TestPredict:
         state.params["enc0_b"][:] = 0.0
         state.params["head_primary_w"][:] = np.eye(2)
         state.params["head_primary_b"][:] = 0.0
-        assert predict(state, np.array([3.0, 1.0])) == 0
-        assert predict(state, np.array([1.0, 3.0])) == 1
+        assert predict_batch(state, np.array([[3.0, 1.0], [1.0, 3.0]])).tolist() == [0, 1]
 
     def test_auxiliary_branch_flag(self):
         state = init(ModelConfig(input_dim=2, num_classes=2, hidden_dims=(2,), init_seed=3))
-        x = np.array([0.5, -0.5])
+        x = np.array([[0.5, -0.5], [-1.0, 2.0]])
         aux_logits = head_logits(state, "auxiliary", encode(state, x))
-        assert predict(state, x, branch="auxiliary") == int(np.argmax(aux_logits))
+        assert np.array_equal(predict_batch(state, x, branch="auxiliary"), np.argmax(aux_logits, axis=1))
 
 
 class TestTrainingRun:
@@ -135,6 +134,36 @@ class TestTrainingRun:
 
         train(fast_config(total_epochs=10), tiny_splits, step_callback=callback)
         assert checks and max(checks) == 0
+
+    def test_post_warmup_cpg_step_makes_three_forwards_and_one_backward(self, tiny_splits, monkeypatch):
+        # the unlabeled views share one forward, x_b gets one for the class
+        # stats, and one stacked loss pass (synthesis included) ends in one backward
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(pseudopool.network, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(pseudopool.network, name, wrapper)
+
+        for name in ("_forward_encoder", "_backprop_encoder", "synthesize"):
+            counted(name)
+        per_step = []
+
+        def callback(info):
+            per_step.append((info.epoch, info.step, dict(calls)))
+            calls.clear()
+
+        cfg = fast_config(total_epochs=6, warmup_epochs=2, min_votes=1)
+        train(cfg, tiny_splits, step_callback=callback)
+        # the first step of an epoch also carries the previous epoch's evaluation
+        cycle_steps = [c for epoch, step, c in per_step if epoch > cfg.warmup_epochs and step > 1]
+        assert cycle_steps
+        assert all(c["_forward_encoder"] <= 3 and c["_backprop_encoder"] == 1 for c in cycle_steps)
+        assert sum(c.get("synthesize", 0) for c in cycle_steps) > 0
 
     def test_divergence_raises_with_location(self, tiny_splits):
         cfg = fast_config(optimizer=OptimizerConfig(base_lr=1e14, total_steps=None))
