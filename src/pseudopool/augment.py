@@ -127,15 +127,13 @@ def plan_synthesis(
     step's synthesis a deterministic function of (state, plan).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    minority_set = set(int(c) for c in minority)
-    rows = [
-        i
-        for i, lab in enumerate(labels)
-        if int(lab) in minority_set and np.isfinite(stats.radius[lab])
-    ]
-    if not rows:
+    wanted = np.zeros(stats.num_classes, dtype=bool)
+    wanted[minority] = True
+    wanted &= np.isfinite(stats.radius)
+    rows = np.flatnonzero(wanted[labels])
+    if not rows.size:
         return None
-    origin = np.repeat(np.array(rows, dtype=np.int64), count)
+    origin = np.repeat(rows, count)
     radii = stats.radius[labels[origin]]
     noise = rng.standard_normal((origin.size, stats.rep_dim))
     return origin, radii, noise

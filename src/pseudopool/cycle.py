@@ -11,12 +11,15 @@ prior fed to the logit-adjusted loss.
 The cycle's state is one position-indexed label vector, aligned with the
 rows of the unlabeled split (and of its ``UnlabeledView``): entry ``i`` holds
 the class assigned to row ``i``, or -1 while that row is not in the pool.
-``PseudoRegistry.resolve`` produces it, ``update_pool`` gathers the pool from
-it, and ``metrics.pseudo_audit`` tallies it against hidden ground truth.
+``PseudoRegistry.resolve`` produces it, ``update_pool`` turns it into the
+pool's pseudo portion (the assigned rows' indices and labels; features are
+read through the indices when a batch is drawn, never copied), and
+``metrics.pseudo_audit`` tallies it against hidden ground truth.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +144,11 @@ class LabeledPool:
     """The base labeled set plus the currently accepted pseudo-labeled samples.
 
     Base examples are immutable: never removed, never relabeled. The pseudo
-    portion is replaced wholesale on every update.
+    portion is held as indices: ``pseudo_rows`` are rows of the unlabeled
+    view ``source`` it was taken from, ``pseudo_labels`` their classes. Its
+    ids and features are read through those indices, never copied into the
+    pool. Pool row ``i`` is base row ``i`` below ``len(base_ids)`` and pseudo
+    row ``i - len(base_ids)`` from there on.
     """
 
     def __init__(
@@ -158,8 +165,11 @@ class LabeledPool:
         self.n = np.bincount(self.base_labels, minlength=num_classes)
         if np.any(self.n < 1):
             raise ValueError("every class needs at least one base labeled sample")
-        self.pseudo_ids = np.zeros(0, dtype=np.int64)
-        self.pseudo_features = np.zeros((0, self.base_features.shape[1]))
+        self.source: UnlabeledView | None = None
+        # rows of ``source`` whose id is also a base id (none for any split
+        # this library builds); found once per view, since ids never change
+        self.colliding_rows = np.zeros(0, dtype=np.int64)
+        self.pseudo_rows = np.zeros(0, dtype=np.int64)
         self.pseudo_labels = np.zeros(0, dtype=np.int64)
 
     @classmethod
@@ -176,19 +186,42 @@ class LabeledPool:
 
     @property
     def size(self) -> int:
-        return self.base_ids.size + self.pseudo_ids.size
+        return self.base_ids.size + self.pseudo_rows.size
 
     @property
     def pseudo_size(self) -> int:
-        return self.pseudo_ids.size
+        return self.pseudo_rows.size
 
-    def features(self) -> np.ndarray:
-        if self.pseudo_ids.size == 0:
-            return self.base_features
-        return np.concatenate([self.base_features, self.pseudo_features], axis=0)
+    @property
+    def pseudo_ids(self) -> np.ndarray:
+        if self.source is None:
+            return np.zeros(0, dtype=np.int64)
+        return self.source.ids[self.pseudo_rows]
+
+    @property
+    def pseudo_features(self) -> np.ndarray:
+        if self.source is None:
+            return np.zeros((0, self.base_features.shape[1]))
+        return self.source.features[self.pseudo_rows]
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of pool rows ``rows`` (each in ``[0, size)``)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not self.pseudo_rows.size:
+            return self.base_features[rows], self.base_labels[rows]
+        n_base = self.base_ids.size
+        pseudo = rows >= n_base
+        base_at = np.where(pseudo, 0, rows)
+        pseudo_at = np.where(pseudo, rows - n_base, 0)
+        features = np.where(
+            pseudo[:, None],
+            self.source.features[self.pseudo_rows[pseudo_at]],
+            self.base_features[base_at],
+        )
+        return features, np.where(pseudo, self.pseudo_labels[pseudo_at], self.base_labels[base_at])
 
     def labels(self) -> np.ndarray:
-        if self.pseudo_ids.size == 0:
+        if self.pseudo_rows.size == 0:
             return self.base_labels
         return np.concatenate([self.base_labels, self.pseudo_labels])
 
@@ -201,25 +234,40 @@ def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) ->
     """New pool whose pseudo portion is exactly the assigned rows of ``labels``.
 
     ``labels`` is the cycle's label vector, aligned with ``source`` rows (-1
-    means unassigned). Pseudo ids, features and labels are gathered in
-    ``source`` row order, which is id order for every split this library
-    builds. ``pool`` itself is left unchanged.
+    means unassigned). The new pool keeps the assigned rows' indices, in
+    ``source`` row order (id order for every split this library builds), and
+    their labels; it shares the base arrays with ``pool`` and copies no
+    features. ``pool`` itself is left unchanged.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != source.ids.shape:
         raise ValueError(
             f"label vector of shape {labels.shape} does not match {source.ids.size} unlabeled rows"
         )
-    rows = np.flatnonzero(labels >= 0)
-    ids = source.ids[rows]
-    collisions = ids[np.isin(ids, pool.base_ids)]
+    if source is pool.source:
+        colliding = pool.colliding_rows
+    else:
+        colliding = np.flatnonzero(np.isin(source.ids, pool.base_ids))
+    collisions = source.ids[colliding[labels[colliding] >= 0]]
     if collisions.size:
         raise ValueError(f"pseudo ids collide with base labeled ids: {collisions[:5].tolist()}")
-    grown = LabeledPool(pool.base_ids, pool.base_features, pool.base_labels, pool.num_classes)
-    grown.pseudo_ids = ids
-    grown.pseudo_features = source.features[rows]
-    grown.pseudo_labels = labels[rows]
+    rows = np.flatnonzero(labels >= 0)
+    grown = copy.copy(pool)
+    grown.source, grown.colliding_rows = source, colliding
+    grown.pseudo_rows, grown.pseudo_labels = rows, labels[rows]
     return grown
+
+
+def merge_grow_only(labels: np.ndarray, resolved: np.ndarray, voted: np.ndarray) -> None:
+    """The ``freeze_resolved`` merge, in place: each ``voted`` row still
+    unassigned in ``labels`` takes its label from ``resolved``.
+
+    Equal to ``labels = np.where(labels >= 0, labels, resolved)`` as long as
+    ``voted`` covers the rows ``resolved`` recomputed since the last merge:
+    every other unassigned row resolved to -1 when it was last merged.
+    """
+    open_rows = voted[labels[voted] < 0]
+    labels[open_rows] = resolved[open_rows]
 
 
 def class_distribution(pool: LabeledPool) -> ClassPrior:

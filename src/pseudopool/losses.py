@@ -46,11 +46,29 @@ class ClassPrior:
         return np.log(self.probabilities)
 
 
+# numpy sums fewer than this many terms in sequence, and more pairwise when
+# they lie along a contiguous axis
+_SEQUENTIAL_SUM_MAX = 7
+
+
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise stabilized log-softmax (works on 1-D or 2-D input)."""
+    """Row-wise stabilized log-softmax (works on 1-D or 2-D input).
+
+    numpy reduces along a short trailing axis slowly, so a 2-D input with at
+    most ``_SEQUENTIAL_SUM_MAX`` classes takes its max and sum over a
+    contiguous class-major copy. Both orders sum those few terms in sequence,
+    so the result is bit-identical to the row-wise reduction; wider inputs
+    keep the row-wise one, whose pairwise sum a class-major pass would not
+    reproduce. The result is C-contiguous either way.
+    """
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    if z.ndim != 2 or z.shape[1] > _SEQUENTIAL_SUM_MAX:
+        shifted = z - np.max(z, axis=-1, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    zt = z.T.copy()  # always a copy (z.T may already be contiguous): written in place
+    zt -= zt.max(axis=0)
+    zt -= np.log(np.exp(zt).sum(axis=0))
+    return np.ascontiguousarray(zt.T)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -32,12 +32,8 @@ def per_class_accuracy(preds: np.ndarray, labels: np.ndarray, num_classes: int) 
     labels = np.asarray(labels)
     if preds.size == 0 or preds.shape != labels.shape:
         raise ValueError("preds and labels must be equal-length and non-empty")
-    out = np.zeros(num_classes)
-    for c in range(num_classes):
-        mask = labels == c
-        if mask.any():
-            out[c] = float(np.mean(preds[mask] == c))
-    return out
+    hits, _, totals = _class_counts(preds, labels, num_classes)
+    return np.divide(hits, totals, out=np.zeros(num_classes), where=totals > 0)
 
 
 def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
@@ -46,15 +42,24 @@ def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
     labels = np.asarray(labels)
     if preds.size == 0 or preds.shape != labels.shape:
         raise ValueError("preds and labels must be equal-length and non-empty")
-    f1s = np.zeros(num_classes)
-    for c in range(num_classes):
-        tp = int(np.sum((preds == c) & (labels == c)))
-        fp = int(np.sum((preds == c) & (labels != c)))
-        fn = int(np.sum((preds != c) & (labels == c)))
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
-        recall = tp / (tp + fn) if (tp + fn) else 0.0
-        f1s[c] = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
+    tp, predicted, actual = _class_counts(preds, labels, num_classes)
+    zeros = np.zeros(num_classes)
+    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
+    recall = np.divide(tp, actual, out=zeros.copy(), where=actual > 0)
+    both = precision + recall
+    f1s = np.divide(2 * precision * recall, both, out=zeros, where=both > 0)
     return float(np.mean(f1s))
+
+
+def _class_counts(
+    preds: np.ndarray, labels: np.ndarray, num_classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class in ``[0, num_classes)``: correct predictions (true positives),
+    predictions, and true labels."""
+    def count(values: np.ndarray) -> np.ndarray:
+        return np.bincount(values, minlength=num_classes)[:num_classes]
+
+    return count(labels[preds == labels]), count(preds), count(labels)
 
 
 @dataclass

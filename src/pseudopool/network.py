@@ -72,28 +72,76 @@ class OptimizerConfig:
             raise ValueError("total_steps must be positive")
 
 
+class ParamVector(dict):
+    """Named views into one contiguous float64 vector, ``flat``.
+
+    The parameters, the momentum buffers and every gradient from
+    ``ModelState.zeros_like_params`` take this form, so the optimizer updates
+    each of them as one vector. Write into a view in place; rebinding a name
+    to another array would leave it out of ``flat``.
+    """
+
+    def __init__(self, flat: np.ndarray, layout: list[tuple[str, int, int, tuple[int, ...]]]):
+        super().__init__(
+            (name, flat[start:stop].reshape(shape)) for name, start, stop, shape in layout
+        )
+        self.flat = flat
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        # ``grads[name] += g`` adds in place and stores the same view back
+        if value is not self.get(name):
+            raise TypeError(f"{name} is a view into a flat buffer; write into it in place")
+        super().__setitem__(name, value)
+
+
 class ModelState:
     """Parameters and momentum buffers, keyed by layer name.
 
     Encoder layers are ``enc{i}_w`` / ``enc{i}_b``; the heads are
     ``head_primary_w`` / ``head_primary_b`` and the auxiliary pair.
+    ``params`` and ``momentum`` are ``ParamVector``s. Their flat vectors hold
+    every weight matrix first and the biases after them, so weight decay
+    covers the first ``decayed`` entries.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+    def __init__(
+        self,
+        config: ModelConfig,
+        params: dict[str, np.ndarray],
+        momentum: dict[str, np.ndarray] | None = None,
+    ):
         self.config = config
-        self.params = params
-        self.momentum = {k: np.zeros_like(v) for k, v in params.items()}
+        names = list(params)
+        order = [n for n in names if not n.endswith("_b")] + [n for n in names if n.endswith("_b")]
+        stops = np.cumsum([np.size(params[n]) for n in order]).tolist()
+        span = {n: (stop - np.size(params[n]), stop) for n, stop in zip(order, stops)}
+        self.layout = [(n, *span[n], np.shape(params[n])) for n in names]
+        self.decayed = sum(np.size(params[n]) for n in names if not n.endswith("_b"))
+        self.size = stops[-1]
+        self.params = self._pack(params)
+        self.momentum = self._pack(momentum) if momentum is not None else self.zeros_like_params()
+
+    def _pack(self, arrays: dict[str, np.ndarray]) -> ParamVector:
+        """A fresh vector holding a copy of ``arrays`` (same names and shapes)."""
+        packed = self.views(np.empty(self.size))
+        if set(arrays) != set(packed):
+            raise ValueError(f"expected arrays {sorted(packed)}, got {sorted(arrays)}")
+        for name, view in packed.items():
+            view[...] = arrays[name]
+        return packed
+
+    def views(self, flat: np.ndarray) -> ParamVector:
+        """Named views of a flat vector laid out like ``params.flat``."""
+        return ParamVector(flat, self.layout)
 
     def param_names(self) -> list[str]:
         return list(self.params.keys())
 
     def copy(self) -> "ModelState":
-        clone = ModelState(self.config, {k: v.copy() for k, v in self.params.items()})
-        clone.momentum = {k: v.copy() for k, v in self.momentum.items()}
-        return clone
+        return ModelState(self.config, self.params, self.momentum)
 
-    def zeros_like_params(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+    def zeros_like_params(self) -> ParamVector:
+        return self.views(np.zeros(self.size))
 
 
 def init(config: ModelConfig) -> ModelState:
@@ -121,8 +169,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # relu: a > 0 exactly where the pre-activation is; its subgradient at 0 is 0
-    return (a > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+    # relu: a > 0 exactly where the pre-activation is; its subgradient at 0 is
+    # 0. The boolean mask multiplies as 1.0 / 0.0, with no float copy of it
+    return a > 0 if kind == "relu" else 1.0 - a * a
 
 
 def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list]:
@@ -300,30 +349,33 @@ def loss_and_grads(
 
 
 def sgd_step(
-    state: ModelState, grads: dict[str, np.ndarray], opt: OptimizerConfig, lr: float
+    state: ModelState, grads: ParamVector, opt: OptimizerConfig, lr: float
 ) -> ModelState:
     """One SGD-with-momentum update of ``state``; returns the updated state.
 
     buffer <- momentum*buffer + grad + weight_decay*param, then
-    param <- param - lr*buffer. Weight decay skips biases. The step is
-    atomic: the new parameters and buffers are built as fresh arrays and
-    swapped in only once every new parameter is finite; otherwise it raises
-    ``NonFiniteLossError`` and leaves ``state`` untouched.
+    param <- param - lr*buffer. Weight decay skips biases. ``grads`` must
+    come from ``state.zeros_like_params()``: the update runs on the flat
+    vectors. The step is atomic: the new parameters and buffers are built as
+    fresh vectors and swapped in only once every new parameter is finite;
+    otherwise it raises ``NonFiniteLossError`` and leaves ``state`` untouched.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
-    params, momentum = {}, {}
-    for name, param in state.params.items():
-        g = grads[name]
-        if opt.weight_decay and not name.endswith("_b"):
-            g = g + opt.weight_decay * param
-        buf = state.momentum[name] * opt.momentum
-        buf += g
-        new = param - lr * buf
-        if not np.isfinite(new).all():
-            raise NonFiniteLossError(f"non-finite update in parameter {name}")
-        params[name], momentum[name] = new, buf
-    state.params, state.momentum = params, momentum
+    g = getattr(grads, "flat", None)
+    if g is None or g.shape != (state.size,):
+        raise TypeError("grads must come from ModelState.zeros_like_params()")
+    param = state.params.flat
+    if opt.weight_decay:
+        g = g.copy()
+        g[: state.decayed] += opt.weight_decay * param[: state.decayed]
+    buf = state.momentum.flat * opt.momentum
+    buf += g
+    new = param - lr * buf
+    if not np.isfinite(new).all():
+        bad = next(name for name, v in state.views(new).items() if not np.isfinite(v).all())
+        raise NonFiniteLossError(f"non-finite update in parameter {bad}")
+    state.params, state.momentum = state.views(new), state.views(buf)
     return state
 
 
@@ -385,13 +437,9 @@ def load_checkpoint(path: str | Path):
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
         model_cfg = ModelConfig(**header["model"])
-        params = {
-            k[len("param_"):]: data[k].copy() for k in data.files if k.startswith("param_")
-        }
-        state = ModelState(model_cfg, params)
-        state.momentum = {
-            k[len("mom_"):]: data[k].copy() for k in data.files if k.startswith("mom_")
-        }
+        params = {k[len("param_"):]: data[k] for k in data.files if k.startswith("param_")}
+        momentum = {k[len("mom_"):]: data[k] for k in data.files if k.startswith("mom_")}
+        state = ModelState(model_cfg, params, momentum)
         extra_arrays = {
             k[len("xtr_"):]: data[k].copy() for k in data.files if k.startswith("xtr_")
         }

@@ -30,6 +30,7 @@ from .cycle import (
     PseudoRegistry,
     ViewPredictionBatch,
     class_distribution,
+    merge_grow_only,
     reliability_mask_batch,
     update_pool,
 )
@@ -371,23 +372,22 @@ def _run(
 
             if cycle_active:
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
-                for i in np.flatnonzero(fired):
-                    registry.record_vote(int(uview.ids[u_rows[i]]), int(vpb.labels_weak[i]))
+                voted = u_rows[fired]
+                hits = zip(uview.ids[voted].tolist(), vpb.labels_weak[fired].tolist())
+                for sample_id, label in hits:
+                    registry.record_vote(sample_id, label)
                 # only the rows voted on this step can change their resolution
-                resolved = registry.resolve(
-                    config.min_votes, config.majority_frac, rows=u_rows[fired]
-                )
+                resolved = registry.resolve(config.min_votes, config.majority_frac, rows=voted)
                 if config.freeze_resolved:
                     # grow-only variant: once assigned, a row keeps its label
-                    labels = np.where(labels >= 0, labels, resolved)
+                    merge_grow_only(labels, resolved, voted)
                 else:
                     labels = resolved
                 pool = update_pool(pool, labels, uview)
                 prior = class_distribution(pool)
 
             rows = rngs["labeled"].integers(0, pool.size, size=b_l)
-            x_b = pool.features()[rows]
-            y_b = pool.labels()[rows]
+            x_b, y_b = pool.take(rows)
             log_pi = prior.log if adjusted else None
 
             primary = BatchPart("primary", x_b, y_b, log_pi)

@@ -44,6 +44,18 @@ def loop_update_class_stats(stats, reps, labels, ema_decay):
         stats.count_seen[c] += members.shape[0]
 
 
+def loop_plan_synthesis(labels, minority, stats, rng, count=10):
+    """Reference: the per-row loop plan_synthesis used to pick its rows."""
+    minority_set = set(int(c) for c in minority)
+    rows = [
+        i for i, lab in enumerate(labels) if int(lab) in minority_set and np.isfinite(stats.radius[lab])
+    ]
+    if not rows:
+        return None
+    origin = np.repeat(np.array(rows, dtype=np.int64), count)
+    return origin, stats.radius[labels[origin]], rng.standard_normal((origin.size, stats.rep_dim))
+
+
 class TestClassStats:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -173,6 +185,28 @@ class TestSynthesize:
         assert list(origin) == [1, 1, 3, 3]
         assert set(labels[origin]) == {2}
         assert np.all(radii == stats.radius[2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.integers(2, 7),
+        n=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+        count=st.integers(1, 12),
+    )
+    def test_plan_equals_per_row_loop(self, c, n, seed, count):
+        rng = np.random.default_rng(seed)
+        stats = ClassStats(num_classes=c, rep_dim=3)
+        initialized = rng.random(c) < 0.7
+        stats.radius[initialized] = rng.uniform(1.0, 10.0, size=int(initialized.sum()))
+        minority = np.flatnonzero(rng.random(c) < 0.5)
+        labels = rng.integers(c, size=n)
+        got = plan_synthesis(labels, minority, stats, np.random.default_rng(seed), count)
+        expected = loop_plan_synthesis(labels, minority, stats, np.random.default_rng(seed), count)
+        if expected is None:
+            assert got is None
+        else:
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_monte_carlo_coordinate_std(self):
         # per-coordinate std of (h' - h) is r*|h_k|/||h||

@@ -10,6 +10,7 @@ from pseudopool.cycle import (
     PseudoRegistry,
     ViewPredictionBatch,
     class_distribution,
+    merge_grow_only,
     reliability_mask_batch,
     update_pool,
 )
@@ -447,3 +448,57 @@ class TestLabelVectorProperties:
             assert np.array_equal(pool.pseudo_ids, source.ids[assigned])
             assert np.array_equal(pool.pseudo_labels, labels[assigned])
             assert pool.pseudo_size == int(assigned.sum())
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_vectors(), st.integers(0, 2**16))
+    def test_take_equals_concatenated_reference(self, case, seed):
+        c, n, vectors = case
+        rng = np.random.default_rng(seed)
+        pool = LabeledPool(np.arange(c), rng.normal(size=(c, 2)), np.arange(c), num_classes=c)
+        source = unlabeled_source(n=n)
+        for labels in [np.full(n, -1), *vectors]:  # starts from an empty pseudo portion
+            pool = update_pool(pool, labels, source)
+            assigned = labels >= 0
+            features = np.concatenate([pool.base_features, source.features[assigned]])
+            classes = np.concatenate([pool.base_labels, labels[assigned]])
+            rows = rng.integers(0, pool.size, size=int(rng.integers(0, 20)))
+            x, y = pool.take(rows)
+            assert x.tobytes() == features[rows].tobytes()
+            assert y.dtype == np.int64 and np.array_equal(y, classes[rows])
+            assert np.array_equal(pool.pseudo_features, source.features[assigned])
+            assert np.array_equal(pool.labels(), classes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_vectors(), st.sets(st.integers(0, 14), max_size=4))
+    def test_colliding_id_rejected_on_any_step(self, case, shared):
+        c, n, vectors = case
+        pool = LabeledPool(np.arange(200, 200 + c), np.zeros((c, 2)), np.arange(c), num_classes=c)
+        ids = np.arange(100, 100 + n)
+        shared = sorted(r for r in shared if r < n)
+        ids[shared] = 200 + np.arange(len(shared)) % c  # these rows carry base ids
+        source = UnlabeledView(ids=ids, features=np.zeros((n, 2)))
+        for labels in vectors:
+            colliding = [int(ids[r]) for r in shared if labels[r] >= 0]
+            if colliding:
+                with pytest.raises(ValueError, match=str(colliding[0])):
+                    update_pool(pool, labels, source)
+            else:
+                pool = update_pool(pool, labels, source)
+                assert np.array_equal(pool.pseudo_ids, ids[labels >= 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(vote_rounds())
+    def test_voted_rows_merge_equals_full_merge(self, case):
+        n, c, rounds, min_votes, frac = case
+        ids = np.arange(50, 50 + n)
+        registry = PseudoRegistry(ids, c)
+        full = np.full(n, -1)
+        voted_only = np.full(n, -1)
+        for votes in rounds:
+            for pos, label in votes:
+                registry.record_vote(int(ids[pos]), label)
+            voted = np.array([pos for pos, _ in votes], dtype=np.int64)
+            resolved = registry.resolve(min_votes, frac, rows=voted)
+            full = np.where(full >= 0, full, resolved)
+            merge_grow_only(voted_only, resolved, voted)
+            assert np.array_equal(voted_only, full)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudopool.losses import ClassPrior
+from pseudopool.losses import ClassPrior, log_softmax
 from pseudopool.network import BatchPart, ModelConfig, _xent_forward_backward, init, loss_and_grads
 
 
@@ -17,6 +19,14 @@ def plain_ce(logits, y):
     """Plain cross-entropy (no prior) of one logit vector, on the training loss path."""
     losses, _ = _xent_forward_backward(np.atleast_2d(logits), [y], None)
     return float(losses[0])
+
+
+def row_wise_log_softmax(z):
+    """Reference: the reduction along the trailing class axis that the
+    class-major one replaced."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def brute_force_adjusted_xent(logits, y, probs):
@@ -161,3 +171,37 @@ class TestXentRows:
         for i in range(5):
             expected = brute_force_adjusted_xent(logits[i], labels[i], prior.probabilities)
             assert rows[i] == pytest.approx(expected, abs=1e-12)
+
+
+class TestLogSoftmax:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 2000),
+        classes=st.integers(2, 12),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_row_wise_bit_for_bit(self, rows, classes, scale, seed):
+        z = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, classes))
+        got = log_softmax(z)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == row_wise_log_softmax(z).tobytes()
+
+    @pytest.mark.parametrize("classes", [2, 5, 7, 8, 12])
+    def test_one_dimensional_input(self, classes):
+        z = np.random.default_rng(classes).normal(scale=100.0, size=classes)
+        got = log_softmax(z)
+        assert got.shape == (classes,)
+        assert got.tobytes() == row_wise_log_softmax(z).tobytes()
+
+    def test_transposed_input_left_unchanged(self):
+        # z.T of a Fortran-ordered input is contiguous; it must still be copied
+        z = np.asfortranarray(np.random.default_rng(1).normal(size=(6, 5)))
+        before = z.copy()
+        got = log_softmax(z)
+        assert np.array_equal(z, before)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == row_wise_log_softmax(before).tobytes()
+
+    def test_empty_batch(self):
+        assert log_softmax(np.zeros((0, 5))).shape == (0, 5)

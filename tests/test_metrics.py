@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats as scipy_stats
 
@@ -15,7 +17,52 @@ from pseudopool.metrics import (
 )
 
 
+def per_class_accuracy_loop(preds, labels, num_classes):
+    """Reference: the per-class loop that the bincount version replaced."""
+    out = np.zeros(num_classes)
+    for c in range(num_classes):
+        mask = labels == c
+        if mask.any():
+            out[c] = float(np.mean(preds[mask] == c))
+    return out
+
+
+def macro_f1_loop(preds, labels, num_classes):
+    """Reference: the per-class loop that the bincount version replaced."""
+    f1s = np.zeros(num_classes)
+    for c in range(num_classes):
+        tp = int(np.sum((preds == c) & (labels == c)))
+        fp = int(np.sum((preds == c) & (labels != c)))
+        fn = int(np.sum((preds != c) & (labels == c)))
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        f1s[c] = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
+    return float(np.mean(f1s))
+
+
+@st.composite
+def prediction_pairs(draw):
+    """Class count and aligned (preds, labels), some classes possibly absent
+    from either side."""
+    c = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**16))
+    used = draw(st.integers(1, c))  # labels and preds drawn from the first `used` classes
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(used, size=n)
+    preds = np.where(rng.random(n) < draw(st.floats(0, 1)), labels, rng.integers(c, size=n))
+    return c, preds, labels
+
+
 class TestAccuracy:
+    @settings(max_examples=200, deadline=None)
+    @given(prediction_pairs())
+    def test_counts_equal_per_class_loop(self, case):
+        c, preds, labels = case
+        got = per_class_accuracy(preds, labels, c)
+        assert got.tobytes() == per_class_accuracy_loop(preds, labels, c).tobytes()
+        assert macro_f1(preds, labels, c) == macro_f1_loop(preds, labels, c)
+
     def test_perfect_predictions(self):
         preds = np.array([0, 1, 2, 1])
         assert accuracy(preds, preds) == 1.0

@@ -367,11 +367,38 @@ class TestFusedLoss:
         assert calls == {"forward": 1, "backward": 1}
 
 
+def filled_grads(state, value):
+    """A gradient vector from ``zeros_like_params`` with every entry ``value``."""
+    grads = state.zeros_like_params()
+    grads.flat[:] = value
+    return grads
+
+
+def per_tensor_sgd(params, momentum, grads, opt, lr):
+    """Reference: the per-name SGD update the flat-vector step replaced.
+    Returns fresh (params, momentum) dicts."""
+    new_params, new_momentum = {}, {}
+    for name, param in params.items():
+        g = grads[name]
+        if opt.weight_decay and not name.endswith("_b"):
+            g = g + opt.weight_decay * param
+        buf = momentum[name] * opt.momentum
+        buf += g
+        new_params[name], new_momentum[name] = param - lr * buf, buf
+    return new_params, new_momentum
+
+
+def assert_same_bytes(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         state = init(small_config(seed=10))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.0, total_steps=10)
-        grads = {k: np.ones_like(v) for k, v in state.params.items()}
+        grads = filled_grads(state, 1.0)
         before = {k: v.copy() for k, v in state.params.items()}
         sgd_step(state, grads, opt, lr=0.1)
         for name in state.params:
@@ -390,7 +417,7 @@ class TestSgdStep:
         state = init(small_config(seed=12))
         m = 0.7
         opt = OptimizerConfig(momentum=m, weight_decay=0.0, total_steps=10)
-        grads = {k: np.full_like(v, 2.0) for k, v in state.params.items()}
+        grads = filled_grads(state, 2.0)
         p0 = state.params["enc0_w"].copy()
         sgd_step(state, grads, opt, lr=0.1)
         p1 = state.params["enc0_w"].copy()
@@ -402,17 +429,21 @@ class TestSgdStep:
     def test_diverging_step_leaves_state_unchanged(self):
         state = init(small_config(seed=14))
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
-        sgd_step(state, {k: np.ones_like(v) for k, v in state.params.items()}, opt, lr=0.1)
+        sgd_step(state, filled_grads(state, 1.0), opt, lr=0.1)
         params = {k: v.copy() for k, v in state.params.items()}
         momentum = {k: v.copy() for k, v in state.momentum.items()}
-        grads = {k: np.full_like(v, 0.5) for k, v in state.params.items()}
+        grads = filled_grads(state, 0.5)
         last = list(state.params)[-1]
         grads[last][0] = np.inf  # only the last layer diverges
-        with pytest.raises(NonFiniteLossError):
+        with pytest.raises(NonFiniteLossError, match=last):
             sgd_step(state, grads, opt, lr=0.1)
         for name in state.params:
             assert np.array_equal(state.params[name], params[name])
             assert np.array_equal(state.momentum[name], momentum[name])
+        # the failed step left the views on their flat vectors, so it can go on
+        sgd_step(state, filled_grads(state, 0.5), opt, lr=0.1)
+        expected, _ = per_tensor_sgd(params, momentum, filled_grads(state, 0.5), opt, 0.1)
+        assert_same_bytes(state.params, expected)
 
     def test_weight_decay_skips_biases(self):
         state = init(small_config(seed=13))
@@ -422,6 +453,59 @@ class TestSgdStep:
         sgd_step(state, state.zeros_like_params(), opt, lr=0.1)
         assert np.allclose(state.params["enc0_b"], 1.0)  # no decay on bias
         assert np.allclose(state.params["enc0_w"], before_w * (1 - 0.1 * 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+        momentum=st.sampled_from([0.0, 0.5, 0.9]),
+        weight_decay=st.sampled_from([0.0, 5e-4, 0.3]),
+        steps=st.integers(1, 4),
+    )
+    def test_flat_step_equals_per_tensor_loop(self, seed, hidden, momentum, weight_decay, steps):
+        rng = np.random.default_rng(seed)
+        state = init(small_config(activation="relu", seed=seed, hidden=hidden))
+        opt = OptimizerConfig(momentum=momentum, weight_decay=weight_decay, total_steps=10)
+        params = {k: v.copy() for k, v in state.params.items()}
+        buffers = {k: v.copy() for k, v in state.momentum.items()}
+        for _ in range(steps):
+            grads = state.zeros_like_params()
+            for g in grads.values():
+                g[...] = rng.normal(scale=10.0, size=g.shape)
+            lr = float(rng.uniform(0.001, 0.5))
+            params, buffers = per_tensor_sgd(params, buffers, grads, opt, lr)
+            sgd_step(state, grads, opt, lr)
+            assert_same_bytes(state.params, params)
+            assert_same_bytes(state.momentum, buffers)
+            assert np.shares_memory(state.params["enc0_w"], state.params.flat)
+
+    def test_hand_built_grads_rejected(self):
+        state = init(small_config(seed=15))
+        opt = OptimizerConfig(total_steps=10)
+        with pytest.raises(TypeError, match="zeros_like_params"):
+            sgd_step(state, {k: np.zeros_like(v) for k, v in state.params.items()}, opt, lr=0.1)
+
+    def test_rebinding_a_view_rejected(self):
+        grads = init(small_config(seed=16)).zeros_like_params()
+        grads["enc0_b"] += 1.0  # in place: allowed
+        assert grads.flat.sum() == grads["enc0_b"].size
+        with pytest.raises(TypeError, match="in place"):
+            grads["enc0_b"] = grads["enc0_b"] + 1.0
+
+    def test_copy_is_independent(self):
+        state = init(small_config(seed=17))
+        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
+        sgd_step(state, filled_grads(state, 1.0), opt, lr=0.1)
+        params = {k: v.copy() for k, v in state.params.items()}
+        momentum = {k: v.copy() for k, v in state.momentum.items()}
+        clone = state.copy()
+        assert_same_bytes(clone.params, params)
+        assert_same_bytes(clone.momentum, momentum)
+        clone.params["enc0_w"][:] = 7.0
+        clone.momentum["enc0_b"][:] = 7.0
+        sgd_step(clone, filled_grads(clone, 3.0), opt, lr=0.2)
+        assert_same_bytes(state.params, params)
+        assert_same_bytes(state.momentum, momentum)
 
 
 class TestCosineSchedule:
@@ -474,10 +558,16 @@ class TestCheckpoint:
         assert extra2 == extra
         assert rng2 == rng_states
         assert np.array_equal(arrays2["votes"], arrays["votes"])
-        for name in state.params:
-            assert state.params[name].tobytes() == loaded.params[name].tobytes()
-            assert state.momentum[name].tobytes() == loaded.momentum[name].tobytes()
+        assert_same_bytes(loaded.params, state.params)
+        assert_same_bytes(loaded.momentum, state.momentum)
         assert loaded.config == state.config
+        # the loaded state steps on flat vectors like the saved one
+        assert loaded.params.flat.tobytes() == state.params.flat.tobytes()
+        opt = OptimizerConfig(momentum=0.9, weight_decay=5e-4, total_steps=123)
+        sgd_step(state, filled_grads(state, 0.25), opt, lr=0.1)
+        sgd_step(loaded, filled_grads(loaded, 0.25), opt, lr=0.1)
+        assert_same_bytes(loaded.params, state.params)
+        assert_same_bytes(loaded.momentum, state.momentum)
 
     def test_other_version_rejected(self, tmp_path, monkeypatch):
         state = init(small_config(seed=1))
