@@ -71,6 +71,8 @@ class ExperimentConfig:
         for scenario in self.scenarios:
             if scenario not in UNLABELED_SHAPES:
                 raise ConfigError("scenarios", f"{scenario!r} is not an unlabeled shape")
+        if self.method != "cpg" and self.train.checkpoint_every:
+            raise ConfigError("train.checkpoint_every", f"{self.method} cannot checkpoint")
         self.dataset.validate()
         self.train.validate()
 
@@ -178,12 +180,12 @@ def _coerce_method_config(config: ExperimentConfig) -> TrainConfig:
     return cfg
 
 
-def _run_single(config: ExperimentConfig, seed: int) -> training.RunHistory:
+def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training.RunHistory:
     dataset = replace(config.dataset, seed=seed)
     train_cfg = replace(_coerce_method_config(config), seed=seed)
     splits = generate_splits(dataset)
     if config.method == "cpg":
-        return training.train(train_cfg, splits)
+        return training.train(train_cfg, splits, checkpoint_dir=seed_dir)
     return training.run_baseline(config.method, train_cfg, splits)
 
 
@@ -216,11 +218,13 @@ def run_experiment(
     """Execute the configured method for every seed and write all artifacts.
 
     Per seed: ``seed_<s>/history.jsonl`` (one record per epoch) plus, for the
-    full method, the registry snapshot and per-epoch class-stats CSV. The run
-    root gets ``resolved_config.json`` and ``summary.json``.
+    full method, the registry snapshot, per-epoch class-stats CSV and any
+    checkpoints. The run root gets ``resolved_config.json`` and ``summary.json``,
+    which is written last: an earlier run's summary is removed first.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.json").unlink(missing_ok=True)
     resolved = config_to_dict(config)
     (out_dir / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
 
@@ -229,7 +233,7 @@ def run_experiment(
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        history = _run_single(config, seed)
+        history = _run_single(config, seed, seed_dir)
         records = history.to_records()
         _write_jsonl(seed_dir / "history.jsonl", records)
         paths.append(seed_dir / "history.jsonl")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import datasets
 from .losses import softmax
@@ -132,6 +131,9 @@ def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> tuple[float, flo
     documented fallback compares means exactly: equal means give (0, df, 1),
     unequal means give (+-inf, df, 0).
     """
+    # scipy costs a training process ~0.3 s and ~24 MB to import; only this test needs it
+    from scipy.special import stdtr
+
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:

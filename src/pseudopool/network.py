@@ -14,6 +14,8 @@ of the step) and runs one encoder backward.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -422,8 +424,17 @@ def save_checkpoint(
         arrays.update({f"xtr_{k}": v for k, v in extra_arrays.items()})
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        np.savez(fh, **arrays)
+    # written beside the target and renamed over it: a failed save keeps the old file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

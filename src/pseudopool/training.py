@@ -16,6 +16,7 @@ comparable across component toggles.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -304,6 +305,7 @@ def _run(
 ) -> RunHistory:
     """The one training loop behind ``train`` ("cpg") and every baseline kind."""
     config.validate()
+    _pin_heap_thresholds()
     c = splits.spec.num_classes
     policy = _resolve_policy(config, splits)
     state, opt = _build_model(config, splits)
@@ -474,6 +476,17 @@ def _run(
         pool=pool,
         policy=policy,
     )
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's heap thresholds; idempotent, skipped without ``mallopt`` (macOS).
+    Adaptive ones hand a step's freed numpy blocks back to the OS and the next
+    step faults them in again: up to ~100,000 minor faults per desk-scale call."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's adaptive rule
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def predict_views(state: ModelState, reps: np.ndarray, branch: str = "primary") -> ViewPredictionBatch:

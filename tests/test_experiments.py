@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from pseudopool.experiments import (
     run_ablation,
     run_experiment,
 )
+from pseudopool.datasets import generate_splits
+from pseudopool.training import TrainingDiverged, resume_training
 
 TINY_CONFIG = {
     "method": "cpg",
@@ -142,6 +145,43 @@ class TestRunExperiment:
             (tmp_path / "ce" / "seed_0" / "history.jsonl").read_text().splitlines()[-1]
         )
         assert history["util_rate"] == 0.0
+
+    def test_cpg_checkpoints_resume_onto_the_run(self, tmp_path):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        data["train"]["checkpoint_every"] = 4
+        config = parse_config(data)
+        run_experiment(config, tmp_path / "out")
+        seed_dir = tmp_path / "out" / "seed_0"
+        assert sorted(p.name for p in seed_dir.glob("checkpoint_*.npz")) == [
+            "checkpoint_epoch0004.npz",
+            "checkpoint_epoch0008.npz",
+        ]
+        splits = generate_splits(replace(config.dataset, seed=0))
+        resumed = resume_training(seed_dir / "checkpoint_epoch0004.npz", splits)
+        lines = (seed_dir / "history.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == json.loads(json.dumps(resumed.to_records()))
+
+    @pytest.mark.parametrize("method", ["supervised_ce", "supervised_la", "consistency_ssl"])
+    def test_baseline_checkpoint_every_rejected(self, method):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["train"]["checkpoint_every"] = 4
+        with pytest.raises(ConfigError) as err:
+            parse_config({**data, "method": method})
+        assert err.value.fieldname == "train.checkpoint_every"
+        # a --method override on a cpg config is validated the same way
+        with pytest.raises(ConfigError, match="train.checkpoint_every"):
+            replace(parse_config(data), method=method).validate()
+
+    def test_diverging_rerun_leaves_no_stale_summary(self, tmp_path):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        run_experiment(parse_config(data), tmp_path / "out")
+        assert (tmp_path / "out" / "summary.json").exists()
+        data["train"]["optimizer"] = {"base_lr": 1e14}
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+            run_experiment(parse_config(data), tmp_path / "out")
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_emit_plot_data(self, tmp_path):
         data = json.loads(json.dumps(TINY_CONFIG))

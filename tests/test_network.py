@@ -569,6 +569,26 @@ class TestCheckpoint:
         assert_same_bytes(loaded.params, state.params)
         assert_same_bytes(loaded.momentum, state.momentum)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        state = init(small_config(seed=5))
+        opt = OptimizerConfig(total_steps=5)
+        path = save_checkpoint(tmp_path / "ckpt.npz", state, opt, epoch=1)
+        saved = state.params.flat.copy()
+        sgd_step(state, filled_grads(state, 0.25), opt, lr=0.1)
+
+        def failing_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(network.np, "savez", failing_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, state, opt, epoch=2)
+        monkeypatch.undo()
+        loaded, _, epoch, *_ = load_checkpoint(path)
+        assert epoch == 1
+        assert loaded.params.flat.tobytes() == saved.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
     def test_other_version_rejected(self, tmp_path, monkeypatch):
         state = init(small_config(seed=1))
         monkeypatch.setattr(network, "CHECKPOINT_VERSION", network.CHECKPOINT_VERSION - 1)
