@@ -79,11 +79,6 @@ class PseudoRegistry:
         if self.first_vote_epoch[pos] < 0:
             self.first_vote_epoch[pos] = self.current_epoch
 
-    def epochs_since_first_vote(self, sample_id: int) -> int:
-        pos = self._index[int(sample_id)]
-        first = self.first_vote_epoch[pos]
-        return -1 if first < 0 else self.current_epoch - int(first)
-
     def resolve(
         self, min_votes: int, majority_frac: float, rows: np.ndarray | None = None
     ) -> np.ndarray:

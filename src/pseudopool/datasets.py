@@ -75,20 +75,6 @@ class DatasetSpec:
 
 
 @dataclass
-class LabeledExample:
-    id: int
-    features: np.ndarray
-    label: int
-
-
-@dataclass
-class UnlabeledExample:
-    id: int
-    features: np.ndarray
-    hidden_label: int
-
-
-@dataclass
 class LabeledSplit:
     ids: np.ndarray
     features: np.ndarray
@@ -319,11 +305,14 @@ def _expected_header(feature_dim: int) -> list[str]:
     return [f"f{i}" for i in range(feature_dim)] + ["label"]
 
 
-def load_csv(path: str | Path, role: str, num_classes: int, id_start: int = 0) -> list:
+def load_csv(
+    path: str | Path, role: str, num_classes: int, id_start: int = 0
+) -> LabeledSplit | UnlabeledSplit:
     """Parse one split CSV; row-level problems are rejected with the row number.
 
-    The header must read ``f0,...,f{d-1},label``. For the unlabeled role the
-    label column fills ``hidden_label``; for labeled/test it fills ``label``.
+    The header must read ``f0,...,f{d-1},label``. The unlabeled role gives an
+    ``UnlabeledSplit`` whose label column is ``hidden_labels``; labeled/test
+    give a ``LabeledSplit``. Row ids run consecutively from ``id_start``.
     """
     if role not in CSV_ROLES:
         raise ValueError(f"role must be one of {CSV_ROLES}")
@@ -340,14 +329,14 @@ def load_csv(path: str | Path, role: str, num_classes: int, id_start: int = 0) -
         feature_dim = len(header) - 1
         if header != _expected_header(feature_dim):
             raise ValueError(f"{path}: header must be f0,...,f{{d-1}},label")
-        examples = []
+        features, labels = [], []
         for row_num, row in rows:
             if len(row) != feature_dim + 1:
                 raise ValueError(
                     f"{path}: row {row_num}: expected {feature_dim + 1} columns, got {len(row)}"
                 )
             try:
-                feats = np.array([float(v) for v in row[:-1]], dtype=np.float64)
+                feats = [float(v) for v in row[:-1]]
             except ValueError:
                 raise ValueError(
                     f"{path}: row {row_num}: non-numeric feature value"
@@ -364,12 +353,14 @@ def load_csv(path: str | Path, role: str, num_classes: int, id_start: int = 0) -
                 raise ValueError(
                     f"{path}: row {row_num}: label {label} outside [0, {num_classes})"
                 )
-            sample_id = id_start + len(examples)
-            if role == "unlabeled":
-                examples.append(UnlabeledExample(sample_id, feats, hidden_label=label))
-            else:
-                examples.append(LabeledExample(sample_id, feats, label=label))
-    return examples
+            features.append(feats)
+            labels.append(label)
+    split = UnlabeledSplit if role == "unlabeled" else LabeledSplit
+    return split(
+        np.arange(id_start, id_start + len(labels), dtype=np.int64),
+        np.array(features, dtype=np.float64).reshape(len(labels), feature_dim),
+        np.array(labels, dtype=np.int64),
+    )
 
 
 def _numbered_rows(reader, path: Path):
@@ -418,28 +409,10 @@ def load_splits(in_dir: str | Path) -> SplitBundle:
     in_dir = Path(in_dir)
     spec = spec_from_dict(json.loads((in_dir / "dataset.json").read_text()))
     c = spec.num_classes
-
-    def to_arrays(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ids = np.array([e.id for e in examples], dtype=np.int64)
-        feats = np.stack([e.features for e in examples]) if examples else np.zeros((0, spec.feature_dim))
-        labels = np.array(
-            [e.hidden_label if isinstance(e, UnlabeledExample) else e.label for e in examples],
-            dtype=np.int64,
-        )
-        return ids, feats, labels
-
-    lab = load_csv(in_dir / "labeled.csv", "labeled", c, id_start=0)
-    unl = load_csv(in_dir / "unlabeled.csv", "unlabeled", c, id_start=len(lab))
-    tst = load_csv(in_dir / "test.csv", "test", c, id_start=len(lab) + len(unl))
-    li, lf, ll = to_arrays(lab)
-    ui, uf, ul = to_arrays(unl)
-    ti, tf, tl = to_arrays(tst)
-    return SplitBundle(
-        spec=spec,
-        labeled=LabeledSplit(li, lf, ll),
-        unlabeled=UnlabeledSplit(ui, uf, ul),
-        test=LabeledSplit(ti, tf, tl),
-    )
+    labeled = load_csv(in_dir / "labeled.csv", "labeled", c, id_start=0)
+    unlabeled = load_csv(in_dir / "unlabeled.csv", "unlabeled", c, id_start=labeled.ids.size)
+    test = load_csv(in_dir / "test.csv", "test", c, id_start=labeled.ids.size + unlabeled.ids.size)
+    return SplitBundle(spec=spec, labeled=labeled, unlabeled=unlabeled, test=test)
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:

@@ -27,6 +27,7 @@ from .datasets import (
     spec_to_dict,
 )
 from .metrics import welch_t_test
+from .network import atomic_open
 from .training import TrainConfig, train_config_from_dict
 
 logger = logging.getLogger(__name__)
@@ -190,7 +191,7 @@ def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -238,9 +239,8 @@ def run_experiment(
         _write_jsonl(seed_dir / "history.jsonl", records)
         paths.append(seed_dir / "history.jsonl")
         if history.registry is not None:
-            (seed_dir / "registry.json").write_text(
-                json.dumps(history.registry.snapshot(), indent=2, sort_keys=True)
-            )
+            with atomic_open(seed_dir / "registry.json", "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(history.registry.snapshot(), indent=2, sort_keys=True))
             paths.append(seed_dir / "registry.json")
         if config.method == "cpg" and config.train.use_synthesis:
             stats_path = seed_dir / "class_stats.csv"
@@ -250,7 +250,8 @@ def run_experiment(
 
     summary = _final_summary(finals)
     summary["method"] = config.method
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    with atomic_open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True))
     paths.append(out_dir / "summary.json")
 
     if emit_plot_data:
@@ -262,7 +263,7 @@ def run_experiment(
 
 
 def _write_class_stats(path: Path, history: training.RunHistory) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "class", "alpha", "radius", "count"])
         for report in history.reports:

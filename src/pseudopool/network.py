@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .losses import log_softmax
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -135,9 +136,6 @@ class ModelState:
     def views(self, flat: np.ndarray) -> ParamVector:
         """Named views of a flat vector laid out like ``params.flat``."""
         return ParamVector(flat, self.layout)
-
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
 
     def copy(self) -> "ModelState":
         return ModelState(self.config, self.params, self.momentum)
@@ -424,18 +422,27 @@ def save_checkpoint(
         arrays.update({f"xtr_{k}": v for k, v in extra_arrays.items()})
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # written beside the target and renamed over it: a failed save keeps the old file
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """A file written beside ``path`` and renamed over it once the block ends:
+    a write that fails leaves the previous ``path`` as it was and no temporary
+    file behind. ``kwargs`` go to ``open`` (``encoding``, ``newline``)."""
+    path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return path
 
 
 def load_checkpoint(path: str | Path):

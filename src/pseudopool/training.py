@@ -17,7 +17,6 @@ comparable across component toggles.
 from __future__ import annotations
 
 import ctypes
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -268,7 +267,6 @@ def train(
     splits: SplitBundle,
     step_callback=None,
     checkpoint_dir: str | Path | None = None,
-    _resume: dict | None = None,
 ) -> RunHistory:
     """Run the full training loop; deterministic per (config, splits) seed.
 
@@ -277,7 +275,7 @@ def train(
     votes, re-resolves the pool, refreshes the prior, and optionally expands
     minority classes before the SGD step at the cosine learning rate.
     """
-    return _run("cpg", config, splits, step_callback, checkpoint_dir, _resume)
+    return _run("cpg", config, splits, step_callback, checkpoint_dir)
 
 
 def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHistory:
@@ -295,59 +293,58 @@ def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHist
     return _run(kind, config, splits)
 
 
+@dataclass
+class _RunState:
+    """Everything one epoch hands the next; a run checkpoint is this record."""
+
+    state: ModelState
+    opt: OptimizerConfig
+    rngs: dict[str, np.random.Generator]
+    registry: PseudoRegistry
+    labels: np.ndarray  # the cycle's state: class per unlabeled row, -1 while not in the pool
+    stats: ClassStats
+    ledger: metrics_mod.RiskLedger = field(default_factory=metrics_mod.RiskLedger)
+    reports: list[EpochReport] = field(default_factory=list)
+    global_step: int = 0
+    epoch: int = 0  # the last completed epoch
+
+
 def _run(
     method: str,
     config: TrainConfig,
     splits: SplitBundle,
     step_callback=None,
     checkpoint_dir: str | Path | None = None,
-    _resume: dict | None = None,
+    run: _RunState | None = None,
 ) -> RunHistory:
-    """The one training loop behind ``train`` ("cpg") and every baseline kind."""
+    """The one training loop behind ``train`` ("cpg") and every baseline kind;
+    it continues ``run`` when given one, else starts a fresh record."""
     config.validate()
     _pin_heap_thresholds()
-    c = splits.spec.num_classes
     policy = _resolve_policy(config, splits)
-    state, opt = _build_model(config, splits)
-    rngs = _streams(config.seed)
     uview = splits.unlabeled_view()
     m = uview.ids.size
     adjusted = method in ("cpg", "supervised_la")
     gated_consistency = method == "consistency_ssl"
 
+    c = splits.spec.num_classes
     pool = LabeledPool.from_split(splits.labeled, c)
-    registry = PseudoRegistry(uview.ids, c)
-    stats = ClassStats(c, state.config.rep_dim)
+    if run is None:
+        state, opt = _build_model(config, splits)
+        registry, stats = PseudoRegistry(uview.ids, c), ClassStats(c, state.config.rep_dim)
+        run = _RunState(state, opt, _streams(config.seed), registry, np.full(m, -1, dtype=np.int64), stats)
+    elif not np.array_equal(run.registry.ids, uview.ids):
+        raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
+    else:
+        pool = update_pool(pool, run.labels, uview)
     prior = class_distribution(pool)
-    ledger = metrics_mod.RiskLedger()
-    reports: list[EpochReport] = []
-    # the cycle's state: class per unlabeled row, -1 while not in the pool
-    labels = np.full(m, -1, dtype=np.int64)
-    global_step = 0
-    start_epoch = 1
-
-    if _resume is not None:
-        state = _resume["state"]
-        opt = _resume["opt"]
-        rngs = _resume["rngs"]
-        registry = _resume["registry"]
-        if not np.array_equal(registry.ids, uview.ids):
-            raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
-        labels = _resume["labels"]
-        pool = update_pool(pool, labels, uview)
-        prior = class_distribution(pool)
-        stats = _resume["stats"]
-        ledger = _resume["ledger"]
-        reports = _resume["reports"]
-        global_step = _resume["global_step"]
-        start_epoch = _resume["epoch"] + 1
 
     b_l = config.labeled_batch
     b_u = config.unlabeled_batch
 
-    for epoch in range(start_epoch, config.total_epochs + 1):
+    for epoch in range(run.epoch + 1, config.total_epochs + 1):
         started = time.perf_counter()
-        registry.begin_epoch(epoch)
+        run.registry.begin_epoch(epoch)
         primary_sum = 0.0
         aux_sum = 0.0
         for step in range(1, config.steps_per_epoch + 1):
@@ -356,20 +353,20 @@ def _run(
             need_unlabeled = config.use_aux_branch or cycle_active or gated_consistency
 
             if need_unlabeled:
-                u_rows = rngs["unlabeled"].integers(0, m, size=b_u)
+                u_rows = run.rngs["unlabeled"].integers(0, m, size=b_u)
                 x_u = uview.features[u_rows]
-                weak_u = weak_view_batch(x_u, policy, rngs["views"])
-                strong_u = strong_view_batch(x_u, policy, rngs["views"])
+                weak_u = weak_view_batch(x_u, policy, run.rngs["views"])
+                strong_u = strong_view_batch(x_u, policy, run.rngs["views"])
                 # one forward serves every reader of the batch (only the filter
                 # reads the strong view); it is dropped once read, since holding
                 # it through the pool update raised the peak RSS of wide runs
-                h_u = encode(state, np.concatenate([weak_u, strong_u]) if cycle_active else weak_u)
+                h_u = encode(run.state, np.concatenate([weak_u, strong_u]) if cycle_active else weak_u)
                 if cycle_active:
-                    vpb = predict_views(state, h_u, "primary")
+                    vpb = predict_views(run.state, h_u, "primary")
                 if config.use_aux_branch:
-                    aux_pseudo = np.argmax(head_logits(state, "auxiliary", h_u[:b_u]), axis=1)
+                    aux_pseudo = np.argmax(head_logits(run.state, "auxiliary", h_u[:b_u]), axis=1)
                 if gated_consistency:
-                    weak_probs = softmax(head_logits(state, "primary", h_u[:b_u]))
+                    weak_probs = softmax(head_logits(run.state, "primary", h_u[:b_u]))
                 del h_u
 
             if cycle_active:
@@ -377,27 +374,27 @@ def _run(
                 voted = u_rows[fired]
                 hits = zip(uview.ids[voted].tolist(), vpb.labels_weak[fired].tolist())
                 for sample_id, label in hits:
-                    registry.record_vote(sample_id, label)
+                    run.registry.record_vote(sample_id, label)
                 # only the rows voted on this step can change their resolution
-                resolved = registry.resolve(config.min_votes, config.majority_frac, rows=voted)
+                resolved = run.registry.resolve(config.min_votes, config.majority_frac, rows=voted)
                 if config.freeze_resolved:
                     # grow-only variant: once assigned, a row keeps its label
-                    merge_grow_only(labels, resolved, voted)
+                    merge_grow_only(run.labels, resolved, voted)
                 else:
-                    labels = resolved
-                pool = update_pool(pool, labels, uview)
+                    run.labels = resolved
+                pool = update_pool(pool, run.labels, uview)
                 prior = class_distribution(pool)
 
-            rows = rngs["labeled"].integers(0, pool.size, size=b_l)
+            rows = run.rngs["labeled"].integers(0, pool.size, size=b_l)
             x_b, y_b = pool.take(rows)
             log_pi = prior.log if adjusted else None
 
             primary = BatchPart("primary", x_b, y_b, log_pi)
             if synth_active:
-                reps = encode(state, x_b)
-                update_class_stats(stats, reps, y_b, config.ema_decay)
+                reps = encode(run.state, x_b)
+                update_class_stats(run.stats, reps, y_b, config.ema_decay)
                 plan = plan_synthesis(
-                    y_b, minority_classes(pool.phi), stats, rngs["synth"], config.synth_count
+                    y_b, minority_classes(pool.phi), run.stats, run.rngs["synth"], config.synth_count
                 )
                 if plan is not None:
                     origin, radii, noise = plan
@@ -415,64 +412,52 @@ def _run(
                     parts.append(BatchPart("primary", strong_u[keep], pseudo, None, normalizer=b_u))
 
             try:
-                _, part_means, grads = loss_and_grads(state, parts)
+                _, part_means, grads = loss_and_grads(run.state, parts)
             except NonFiniteLossError as exc:
                 raise TrainingDiverged(epoch, step, str(exc)) from exc
-            sgd_step(state, grads, opt, cosine_lr(global_step, opt))
-            global_step += 1
+            sgd_step(run.state, grads, run.opt, cosine_lr(run.global_step, run.opt))
+            run.global_step += 1
 
             primary_sum += part_means[0]
             aux_sum += sum(part_means[1:])
             if step_callback is not None:
-                step_callback(StepInfo(epoch, step, global_step, pool, prior))
+                step_callback(StepInfo(epoch, step, run.global_step, pool, prior))
 
         if gated_consistency:
-            labels = metrics_mod.threshold_assignments(
-                state, splits, policy, config.confidence_threshold, rngs["audit"]
+            run.labels = metrics_mod.threshold_assignments(
+                run.state, splits, policy, config.confidence_threshold, run.rngs["audit"]
             )
-        reports.append(
+        run.reports.append(
             _epoch_report(
-                state,
+                run.state,
                 splits,
                 config,
-                ledger,
+                run.ledger,
                 epoch,
-                labels,
+                run.labels,
                 primary_sum / config.steps_per_epoch,
                 aux_sum / config.steps_per_epoch,
                 pool,
                 prior,
-                stats if config.use_synthesis else None,
+                run.stats if config.use_synthesis else None,
                 started,
             )
         )
+        run.epoch = epoch
         if (
             checkpoint_dir is not None
             and config.checkpoint_every > 0
             and epoch % config.checkpoint_every == 0
             and epoch < config.total_epochs
         ):
-            save_run_checkpoint(
-                Path(checkpoint_dir) / f"checkpoint_epoch{epoch:04d}.npz",
-                config,
-                state,
-                opt,
-                epoch,
-                global_step,
-                rngs,
-                registry,
-                labels,
-                stats,
-                ledger,
-                reports,
-            )
+            save_run_checkpoint(Path(checkpoint_dir) / f"checkpoint_epoch{epoch:04d}.npz", config, run)
 
     return RunHistory(
         method=method,
-        reports=reports,
-        state=state,
-        ledger=ledger,
-        registry=registry if method == "cpg" else None,
+        reports=run.reports,
+        state=run.state,
+        ledger=run.ledger,
+        registry=run.registry if method == "cpg" else None,
         pool=pool,
         policy=policy,
     )
@@ -509,43 +494,17 @@ def predict_views(state: ModelState, reps: np.ndarray, branch: str = "primary") 
 # ---------------------------------------------------------------------------
 
 
-def save_run_checkpoint(
-    path: str | Path,
-    config: TrainConfig,
-    state: ModelState,
-    opt: OptimizerConfig,
-    epoch: int,
-    global_step: int,
-    rngs: dict[str, np.random.Generator],
-    registry: PseudoRegistry,
-    labels: np.ndarray,
-    stats: ClassStats,
-    ledger: metrics_mod.RiskLedger,
-    reports: list[EpochReport],
-) -> Path:
+def save_run_checkpoint(path: str | Path, config: TrainConfig, run: _RunState) -> Path:
+    """Write ``run`` whole; ``resume_training`` reads it back."""
     extra = {
         "config": asdict(config),
-        "global_step": global_step,
-        "assignments": _labels_to_json(registry.ids, labels),
-        "registry_epoch": registry.current_epoch,
-        "ledger": [asdict(row) for row in ledger.rows],
-        "reports": [asdict(r) for r in reports],
+        "global_step": run.global_step,
+        "ledger": [asdict(row) for row in run.ledger.rows],
+        "reports": [asdict(r) for r in run.reports],
     }
-    extra_arrays = {
-        "votes": registry.votes,
-        "first_vote_epoch": registry.first_vote_epoch,
-        "resolved": registry.resolved,
-        "registry_ids": registry.ids,
-        "centroids": stats.centroids,
-        "has_centroid": stats.has_centroid,
-        "alpha": stats.alpha,
-        "radius": stats.radius,
-        "count_seen": stats.count_seen,
-    }
-    rng_states = {name: json.loads(json.dumps(rng.bit_generator.state)) for name, rng in rngs.items()}
-    return save_checkpoint(
-        path, state, opt, epoch, rng_states=rng_states, extra=extra, extra_arrays=extra_arrays
-    )
+    arrays = {"labels": run.labels, **_arrays("registry", run.registry), **_arrays("stats", run.stats)}
+    rng_states = {name: rng.bit_generator.state for name, rng in run.rngs.items()}
+    return save_checkpoint(path, run.state, run.opt, run.epoch, rng_states, extra, arrays)
 
 
 def resume_training(
@@ -555,58 +514,40 @@ def resume_training(
     checkpoint_dir: str | Path | None = None,
 ) -> RunHistory:
     """Continue a checkpointed run; the result matches the uninterrupted run."""
-    state, opt, epoch, rng_states, extra, extra_arrays = load_checkpoint(path)
+    state, opt, epoch, rng_states, extra, arrays = load_checkpoint(path)
     config = train_config_from_dict(extra["config"])
-    rngs = {}
-    for name in STREAM_NAMES:
-        gen = np.random.default_rng(0)
-        gen.bit_generator.state = rng_states[name]
-        rngs[name] = gen
-
-    registry = PseudoRegistry(extra_arrays["registry_ids"], splits.spec.num_classes)
-    registry.votes = extra_arrays["votes"]
-    registry.first_vote_epoch = extra_arrays["first_vote_epoch"]
-    registry.resolved = extra_arrays["resolved"]
-    registry.begin_epoch(extra["registry_epoch"])
-
-    stats = ClassStats(splits.spec.num_classes, state.config.rep_dim)
-    stats.centroids = extra_arrays["centroids"]
-    stats.has_centroid = extra_arrays["has_centroid"]
-    stats.alpha = extra_arrays["alpha"]
-    stats.radius = extra_arrays["radius"]
-    stats.count_seen = extra_arrays["count_seen"]
-
-    ledger = metrics_mod.RiskLedger(rows=[metrics_mod.RiskRow(**row) for row in extra["ledger"]])
-    reports = [EpochReport(**item) for item in extra["reports"]]
-
-    resume = {
-        "state": state,
-        "opt": opt,
-        "rngs": rngs,
-        "registry": registry,
-        "labels": _labels_from_json(registry.ids, extra["assignments"]),
-        "stats": stats,
-        "ledger": ledger,
-        "reports": reports,
-        "global_step": extra["global_step"],
-        "epoch": epoch,
-    }
-    return train(config, splits, step_callback=step_callback, checkpoint_dir=checkpoint_dir, _resume=resume)
+    rngs = _streams(0)
+    for name, rng in rngs.items():
+        rng.bit_generator.state = rng_states[name]
+    c = splits.spec.num_classes
+    run = _RunState(
+        state=state,
+        opt=opt,
+        rngs=rngs,
+        registry=_restore(PseudoRegistry(arrays["registry.ids"], c), "registry", arrays),
+        labels=arrays["labels"],
+        stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),
+        ledger=metrics_mod.RiskLedger(rows=[metrics_mod.RiskRow(**row) for row in extra["ledger"]]),
+        reports=[EpochReport(**item) for item in extra["reports"]],
+        global_step=extra["global_step"],
+        epoch=epoch,
+    )
+    return _run("cpg", config, splits, step_callback, checkpoint_dir, run)
 
 
-def _labels_to_json(ids: np.ndarray, labels: np.ndarray) -> dict[str, int]:
-    """Checkpoint form of a label vector: ``{id: label}`` over assigned rows, by id."""
-    rows = np.flatnonzero(labels >= 0)
-    return {str(k): v for k, v in sorted(zip(ids[rows].tolist(), labels[rows].tolist()))}
+def _arrays(prefix: str, obj) -> dict[str, np.ndarray]:
+    """Checkpoint form of a registry or class stats: its ndarray attributes,
+    each under ``<prefix>.<attribute>``."""
+    return {f"{prefix}.{k}": v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
 
 
-def _labels_from_json(ids: np.ndarray, assignments: dict[str, int]) -> np.ndarray:
-    """Inverse of ``_labels_to_json`` over the registry's ``ids``."""
-    position = {int(sid): pos for pos, sid in enumerate(ids)}
-    labels = np.full(ids.size, -1, dtype=np.int64)
-    for sid, label in assignments.items():
-        labels[position[int(sid)]] = int(label)
-    return labels
+def _restore(obj, prefix: str, arrays: dict[str, np.ndarray]):
+    """Inverse of ``_arrays``: set each ``<prefix>.<attribute>`` array on ``obj``."""
+    for key, value in arrays.items():
+        owner, _, name = key.partition(".")
+        if owner == prefix:
+            setattr(obj, name, value)
+    return obj
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:

@@ -208,8 +208,7 @@ class TestRegistry:
         reg.begin_epoch(7)
         reg.record_vote(0, 1)
         reg.record_vote(1, 0)
-        assert reg.epochs_since_first_vote(0) == 4
-        assert reg.epochs_since_first_vote(1) == 0
+        assert reg.first_vote_epoch.tolist() == [3, 7]
 
 
 def brute_resolve(votes, min_votes, frac):

@@ -13,8 +13,8 @@ from mpmath import mp
 from pseudopool.datasets import (
     AugmentationPolicy,
     DatasetSpec,
-    LabeledExample,
-    UnlabeledExample,
+    LabeledSplit,
+    UnlabeledSplit,
     generate_splits,
     load_csv,
     load_splits,
@@ -223,19 +223,19 @@ class TestCsv:
 
     def test_well_formed_file(self, tmp_path):
         path = self._write(tmp_path, "f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n0.5,0.5,2\n")
-        rows = load_csv(path, "labeled", num_classes=3)
-        assert len(rows) == 3
-        assert all(isinstance(r, LabeledExample) for r in rows)
-        assert rows[1].label == 1
-        assert np.array_equal(rows[2].features, [0.5, 0.5])
-        assert [r.id for r in rows] == [0, 1, 2]
+        split = load_csv(path, "labeled", num_classes=3)
+        assert isinstance(split, LabeledSplit)
+        assert split.labels.tolist() == [0, 1, 2]
+        assert np.array_equal(split.features, [[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]])
+        assert split.ids.tolist() == [0, 1, 2]
 
     def test_unlabeled_role_fills_hidden_label(self, tmp_path):
         path = self._write(tmp_path, "f0,label\n1.0,2\n")
-        rows = load_csv(path, "unlabeled", num_classes=3)
-        assert isinstance(rows[0], UnlabeledExample)
-        assert rows[0].hidden_label == 2
-        assert not hasattr(rows[0], "label")
+        split = load_csv(path, "unlabeled", num_classes=3, id_start=5)
+        assert isinstance(split, UnlabeledSplit)
+        assert split.hidden_labels.tolist() == [2]
+        assert split.ids.tolist() == [5]
+        assert not hasattr(split, "labels")
 
     def test_non_numeric_feature_names_row(self, tmp_path):
         path = self._write(tmp_path, "f0,f1,label\n1.0,2.0,0\nabc,4.0,1\n")
@@ -301,10 +301,10 @@ class TestCsv:
                 writer.writerow([f"f{j}" for j in range(feature_dim)] + ["label"])
                 writer.writerows(good)
             try:
-                rows = load_csv(path, role, num_classes=3)
+                split = load_csv(path, role, num_classes=3)
             except ValueError as exc:
                 # the header is row 1, so record i of the body is row i + 2
                 assert f"row {bad_at + 2}:" in str(exc)
             else:
-                assert len(rows) == n_rows
-                assert np.array_equal(rows[bad_at].features, [float(v) for v in cells[:-1]])
+                assert split.ids.size == n_rows
+                assert np.array_equal(split.features[bad_at], [float(v) for v in cells[:-1]])

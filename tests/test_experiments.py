@@ -17,7 +17,7 @@ from pseudopool.experiments import (
     run_experiment,
 )
 from pseudopool.datasets import generate_splits
-from pseudopool.training import TrainingDiverged, resume_training
+from pseudopool.training import RunHistory, TrainingDiverged, resume_training
 
 TINY_CONFIG = {
     "method": "cpg",
@@ -182,6 +182,27 @@ class TestRunExperiment:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             run_experiment(parse_config(data), tmp_path / "out")
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_failed_history_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        config = parse_config(data)
+        run_experiment(config, tmp_path / "out")
+        seed_dir = tmp_path / "out" / "seed_0"
+        before = (seed_dir / "history.jsonl").read_bytes()
+        names = sorted(p.name for p in seed_dir.iterdir())
+        to_records = RunHistory.to_records
+
+        def unserializable_second_record(self):
+            records = to_records(self)
+            records[1]["acc"] = object()  # json.dumps raises after line 1 is written
+            return records
+
+        monkeypatch.setattr(RunHistory, "to_records", unserializable_second_record)
+        with pytest.raises(TypeError):
+            run_experiment(config, tmp_path / "out")
+        assert (seed_dir / "history.jsonl").read_bytes() == before
+        assert sorted(p.name for p in seed_dir.iterdir()) == names
 
     def test_emit_plot_data(self, tmp_path):
         data = json.loads(json.dumps(TINY_CONFIG))

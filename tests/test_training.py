@@ -274,6 +274,28 @@ class TestCheckpointResume:
         assert np.array_equal(resumed.pool.pseudo_ids, full.pool.pseudo_ids)
         assert np.array_equal(resumed.pool.pseudo_labels, full.pool.pseudo_labels)
 
+    def test_resume_restores_frozen_labels_not_registry_resolution(self, tmp_path):
+        # with freeze_resolved, a row keeps its first label while its tallies
+        # may resolve elsewhere: the checkpoint must carry the label vector
+        splits = generate_splits(tiny_spec(seed=2))
+        cfg = fast_config(
+            total_epochs=20,
+            warmup_epochs=2,
+            checkpoint_every=5,
+            freeze_resolved=True,
+            min_votes=1,
+            majority_frac=0.5,
+            seed=2,
+        )
+        full = train(cfg, splits, checkpoint_dir=tmp_path)
+        pool_labels = np.full(splits.unlabeled.ids.size, -1, dtype=np.int64)
+        pool_labels[full.pool.pseudo_rows] = full.pool.pseudo_labels
+        assert np.any(pool_labels != full.registry.resolved)
+        resumed = resume_training(tmp_path / "checkpoint_epoch0010.npz", splits)
+        assert resumed.to_records() == full.to_records()
+        assert np.array_equal(resumed.pool.pseudo_rows, full.pool.pseudo_rows)
+        assert np.array_equal(resumed.pool.pseudo_labels, full.pool.pseudo_labels)
+
     def test_resume_onto_other_unlabeled_rows_rejected(self, tiny_splits, tmp_path):
         cfg = fast_config(total_epochs=10, warmup_epochs=2, checkpoint_every=4)
         train(cfg, tiny_splits, checkpoint_dir=tmp_path)
