@@ -28,7 +28,6 @@ from .datasets import (
 from .losses import ClassPrior
 from .metrics import (
     PseudoLabelAudit,
-    RiskLedger,
     accuracy,
     kl_divergence,
     macro_f1,
@@ -61,7 +60,6 @@ __all__ = [
     "OptimizerConfig",
     "PseudoLabelAudit",
     "PseudoRegistry",
-    "RiskLedger",
     "RunHistory",
     "SplitBundle",
     "TrainConfig",

@@ -1,9 +1,10 @@
 """Seeded long-tailed synthetic datasets, augmentation views, and CSV ingest.
 
-Splits are generated from per-class Gaussians whose means sit on a scaled
-circle in the first two feature dimensions; the remaining dimensions carry
-pure noise. Every operation that takes a seed uses numpy's PCG64 generator
-(``np.random.default_rng``), so identical seeds give bit-identical splits.
+Splits are generated from unit-variance per-class Gaussians whose means sit
+on the radius-2.5 circle in the first two feature dimensions; the remaining
+dimensions carry pure noise. Every operation that takes a seed uses numpy's
+PCG64 generator (``np.random.default_rng``), so identical seeds give
+bit-identical splits.
 
 Hidden ground truth for unlabeled samples lives only on ``UnlabeledSplit``;
 training code receives an ``UnlabeledView`` projection that does not carry it.
@@ -22,6 +23,7 @@ LABELED_SHAPES = ("long_tailed", "arbitrary")
 UNLABELED_SHAPES = ("consistent", "inverse", "uniform", "arbitrary")
 ARBITRARY_MODES = ("permutation", "dirichlet")
 CSV_ROLES = ("labeled", "unlabeled", "test")
+MEAN_RADIUS = 2.5
 
 
 @dataclass
@@ -37,9 +39,6 @@ class DatasetSpec:
     labeled_shape: str = "long_tailed"
     unlabeled_shape: str = "consistent"
     test_per_class: int = 40
-    mean_scale: float = 2.5
-    cov_scale: float = 1.0
-    class_means: np.ndarray | None = None
     arbitrary_mode: str = "permutation"
     seed: int = 0
 
@@ -64,14 +63,6 @@ class DatasetSpec:
             raise ValueError(f"arbitrary_mode must be one of {ARBITRARY_MODES}")
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be positive")
-        if self.cov_scale <= 0:
-            raise ValueError("cov_scale must be positive")
-        if self.class_means is not None:
-            means = np.asarray(self.class_means, dtype=np.float64)
-            if means.shape != (self.num_classes, self.feature_dim):
-                raise ValueError(
-                    "class_means must have shape (num_classes, feature_dim)"
-                )
 
 
 @dataclass
@@ -175,15 +166,16 @@ def _dirichlet_counts(base_counts: np.ndarray, rng: np.random.Generator) -> np.n
     return counts
 
 
-def circle_class_means(num_classes: int, feature_dim: int, scale: float) -> np.ndarray:
-    """Class means evenly spaced on a circle in the first two dimensions."""
+def circle_class_means(num_classes: int, feature_dim: int) -> np.ndarray:
+    """Class means evenly spaced on the ``MEAN_RADIUS`` circle in the first
+    two dimensions (on [-MEAN_RADIUS, MEAN_RADIUS] when ``feature_dim`` is 1)."""
     means = np.zeros((num_classes, feature_dim), dtype=np.float64)
     if feature_dim == 1:
-        means[:, 0] = scale * np.linspace(-1.0, 1.0, num_classes)
+        means[:, 0] = MEAN_RADIUS * np.linspace(-1.0, 1.0, num_classes)
         return means
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
-    means[:, 0] = scale * np.cos(angles)
-    means[:, 1] = scale * np.sin(angles)
+    means[:, 0] = MEAN_RADIUS * np.cos(angles)
+    means[:, 1] = MEAN_RADIUS * np.sin(angles)
     return means
 
 
@@ -206,17 +198,14 @@ def generate_splits(spec: DatasetSpec) -> SplitBundle:
         spec.arbitrary_mode,
     )
 
-    if spec.class_means is not None:
-        means = np.asarray(spec.class_means, dtype=np.float64)
-    else:
-        means = circle_class_means(spec.num_classes, spec.feature_dim, spec.mean_scale)
+    means = circle_class_means(spec.num_classes, spec.feature_dim)
 
     def draw(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         feats = []
         labels = []
         for c, count in enumerate(counts):
             noise = data_rng.standard_normal((int(count), spec.feature_dim))
-            feats.append(means[c] + spec.cov_scale * noise)
+            feats.append(means[c] + noise)
             labels.append(np.full(int(count), c, dtype=np.int64))
         return np.concatenate(feats, axis=0), np.concatenate(labels)
 
@@ -255,18 +244,12 @@ class AugmentationPolicy:
             raise ValueError("strong_mask_rate must lie in [0, 1]")
 
 
-def policy_from_features(
-    features: np.ndarray,
-    weak_scale: float = 0.05,
-    strong_scale: float = 0.15,
-    mask_rate: float = 0.3,
-) -> AugmentationPolicy:
-    """Default policy: sigmas proportional to the mean per-feature std."""
+def policy_from_features(features: np.ndarray) -> AugmentationPolicy:
+    """The training policy: weak and strong sigmas 0.05 and 0.15 of the mean
+    per-feature std, and 30% of each strong view's coordinates masked."""
     base = float(np.mean(np.std(np.asarray(features, dtype=np.float64), axis=0)))
     policy = AugmentationPolicy(
-        weak_noise_sigma=weak_scale * base,
-        strong_noise_sigma=strong_scale * base,
-        strong_mask_rate=mask_rate,
+        weak_noise_sigma=0.05 * base, strong_noise_sigma=0.15 * base, strong_mask_rate=0.3
     )
     policy.validate()
     return policy
@@ -400,30 +383,17 @@ def save_splits(bundle: SplitBundle, out_dir: str | Path) -> dict[str, Path]:
     _write_csv(paths["labeled"], bundle.labeled.features, bundle.labeled.labels)
     _write_csv(paths["unlabeled"], bundle.unlabeled.features, bundle.unlabeled.hidden_labels)
     _write_csv(paths["test"], bundle.test.features, bundle.test.labels)
-    paths["spec"].write_text(json.dumps(spec_to_dict(bundle.spec), indent=2, sort_keys=True))
+    paths["spec"].write_text(json.dumps(asdict(bundle.spec), indent=2, sort_keys=True))
     return paths
 
 
 def load_splits(in_dir: str | Path) -> SplitBundle:
     """Rebuild a bundle from ``save_splits`` output (ids reassigned globally)."""
     in_dir = Path(in_dir)
-    spec = spec_from_dict(json.loads((in_dir / "dataset.json").read_text()))
+    spec = DatasetSpec(**json.loads((in_dir / "dataset.json").read_text()))
     c = spec.num_classes
     labeled = load_csv(in_dir / "labeled.csv", "labeled", c, id_start=0)
     unlabeled = load_csv(in_dir / "unlabeled.csv", "unlabeled", c, id_start=labeled.ids.size)
     test = load_csv(in_dir / "test.csv", "test", c, id_start=labeled.ids.size + unlabeled.ids.size)
     return SplitBundle(spec=spec, labeled=labeled, unlabeled=unlabeled, test=test)
 
-
-def spec_to_dict(spec: DatasetSpec) -> dict:
-    out = asdict(spec)
-    if spec.class_means is not None:
-        out["class_means"] = np.asarray(spec.class_means).tolist()
-    return out
-
-
-def spec_from_dict(data: dict) -> DatasetSpec:
-    data = dict(data)
-    if data.get("class_means") is not None:
-        data["class_means"] = np.asarray(data["class_means"], dtype=np.float64)
-    return DatasetSpec(**data)

@@ -18,14 +18,7 @@ import numpy as np
 import yaml
 
 from . import training
-from .datasets import (
-    UNLABELED_SHAPES,
-    DatasetSpec,
-    generate_splits,
-    save_splits,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits, save_splits
 from .metrics import welch_t_test
 from .network import atomic_open
 from .training import TrainConfig, train_config_from_dict
@@ -67,11 +60,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigError("method", f"must be one of {METHODS}")
-        if not self.seeds:
-            raise ConfigError("seeds", "at least one seed is required")
+        if not self.seeds or not all(type(s) is int and s >= 0 for s in self.seeds):
+            raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
+        if not self.scenarios:
+            raise ConfigError("scenarios", "at least one scenario is required")
         for scenario in self.scenarios:
             if scenario not in UNLABELED_SHAPES:
                 raise ConfigError("scenarios", f"{scenario!r} is not an unlabeled shape")
+        for name, values in (("seeds", self.seeds), ("scenarios", self.scenarios)):
+            if len(set(values)) != len(values):
+                raise ConfigError(name, f"repeats a value: {values}")
         if self.method != "cpg" and self.train.checkpoint_every:
             raise ConfigError("train.checkpoint_every", f"{self.method} cannot checkpoint")
         self.dataset.validate()
@@ -105,7 +103,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if name not in dataset_raw:
             raise ConfigError(f"dataset.{name}", "field is required")
     try:
-        dataset = spec_from_dict(dataset_raw)
+        dataset = DatasetSpec(**dataset_raw)
         dataset.validate()
     except ConfigError:
         raise
@@ -132,9 +130,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("train", str(exc)) from None
 
     seeds = data.get("seeds", [0, 1, 2])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds", "must be a non-empty list of integers")
     scenarios = data.get("scenarios", ["consistent", "inverse", "arbitrary"])
+    for name, value in (("seeds", seeds), ("scenarios", scenarios)):
+        if not isinstance(value, list):
+            raise ConfigError(name, "must be a list")
 
     config = ExperimentConfig(
         method=data["method"],
@@ -162,7 +161,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "method": config.method,
-        "dataset": spec_to_dict(config.dataset),
+        "dataset": asdict(config.dataset),
         "train": asdict(config.train),
         "seeds": list(config.seeds),
         "output_dir": config.output_dir,
@@ -188,6 +187,13 @@ def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training
     if config.method == "cpg":
         return training.train(train_cfg, splits, checkpoint_dir=seed_dir)
     return training.run_baseline(config.method, train_cfg, splits)
+
+
+def _write_resolved_config(config: ExperimentConfig, out_dir: Path) -> Path:
+    path = out_dir / "resolved_config.json"
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
+    return path
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
@@ -226,11 +232,8 @@ def run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").unlink(missing_ok=True)
-    resolved = config_to_dict(config)
-    (out_dir / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
-
     finals: dict[int, dict] = {}
-    paths = [out_dir / "resolved_config.json"]
+    paths = [_write_resolved_config(config, out_dir)]
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
@@ -277,7 +280,7 @@ def _write_class_stats(path: Path, history: training.RunHistory) -> None:
 
 def _write_plot_data(path: Path, config: ExperimentConfig, finals: dict, out_dir: Path) -> None:
     """Tidy long-format per-epoch metrics for external plotting tools."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "epoch", "metric", "value"])
         for seed in config.seeds:
@@ -350,9 +353,7 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
         raise ConfigError("method", "ablation requires the cpg method")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(config_to_dict(config), indent=2, sort_keys=True)
-    )
+    _write_resolved_config(config, out_dir)
 
     cells: dict[str, dict[str, float]] = {}
     details: dict[str, dict[str, list[float]]] = {}
@@ -376,8 +377,8 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
             details[label][scenario] = [float(a) for a in accs]
         cells[label]["average"] = float(np.mean([cells[label][s] for s in config.scenarios]))
 
-    csv_path = out_dir / "ablation.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+    csv_path, json_path = out_dir / "ablation.csv", out_dir / "ablation.json"
+    with atomic_open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", *config.scenarios, "average"])
         for label, *_ in ABLATION_ROWS:
@@ -386,8 +387,9 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
                 + [f"{cells[label][s]:.6f}" for s in config.scenarios]
                 + [f"{cells[label]['average']:.6f}"]
             )
-    (out_dir / "ablation.json").write_text(json.dumps(details, indent=2, sort_keys=True))
-    return {"cells": cells, "csv": str(csv_path), "json": str(out_dir / "ablation.json")}
+    with atomic_open(json_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(details, indent=2, sort_keys=True))
+    return {"cells": cells, "csv": str(csv_path), "json": str(json_path)}
 
 
 def materialize_splits(config: ExperimentConfig, out_dir: str | Path) -> dict[str, Path]:

@@ -1,6 +1,6 @@
 """Evaluation quantities: accuracy, macro-F1, pseudo-label audits, KL
 divergence to the ground-truth unlabeled distribution, the per-epoch risk
-ledger, and Welch's t-test for run comparisons.
+terms, and Welch's t-test for run comparisons.
 
 This module is the only consumer of hidden unlabeled ground truth; training
 code hands it the full split bundle and receives plain numbers back.
@@ -8,7 +8,7 @@ code hands it the full split bundle and receives plain numbers back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,45 +153,24 @@ def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> tuple[float, flo
     return float(t), float(df), float(p)
 
 
-# ---------------------------------------------------------------------------
-# Risk ledger
-# ---------------------------------------------------------------------------
+def risk_terms(previous: dict | None, eps_t: float, m_hat: int, n: int, balanced_error: float) -> dict:
+    """One epoch's measurable generalization-bound terms.
 
-
-@dataclass
-class RiskRow:
-    epoch: int
-    eps_t: float
-    o_t: int
-    r_t: float
-    lambda_t: float
-    cum_eps: float
-
-
-@dataclass
-class RiskLedger:
-    """Per-epoch trace of the measurable generalization-bound terms.
-
-    r_t is the balanced test error (mean per-class error) under the current
-    model; lambda_t is the realized drop r_{t-1} - r_t (0 for the first row);
-    cum_eps accumulates the accepted-pseudo-label error rates.
+    ``previous`` holds the epoch before's terms (None for the first epoch).
+    o_t is the pool size n + m_hat; r_t is the balanced test error (mean
+    per-class error) under the current model; lambda_t is the realized drop
+    r_{t-1} - r_t (0 for the first epoch); cum_eps accumulates the
+    accepted-pseudo-label error rates.
     """
-
-    rows: list[RiskRow] = field(default_factory=list)
-
-    def update(self, epoch: int, eps_t: float, m_hat: int, n: int, balanced_error: float) -> RiskRow:
-        lam = self.rows[-1].r_t - balanced_error if self.rows else 0.0
-        cum = (self.rows[-1].cum_eps if self.rows else 0.0) + eps_t
-        row = RiskRow(
-            epoch=epoch,
-            eps_t=float(eps_t),
-            o_t=int(n + m_hat),
-            r_t=float(balanced_error),
-            lambda_t=float(lam),
-            cum_eps=float(cum),
-        )
-        self.rows.append(row)
-        return row
+    lam = previous["r_t"] - balanced_error if previous is not None else 0.0
+    cum = (previous["cum_eps"] if previous is not None else 0.0) + eps_t
+    return {
+        "eps_t": float(eps_t),
+        "o_t": int(n + m_hat),
+        "r_t": float(balanced_error),
+        "lambda_t": float(lam),
+        "cum_eps": float(cum),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +184,9 @@ def predict_batch(state: ModelState, X: np.ndarray, branch: str = "primary") -> 
 
 
 def evaluate_classifier(
-    state: ModelState, features: np.ndarray, labels: np.ndarray, num_classes: int, branch: str = "primary"
+    state: ModelState, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> dict:
-    preds = predict_batch(state, features, branch)
+    preds = predict_batch(state, features)
     per_class = per_class_accuracy(preds, labels, num_classes)
     return {
         "acc": accuracy(preds, labels),
@@ -223,7 +202,6 @@ def threshold_assignments(
     policy: datasets.AugmentationPolicy,
     tau: float,
     rng: np.random.Generator,
-    branch: str = "primary",
 ) -> np.ndarray:
     """Weak-view pseudo-labels over the whole unlabeled split, gated at tau.
 
@@ -234,7 +212,7 @@ def threshold_assignments(
     """
     view = bundle.unlabeled_view()
     weak = datasets.weak_view_batch(view.features, policy, rng)
-    probs = softmax(head_logits(state, branch, encode(state, weak)))
+    probs = softmax(head_logits(state, "primary", encode(state, weak)))
     labels = np.argmax(probs, axis=1)
     confs = np.max(probs, axis=1)
     return np.where(confs > tau, labels, -1)
@@ -244,7 +222,6 @@ def evaluate_epoch(
     state: ModelState,
     bundle: datasets.SplitBundle,
     labels: np.ndarray,
-    branch: str = "primary",
 ) -> dict:
     """Test metrics plus the pseudo-label audit for one epoch.
 
@@ -256,7 +233,7 @@ def evaluate_epoch(
     nothing is accepted (the empty distribution is undefined).
     """
     c = bundle.spec.num_classes
-    out = evaluate_classifier(state, bundle.test.features, bundle.test.labels, c, branch)
+    out = evaluate_classifier(state, bundle.test.features, bundle.test.labels, c)
     audit = pseudo_audit(labels, bundle.unlabeled.hidden_labels, c)
     out["error_rate"] = audit.error_rate
     out["utilization_rate"] = audit.utilization_rate

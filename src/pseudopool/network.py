@@ -28,11 +28,19 @@ from .losses import log_softmax
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class NonFiniteLossError(ArithmeticError):
     """Raised when a loss or update stops being finite (divergence signal)."""
+
+
+def validate_architecture(hidden_dims: tuple[int, ...], activation: str) -> None:
+    """The encoder rule ``ModelConfig`` and ``TrainConfig`` share."""
+    if not hidden_dims or any(h < 1 for h in hidden_dims):
+        raise ValueError("hidden_dims must be non-empty positive integers")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
 @dataclass
@@ -47,10 +55,7 @@ class ModelConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("input_dim must be >= 1 and num_classes >= 2")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be non-empty positive integers")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        validate_architecture(self.hidden_dims, self.activation)
 
     @property
     def rep_dim(self) -> int:

@@ -57,6 +57,7 @@ from .network import (
     loss_and_grads,
     save_checkpoint,
     sgd_step,
+    validate_architecture,
 )
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
@@ -85,13 +86,10 @@ class TrainConfig:
     use_cycle: bool = True
     use_synthesis: bool = True
     ema_decay: float = 0.9
-    synth_count: int = 10
-    predict_branch: str = "primary"
     checkpoint_every: int = 0
     hidden_dims: tuple[int, ...] = (64, 64)
     activation: str = "relu"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    augmentation: AugmentationPolicy | None = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -110,12 +108,9 @@ class TrainConfig:
             raise ValueError("majority_frac must lie in [0.5, 1]")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
-        if self.predict_branch not in ("primary", "auxiliary"):
-            raise ValueError("predict_branch must be primary or auxiliary")
-        if self.synth_count < 1:
-            raise ValueError("synth_count must be positive")
-        if self.augmentation is not None:
-            self.augmentation.validate()
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        validate_architecture(self.hidden_dims, self.activation)
 
     @property
     def unlabeled_batch(self) -> int:
@@ -172,7 +167,6 @@ class RunHistory:
     method: str
     reports: list[EpochReport]
     state: ModelState
-    ledger: metrics_mod.RiskLedger
     registry: PseudoRegistry | None = None
     pool: LabeledPool | None = None
     policy: AugmentationPolicy | None = None
@@ -200,13 +194,6 @@ def _streams(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(child) for name, child in zip(STREAM_NAMES, children)}
 
 
-def _resolve_policy(config: TrainConfig, splits: SplitBundle) -> AugmentationPolicy:
-    if config.augmentation is not None:
-        return config.augmentation
-    feats = np.concatenate([splits.labeled.features, splits.unlabeled.features], axis=0)
-    return policy_from_features(feats)
-
-
 def _build_model(config: TrainConfig, splits: SplitBundle) -> tuple[ModelState, OptimizerConfig]:
     model_cfg = ModelConfig(
         input_dim=splits.labeled.features.shape[1],
@@ -222,8 +209,7 @@ def _build_model(config: TrainConfig, splits: SplitBundle) -> tuple[ModelState, 
 def _epoch_report(
     state: ModelState,
     splits: SplitBundle,
-    config: TrainConfig,
-    ledger: metrics_mod.RiskLedger,
+    previous: dict | None,
     epoch: int,
     labels: np.ndarray,
     primary_loss: float,
@@ -233,27 +219,16 @@ def _epoch_report(
     stats: ClassStats | None,
     started: float,
 ) -> EpochReport:
-    bundle = metrics_mod.evaluate_epoch(state, splits, labels, config.predict_branch)
-    row = ledger.update(
-        epoch=epoch,
-        eps_t=bundle["error_rate"],
-        m_hat=bundle["audit"].m_hat,
-        n=splits.labeled.ids.size,
-        balanced_error=bundle["balanced_error"],
-    )
-    bundle.pop("audit")
-    bundle.pop("balanced_error")
+    """``previous`` is the metrics of the epoch before, None for the first."""
+    bundle = metrics_mod.evaluate_epoch(state, splits, labels)
+    n, m_hat, r_t = splits.labeled.ids.size, bundle.pop("audit").m_hat, bundle.pop("balanced_error")
+    bundle.update(metrics_mod.risk_terms(previous, bundle["error_rate"], m_hat, n, r_t))
     bundle["per_class_acc"] = bundle["per_class_acc"].tolist()
-    bundle["o_t"] = row.o_t
-    bundle["eps_t"] = row.eps_t
-    bundle["r_t"] = row.r_t
-    bundle["lambda_t"] = row.lambda_t
-    bundle["cum_eps"] = row.cum_eps
     return EpochReport(
         epoch=epoch,
         primary_loss=primary_loss,
         aux_loss=aux_loss,
-        pool_n=int(splits.labeled.ids.size),
+        pool_n=int(n),
         pool_m=pool.pseudo_size,
         pi=[float(v) for v in prior.probabilities],
         metrics=bundle,
@@ -303,7 +278,6 @@ class _RunState:
     registry: PseudoRegistry
     labels: np.ndarray  # the cycle's state: class per unlabeled row, -1 while not in the pool
     stats: ClassStats
-    ledger: metrics_mod.RiskLedger = field(default_factory=metrics_mod.RiskLedger)
     reports: list[EpochReport] = field(default_factory=list)
     global_step: int = 0
     epoch: int = 0  # the last completed epoch
@@ -321,7 +295,7 @@ def _run(
     it continues ``run`` when given one, else starts a fresh record."""
     config.validate()
     _pin_heap_thresholds()
-    policy = _resolve_policy(config, splits)
+    policy = policy_from_features(np.concatenate([splits.labeled.features, splits.unlabeled.features]))
     uview = splits.unlabeled_view()
     m = uview.ids.size
     adjusted = method in ("cpg", "supervised_la")
@@ -362,7 +336,7 @@ def _run(
                 # it through the pool update raised the peak RSS of wide runs
                 h_u = encode(run.state, np.concatenate([weak_u, strong_u]) if cycle_active else weak_u)
                 if cycle_active:
-                    vpb = predict_views(run.state, h_u, "primary")
+                    vpb = predict_views(run.state, h_u)
                 if config.use_aux_branch:
                     aux_pseudo = np.argmax(head_logits(run.state, "auxiliary", h_u[:b_u]), axis=1)
                 if gated_consistency:
@@ -393,9 +367,7 @@ def _run(
             if synth_active:
                 reps = encode(run.state, x_b)
                 update_class_stats(run.stats, reps, y_b, config.ema_decay)
-                plan = plan_synthesis(
-                    y_b, minority_classes(pool.phi), run.stats, run.rngs["synth"], config.synth_count
-                )
+                plan = plan_synthesis(y_b, minority_classes(pool.phi), run.stats, run.rngs["synth"])
                 if plan is not None:
                     origin, radii, noise = plan
                     primary.synth = SynthPlan(origin, radii, noise)
@@ -431,8 +403,7 @@ def _run(
             _epoch_report(
                 run.state,
                 splits,
-                config,
-                run.ledger,
+                run.reports[-1].metrics if run.reports else None,
                 epoch,
                 run.labels,
                 primary_sum / config.steps_per_epoch,
@@ -456,7 +427,6 @@ def _run(
         method=method,
         reports=run.reports,
         state=run.state,
-        ledger=run.ledger,
         registry=run.registry if method == "cpg" else None,
         pool=pool,
         policy=policy,
@@ -474,14 +444,14 @@ def _pin_heap_thresholds() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def predict_views(state: ModelState, reps: np.ndarray, branch: str = "primary") -> ViewPredictionBatch:
-    """(argmax, max softmax) of the selected head per row of the weak and the
+def predict_views(state: ModelState, reps: np.ndarray) -> ViewPredictionBatch:
+    """(argmax, max softmax) of the primary head per row of the weak and the
     strong view; argmax ties go to the lowest class index.
 
     ``reps`` is the encoding of the stacked ``[weak; strong]`` block, one
     forward for both views: its first half holds the weak rows.
     """
-    probs = softmax(head_logits(state, branch, reps))
+    probs = softmax(head_logits(state, "primary", reps))
     labels, confs = np.argmax(probs, axis=1), np.max(probs, axis=1)
     n = reps.shape[0] // 2
     return ViewPredictionBatch(
@@ -499,7 +469,6 @@ def save_run_checkpoint(path: str | Path, config: TrainConfig, run: _RunState) -
     extra = {
         "config": asdict(config),
         "global_step": run.global_step,
-        "ledger": [asdict(row) for row in run.ledger.rows],
         "reports": [asdict(r) for r in run.reports],
     }
     arrays = {"labels": run.labels, **_arrays("registry", run.registry), **_arrays("stats", run.stats)}
@@ -527,7 +496,6 @@ def resume_training(
         registry=_restore(PseudoRegistry(arrays["registry.ids"], c), "registry", arrays),
         labels=arrays["labels"],
         stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),
-        ledger=metrics_mod.RiskLedger(rows=[metrics_mod.RiskRow(**row) for row in extra["ledger"]]),
         reports=[EpochReport(**item) for item in extra["reports"]],
         global_step=extra["global_step"],
         epoch=epoch,
@@ -555,6 +523,4 @@ def train_config_from_dict(data: dict) -> TrainConfig:
     data["hidden_dims"] = tuple(data.get("hidden_dims", (64, 64)))
     if data.get("optimizer") is not None and not isinstance(data["optimizer"], OptimizerConfig):
         data["optimizer"] = OptimizerConfig(**data["optimizer"])
-    if data.get("augmentation") is not None and not isinstance(data["augmentation"], AugmentationPolicy):
-        data["augmentation"] = AugmentationPolicy(**data["augmentation"])
     return TrainConfig(**data)

@@ -69,10 +69,21 @@ class TestConfigParsing:
             parse_config({"method": "cpg", "dataset": {"feature_dim": 3, "n_max": 5, "m_max": 9}})
 
     def test_unknown_field_names_it(self):
-        data = dict(TINY_CONFIG)
-        data["banana"] = 1
-        with pytest.raises(ConfigError, match="banana"):
-            parse_config(data)
+        # the removed settings are unknown fields too
+        for path, value in [
+            ("banana", 1),
+            ("train.predict_branch", "primary"),
+            ("train.synth_count", 10),
+            ("train.augmentation", None),
+            ("dataset.class_means", None),
+            ("dataset.mean_scale", 2.5),
+            ("dataset.cov_scale", 1.0),
+        ]:
+            data = json.loads(json.dumps(TINY_CONFIG))
+            *section, name = path.split(".")
+            (data[section[0]] if section else data)[name] = value
+            with pytest.raises(ConfigError, match=f"^{path}: unknown field"):
+                parse_config(data)
 
     def test_unknown_nested_field_names_path(self):
         data = json.loads(json.dumps(TINY_CONFIG))
@@ -81,7 +92,16 @@ class TestConfigParsing:
             parse_config(data)
 
     @pytest.mark.parametrize(
-        "field, value", [("min_votes", 0), ("majority_frac", 0.2), ("ema_decay", 1.5)]
+        "field, value",
+        [
+            ("min_votes", 0),
+            ("majority_frac", 0.2),
+            ("ema_decay", 1.5),
+            ("activation", "sigmoid"),
+            ("hidden_dims", []),
+            ("hidden_dims", [0]),
+            ("checkpoint_every", -1),
+        ],
     )
     def test_cycle_parameters_validated(self, field, value):
         data = json.loads(json.dumps(TINY_CONFIG))
@@ -89,6 +109,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^train: {field}") as err:
             parse_config(data)
         assert err.value.fieldname == "train"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", [0, 0]),
+            ("seeds", [-1]),
+            ("seeds", [True]),
+            ("scenarios", []),
+            ("scenarios", ["inverse", "inverse"]),
+        ],
+    )
+    def test_bad_seeds_and_scenarios_rejected(self, field, value):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data[field] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.fieldname == field
 
     def test_bad_method(self):
         data = json.loads(json.dumps(TINY_CONFIG))
@@ -204,6 +241,26 @@ class TestRunExperiment:
         assert (seed_dir / "history.jsonl").read_bytes() == before
         assert sorted(p.name for p in seed_dir.iterdir()) == names
 
+    def test_failed_plot_data_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        config = parse_config(data)
+        run_experiment(config, tmp_path / "out", emit_plot_data=True)
+        before = (tmp_path / "out" / "plot_data.csv").read_bytes()
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        to_records = RunHistory.to_records
+
+        def second_record_without_kl(self):
+            records = to_records(self)
+            del records[1]["kl"]  # plot_data.csv raises after epoch 1's rows are written
+            return records
+
+        monkeypatch.setattr(RunHistory, "to_records", second_record_without_kl)
+        with pytest.raises(KeyError):
+            run_experiment(config, tmp_path / "out", emit_plot_data=True)
+        assert (tmp_path / "out" / "plot_data.csv").read_bytes() == before
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+
     def test_emit_plot_data(self, tmp_path):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
@@ -312,6 +369,20 @@ class TestCli:
         code = main(["run", "--config", str(path)])
         assert code == 2
         assert "dataset.num_classes" in capsys.readouterr().err
+
+    def test_rejected_config_keeps_earlier_run(self, tmp_path, capsys):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ("summary.json", "resolved_config.json")}
+        data["train"]["activation"] = "sigmoid"
+        bad = write_config(tmp_path, data, name="bad.yaml")
+        good = write_config(tmp_path, {**data, "train": TINY_CONFIG["train"]}, name="good.yaml")
+        for path, extra in [(bad, []), (good, ["--seeds", "0,0"]), (good, ["--seeds", "-1"])]:
+            assert main(["run", "--config", str(path), "--out", str(out), *extra]) == 2
+            assert "config error" in capsys.readouterr().err
+            assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2

@@ -6,13 +6,13 @@ from mpmath import mp
 from scipy import stats as scipy_stats
 
 from pseudopool.metrics import (
-    RiskLedger,
     accuracy,
     evaluate_classifier,
     kl_divergence,
     macro_f1,
     per_class_accuracy,
     pseudo_audit,
+    risk_terms,
     welch_t_test,
 )
 
@@ -224,12 +224,13 @@ class TestWelch:
 
 
 class TestRiskLedger:
+    """The per-epoch risk terms, each epoch built from the one before."""
+
     def test_epoch_without_pseudo_labels(self):
-        ledger = RiskLedger()
-        row = ledger.update(epoch=1, eps_t=0.0, m_hat=0, n=214, balanced_error=0.4)
-        assert row.eps_t == 0.0
-        assert row.o_t == 214
-        assert row.lambda_t == 0.0
+        row = risk_terms(None, eps_t=0.0, m_hat=0, n=214, balanced_error=0.4)
+        assert row["eps_t"] == 0.0
+        assert row["o_t"] == 214
+        assert row["lambda_t"] == 0.0
 
     def test_replay_matches_hand_built_table(self):
         stream = [
@@ -239,9 +240,9 @@ class TestRiskLedger:
             (4, 0.1, 30, 0.37),
         ]
         n = 100
-        ledger = RiskLedger()
-        for epoch, eps, m_hat, err in stream:
-            ledger.update(epoch, eps, m_hat, n, err)
+        rows = []
+        for _, eps, m_hat, err in stream:
+            rows.append(risk_terms(rows[-1] if rows else None, eps, m_hat, n, err))
         hand = [
             # (o_t, lambda_t, cum_eps)
             (100, 0.0, 0.0),
@@ -249,10 +250,11 @@ class TestRiskLedger:
             (125, 0.05, 0.3),
             (130, -0.02, 0.4),
         ]
-        for row, (o_t, lam, cum) in zip(ledger.rows, hand):
-            assert row.o_t == o_t
-            assert row.lambda_t == pytest.approx(lam, abs=1e-12)
-            assert row.cum_eps == pytest.approx(cum, abs=1e-12)
+        assert len(rows) == len(hand)
+        for row, (o_t, lam, cum) in zip(rows, hand):
+            assert row["o_t"] == o_t
+            assert row["lambda_t"] == pytest.approx(lam, abs=1e-12)
+            assert row["cum_eps"] == pytest.approx(cum, abs=1e-12)
 
     def test_balanced_error_is_per_class_complement(self):
         # identity: R_t == 1 - mean(per-class accuracy)

@@ -7,7 +7,8 @@ import pytest
 
 import pseudopool
 
-SOURCES = sorted(p for p in Path(pseudopool.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(pseudopool.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +34,33 @@ def test_every_import_is_used(path):
 def test_unused_import_is_caught():
     source = "from __future__ import annotations\nimport json\nimport os.path\nfrom x import y as z\nos.sep\n"
     assert unused_imports(source) == ["json (line 2)", "z (line 4)"]
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module._name`` for each module-level private function or class that
+    no code in ``sources`` (module name -> source) references outside its own
+    definition."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if own is not None and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_every_private_definition_is_referenced():
+    assert unreferenced_private_definitions({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_unreferenced_private_definition_is_caught():
+    sources = {
+        "a": "def _used():\n    pass\ndef _dead(n):\n    return _dead(n - 1)\nclass _Gone:\n    pass\n_used()\n",
+        "b": "import a\ndef _shared():\n    pass\ndef __dunder__():\n    pass\n",
+        "c": "import b\nb._shared()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._dead", "a._Gone"]
