@@ -19,7 +19,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments
+from .datasets import generate_splits, save_splits
 from .experiments import ConfigError, OUTPUT_ROOT_ENV
+from .network import atomic_open
 from .training import TrainingDiverged
 
 
@@ -69,7 +71,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out:
         out = _resolve_out(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True))
+        with atomic_open(out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True))
         print(out)
     return 0
 
@@ -90,7 +93,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load(args)
     out_dir = _resolve_out(args.out or config.output_dir)
-    paths = experiments.materialize_splits(config, out_dir)
+    paths = save_splits(generate_splits(config.dataset), out_dir)
     for path in paths.values():
         print(path)
     return 0

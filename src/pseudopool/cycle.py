@@ -59,7 +59,6 @@ class PseudoRegistry:
         if np.unique(self.ids).size != self.ids.size:
             raise ValueError("registry ids must be unique")
         self.num_classes = num_classes
-        self._index = {int(i): pos for pos, i in enumerate(self.ids)}
         self.votes = np.zeros((self.ids.size, num_classes), dtype=np.int64)
         self.first_vote_epoch = np.full(self.ids.size, -1, dtype=np.int64)
         self.resolved = np.full(self.ids.size, -1, dtype=np.int64)
@@ -68,16 +67,15 @@ class PseudoRegistry:
     def begin_epoch(self, epoch: int) -> None:
         self.current_epoch = epoch
 
-    def record_vote(self, sample_id: int, label: int) -> None:
-        """Count one reliable hit for (sample, label); cumulative, never reset."""
-        pos = self._index.get(int(sample_id))
-        if pos is None:
-            raise KeyError(f"unknown unlabeled id {sample_id}")
+    def record_vote(self, row: int, label: int) -> None:
+        """Count one reliable hit for (registry row, label); cumulative, never reset."""
+        if not 0 <= row < self.ids.size:
+            raise IndexError(f"row {row} outside [0, {self.ids.size})")
         if not 0 <= label < self.num_classes:
             raise ValueError(f"label {label} outside [0, {self.num_classes})")
-        self.votes[pos, label] += 1
-        if self.first_vote_epoch[pos] < 0:
-            self.first_vote_epoch[pos] = self.current_epoch
+        self.votes[row, label] += 1
+        if self.first_vote_epoch[row] < 0:
+            self.first_vote_epoch[row] = self.current_epoch
 
     def resolve(
         self, min_votes: int, majority_frac: float, rows: np.ndarray | None = None

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .network import atomic_open, from_mapping
+
 LABELED_SHAPES = ("long_tailed", "arbitrary")
 UNLABELED_SHAPES = ("consistent", "inverse", "uniform", "arbitrary")
 ARBITRARY_MODES = ("permutation", "dirichlet")
@@ -363,7 +365,7 @@ def _numbered_rows(reader, path: Path):
 
 
 def _write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(features.shape[1]))
         for feats, label in zip(features, labels):
@@ -371,7 +373,12 @@ def _write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
 
 
 def save_splits(bundle: SplitBundle, out_dir: str | Path) -> dict[str, Path]:
-    """Persist a bundle as one CSV per role plus a JSON sidecar with the spec."""
+    """Persist a bundle as one CSV per role plus a JSON sidecar with the spec.
+
+    Any old sidecar goes first and the new one is written last, each file
+    through ``atomic_open``: a write that fails leaves no ``dataset.json``,
+    so ``load_splits`` never reads a mix of old and new splits.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -380,17 +387,19 @@ def save_splits(bundle: SplitBundle, out_dir: str | Path) -> dict[str, Path]:
         "test": out_dir / "test.csv",
         "spec": out_dir / "dataset.json",
     }
+    paths["spec"].unlink(missing_ok=True)
     _write_csv(paths["labeled"], bundle.labeled.features, bundle.labeled.labels)
     _write_csv(paths["unlabeled"], bundle.unlabeled.features, bundle.unlabeled.hidden_labels)
     _write_csv(paths["test"], bundle.test.features, bundle.test.labels)
-    paths["spec"].write_text(json.dumps(asdict(bundle.spec), indent=2, sort_keys=True))
+    with atomic_open(paths["spec"], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(asdict(bundle.spec), indent=2, sort_keys=True))
     return paths
 
 
 def load_splits(in_dir: str | Path) -> SplitBundle:
     """Rebuild a bundle from ``save_splits`` output (ids reassigned globally)."""
     in_dir = Path(in_dir)
-    spec = DatasetSpec(**json.loads((in_dir / "dataset.json").read_text()))
+    spec = from_mapping(DatasetSpec, json.loads((in_dir / "dataset.json").read_text()), "dataset")
     c = spec.num_classes
     labeled = load_csv(in_dir / "labeled.csv", "labeled", c, id_start=0)
     unlabeled = load_csv(in_dir / "unlabeled.csv", "unlabeled", c, id_start=labeled.ids.size)

@@ -11,17 +11,17 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import training
-from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits, save_splits
+from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits
 from .metrics import welch_t_test
-from .network import atomic_open
-from .training import TrainConfig, train_config_from_dict
+from .network import ConfigError, atomic_open, from_mapping
+from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -42,17 +42,11 @@ ABLATION_ROWS = (
 )
 
 
-class ConfigError(ValueError):
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname}: {message}")
-        self.fieldname = fieldname
-
-
 @dataclass
 class ExperimentConfig:
     method: str
     dataset: DatasetSpec
-    train: TrainConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     output_dir: str = "runs/experiment"
     scenarios: list[str] = field(default_factory=lambda: ["consistent", "inverse", "arbitrary"])
@@ -72,77 +66,16 @@ class ExperimentConfig:
                 raise ConfigError(name, f"repeats a value: {values}")
         if self.method != "cpg" and self.train.checkpoint_every:
             raise ConfigError("train.checkpoint_every", f"{self.method} cannot checkpoint")
-        self.dataset.validate()
-        self.train.validate()
-
-
-DATASET_REQUIRED = ("num_classes", "feature_dim", "n_max", "m_max")
-
-
-def _check_keys(section: dict, allowed: set[str], prefix: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{prefix}{key}", "unknown field")
+        for name, section in (("dataset", self.dataset), ("train", self.train)):
+            try:
+                section.validate()
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from None
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a raw mapping, naming bad fields."""
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-    allowed_top = {"method", "dataset", "train", "seeds", "output_dir", "scenarios"}
-    _check_keys(data, allowed_top, "")
-    if "method" not in data:
-        raise ConfigError("method", "field is required")
-    if "dataset" not in data or not isinstance(data["dataset"], dict):
-        raise ConfigError("dataset", "mapping is required")
-
-    dataset_raw = dict(data["dataset"])
-    allowed_dataset = {f.name for f in fields(DatasetSpec)}
-    _check_keys(dataset_raw, allowed_dataset, "dataset.")
-    for name in DATASET_REQUIRED:
-        if name not in dataset_raw:
-            raise ConfigError(f"dataset.{name}", "field is required")
-    try:
-        dataset = DatasetSpec(**dataset_raw)
-        dataset.validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("dataset", str(exc)) from None
-
-    train_raw = dict(data.get("train", {}))
-    merged = asdict(TrainConfig())
-    _check_keys(train_raw, set(merged), "train.")
-    for key, value in train_raw.items():
-        if isinstance(merged.get(key), dict) and isinstance(value, dict):
-            sub = dict(merged[key])
-            for subkey in value:
-                if subkey not in sub:
-                    raise ConfigError(f"train.{key}.{subkey}", "unknown field")
-            sub.update(value)
-            merged[key] = sub
-        else:
-            merged[key] = value
-    try:
-        train_cfg = train_config_from_dict(merged)
-        train_cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("train", str(exc)) from None
-
-    seeds = data.get("seeds", [0, 1, 2])
-    scenarios = data.get("scenarios", ["consistent", "inverse", "arbitrary"])
-    for name, value in (("seeds", seeds), ("scenarios", scenarios)):
-        if not isinstance(value, list):
-            raise ConfigError(name, "must be a list")
-
-    config = ExperimentConfig(
-        method=data["method"],
-        dataset=dataset,
-        train=train_cfg,
-        seeds=list(seeds),
-        output_dir=str(data.get("output_dir", "runs/experiment")),
-        scenarios=list(scenarios),
-    )
+    config = from_mapping(ExperimentConfig, data)
     config.validate()
     return config
 
@@ -158,41 +91,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "method": config.method,
-        "dataset": asdict(config.dataset),
-        "train": asdict(config.train),
-        "seeds": list(config.seeds),
-        "output_dir": config.output_dir,
-        "scenarios": list(config.scenarios),
-    }
-
-
-def _coerce_method_config(config: ExperimentConfig) -> TrainConfig:
-    """Baselines ignore the component toggles (with a warning when set);
-    ``run_baseline`` switches them off itself."""
-    cfg = config.train
-    if config.method != "cpg" and (cfg.use_aux_branch or cfg.use_cycle or cfg.use_synthesis):
-        logger.warning(
-            "method %s ignores component toggles (aux/cycle/synthesis)", config.method
-        )
-    return cfg
-
-
 def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training.RunHistory:
-    dataset = replace(config.dataset, seed=seed)
-    train_cfg = replace(_coerce_method_config(config), seed=seed)
-    splits = generate_splits(dataset)
+    train_cfg = replace(config.train, seed=seed)
+    splits = generate_splits(replace(config.dataset, seed=seed))
     if config.method == "cpg":
         return training.train(train_cfg, splits, checkpoint_dir=seed_dir)
+    if train_cfg.use_aux_branch or train_cfg.use_cycle or train_cfg.use_synthesis:
+        # run_baseline switches the toggles off itself
+        logger.warning("method %s ignores component toggles (aux/cycle/synthesis)", config.method)
     return training.run_baseline(config.method, train_cfg, splits)
 
 
 def _write_resolved_config(config: ExperimentConfig, out_dir: Path) -> Path:
     path = out_dir / "resolved_config.json"
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
+        fh.write(json.dumps(asdict(config), indent=2, sort_keys=True))
     return path
 
 
@@ -390,11 +303,6 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
     with atomic_open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(details, indent=2, sort_keys=True))
     return {"cells": cells, "csv": str(csv_path), "json": str(json_path)}
-
-
-def materialize_splits(config: ExperimentConfig, out_dir: str | Path) -> dict[str, Path]:
-    """gen-data verb: write the configured splits as CSVs plus the sidecar."""
-    return save_splits(generate_splits(config.dataset), out_dir)
 
 
 def inspect_registry(run_dir: str | Path) -> dict:

@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +452,64 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         raise
 
 
+class ConfigError(ValueError):
+    def __init__(self, fieldname: str, message: str):
+        super().__init__(f"{fieldname}: {message}")
+        self.fieldname = fieldname
+
+
+def from_mapping(cls, data, path: str = ""):
+    """Build dataclass ``cls`` from a parsed YAML or JSON mapping; the one
+    reader of every config and record read back from a file.
+
+    Omitted fields take their defaults. An unknown field, a missing required
+    one, a value of the wrong type or a ``ValueError`` from ``cls`` itself
+    raises ``ConfigError`` named by its dotted path (``train.optimizer.base_lr``;
+    ``path`` prefixes it). A bool is not an int; an int passes for a float and
+    stays an int; a list (or a tuple, as ``asdict`` leaves it) fills a
+    ``list[...]`` or ``tuple[..., ...]``; a mapping fills a nested dataclass;
+    ``X | None`` accepts null.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(path or "<root>", f"expected a mapping, got {_kind(data)}")
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    for key in data:
+        if key not in hints:
+            raise ConfigError(prefix + str(key), "unknown field")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(prefix + f.name, "field is required")
+    values = {key: _typed(hints[key], value, prefix + key) for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path or "<root>", str(exc)) from None
+
+
+def _typed(hint, value, path: str):
+    """``value`` checked against the type ``hint``, with lists made tuples
+    and mappings made dataclasses where the hint asks for them."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _typed(args[0], value, path)
+    if is_dataclass(hint):
+        return from_mapping(hint, value, path)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {_kind(value)}")
+        items = [_typed(args[0], item, path) for item in value]
+        return items if origin is list else tuple(items)
+    expected = origin or hint
+    if type(value) is expected or (expected is float and type(value) is int):
+        return value
+    raise ConfigError(path, f"expected {expected.__name__}, got {_kind(value)}")
+
+
+def _kind(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
 def load_checkpoint(path: str | Path):
     """Inverse of save_checkpoint.
 
@@ -459,12 +519,12 @@ def load_checkpoint(path: str | Path):
         header = json.loads(bytes(data["header"]).decode("utf-8"))
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
-        model_cfg = ModelConfig(**header["model"])
+        model_cfg = from_mapping(ModelConfig, header["model"], "model")
         params = {k[len("param_"):]: data[k] for k in data.files if k.startswith("param_")}
         momentum = {k[len("mom_"):]: data[k] for k in data.files if k.startswith("mom_")}
         state = ModelState(model_cfg, params, momentum)
         extra_arrays = {
             k[len("xtr_"):]: data[k].copy() for k in data.files if k.startswith("xtr_")
         }
-    opt = OptimizerConfig(**header["optimizer"])
+    opt = from_mapping(OptimizerConfig, header["optimizer"], "optimizer")
     return state, opt, header["epoch"], header["rng_states"], header["extra"], extra_arrays

@@ -51,6 +51,7 @@ from .network import (
     SynthPlan,
     cosine_lr,
     encode,
+    from_mapping,
     head_logits,
     init,
     load_checkpoint,
@@ -110,6 +111,8 @@ class TrainConfig:
             raise ValueError("ema_decay must lie in [0, 1)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.optimizer.total_steps is not None:
+            raise ValueError("optimizer.total_steps must be null: training sets it")
         validate_architecture(self.hidden_dims, self.activation)
 
     @property
@@ -346,9 +349,8 @@ def _run(
             if cycle_active:
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
                 voted = u_rows[fired]
-                hits = zip(uview.ids[voted].tolist(), vpb.labels_weak[fired].tolist())
-                for sample_id, label in hits:
-                    run.registry.record_vote(sample_id, label)
+                for row, label in zip(voted.tolist(), vpb.labels_weak[fired].tolist()):
+                    run.registry.record_vote(row, label)
                 # only the rows voted on this step can change their resolution
                 resolved = run.registry.resolve(config.min_votes, config.majority_frac, rows=voted)
                 if config.freeze_resolved:
@@ -484,7 +486,7 @@ def resume_training(
 ) -> RunHistory:
     """Continue a checkpointed run; the result matches the uninterrupted run."""
     state, opt, epoch, rng_states, extra, arrays = load_checkpoint(path)
-    config = train_config_from_dict(extra["config"])
+    config = from_mapping(TrainConfig, extra["config"], "config")
     rngs = _streams(0)
     for name, rng in rngs.items():
         rng.bit_generator.state = rng_states[name]
@@ -496,7 +498,7 @@ def resume_training(
         registry=_restore(PseudoRegistry(arrays["registry.ids"], c), "registry", arrays),
         labels=arrays["labels"],
         stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),
-        reports=[EpochReport(**item) for item in extra["reports"]],
+        reports=[from_mapping(EpochReport, item, "reports") for item in extra["reports"]],
         global_step=extra["global_step"],
         epoch=epoch,
     )
@@ -516,11 +518,3 @@ def _restore(obj, prefix: str, arrays: dict[str, np.ndarray]):
         if owner == prefix:
             setattr(obj, name, value)
     return obj
-
-
-def train_config_from_dict(data: dict) -> TrainConfig:
-    data = dict(data)
-    data["hidden_dims"] = tuple(data.get("hidden_dims", (64, 64)))
-    if data.get("optimizer") is not None and not isinstance(data["optimizer"], OptimizerConfig):
-        data["optimizer"] = OptimizerConfig(**data["optimizer"])
-    return TrainConfig(**data)

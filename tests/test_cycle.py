@@ -161,20 +161,22 @@ class TestReliabilityMask:
 class TestRegistry:
     def test_first_vote(self):
         reg = PseudoRegistry(np.array([10, 11]), num_classes=4)
-        reg.record_vote(10, 2)
+        reg.record_vote(0, 2)  # row 0 holds id 10
         snap = reg.snapshot()["entries"]["10"]
         assert snap["votes"] == {2: 1}
 
     def test_vote_stream_accumulates(self):
         reg = PseudoRegistry(np.array([5]), num_classes=4)
         for label in (2, 2, 3):
-            reg.record_vote(5, label)
+            reg.record_vote(0, label)
         assert reg.snapshot()["entries"]["5"]["votes"] == {2: 2, 3: 1}
 
     def test_unknown_id_rejected(self):
         reg = PseudoRegistry(np.array([1, 2]), num_classes=3)
-        with pytest.raises(KeyError):
-            reg.record_vote(99, 0)
+        for row in (2, 99, -1):
+            with pytest.raises(IndexError):
+                reg.record_vote(row, 0)
+        assert not reg.votes.any()
 
     def test_randomized_streams_match_independent_tally(self):
         rng = np.random.default_rng(7)
@@ -412,8 +414,8 @@ class TestLabelVectorProperties:
         full = PseudoRegistry(ids, c)
         for votes in rounds:
             for pos, label in votes:
-                incremental.record_vote(int(ids[pos]), label)
-                full.record_vote(int(ids[pos]), label)
+                incremental.record_vote(pos, label)
+                full.record_vote(pos, label)
             rows = np.array([pos for pos, _ in votes], dtype=np.int64)
             got = incremental.resolve(min_votes, frac, rows=rows)
             assert np.array_equal(got, full.resolve(min_votes, frac))
@@ -495,7 +497,7 @@ class TestLabelVectorProperties:
         voted_only = np.full(n, -1)
         for votes in rounds:
             for pos, label in votes:
-                registry.record_vote(int(ids[pos]), label)
+                registry.record_vote(pos, label)
             voted = np.array([pos for pos, _ in votes], dtype=np.int64)
             resolved = registry.resolve(min_votes, frac, rows=voted)
             full = np.where(full >= 0, full, resolved)

@@ -25,6 +25,7 @@ from pseudopool.datasets import (
     strong_view_batch,
     weak_view_batch,
 )
+from pseudopool.network import ConfigError
 
 from conftest import tiny_spec
 
@@ -271,6 +272,29 @@ class TestCsv:
         sidecar = json.loads((tmp_path / "out" / "dataset.json").read_text())
         assert sidecar["seed"] == 4
         assert sidecar["num_classes"] == 3
+
+    def test_failed_save_leaves_no_sidecar(self, tmp_path):
+        out = tmp_path / "out"
+        save_splits(generate_splits(tiny_spec(seed=4)), out)
+        test_csv = (out / "test.csv").read_bytes()
+        bundle = generate_splits(tiny_spec(seed=5))
+        bundle.test.labels = bundle.test.labels.astype(object)
+        bundle.test.labels[1] = object()  # int() raises after test.csv's first row is written
+        with pytest.raises(TypeError):
+            save_splits(bundle, out)
+        # the old test.csv is whole, and no sidecar vouches for the mixed splits
+        assert (out / "test.csv").read_bytes() == test_csv
+        assert sorted(p.name for p in out.iterdir()) == ["labeled.csv", "test.csv", "unlabeled.csv"]
+        with pytest.raises(FileNotFoundError):
+            load_splits(out)
+
+    def test_older_sidecar_names_its_removed_field(self, tmp_path):
+        save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "mean_scale": 2.5}))
+        with pytest.raises(ConfigError, match="^dataset.mean_scale: unknown field") as err:
+            load_splits(tmp_path)
+        assert err.value.fieldname == "dataset.mean_scale"
 
     # cells a malformed row may carry: text of any kind (NUL, quotes,
     # newlines), non-finite or out-of-range numbers, and a field past the csv

@@ -1,6 +1,8 @@
 import csv
 import json
-from dataclasses import replace
+import re
+from dataclasses import MISSING, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,22 @@ import yaml
 from pseudopool.cli import main
 from pseudopool.experiments import (
     ConfigError,
+    ExperimentConfig,
     compare_runs,
-    config_to_dict,
     load_config,
     parse_config,
     run_ablation,
     run_experiment,
 )
-from pseudopool.datasets import generate_splits
-from pseudopool.training import RunHistory, TrainingDiverged, resume_training
+from pseudopool.datasets import DatasetSpec, generate_splits
+from pseudopool.network import ModelConfig, OptimizerConfig, from_mapping
+from pseudopool.training import (
+    EpochReport,
+    RunHistory,
+    TrainConfig,
+    TrainingDiverged,
+    resume_training,
+)
 
 TINY_CONFIG = {
     "method": "cpg",
@@ -101,6 +110,7 @@ class TestConfigParsing:
             ("hidden_dims", []),
             ("hidden_dims", [0]),
             ("checkpoint_every", -1),
+            ("optimizer", {"total_steps": 5}),  # training sets it, so it must stay null
         ],
     )
     def test_cycle_parameters_validated(self, field, value):
@@ -127,6 +137,47 @@ class TestConfigParsing:
             parse_config(data)
         assert err.value.fieldname == field
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("train.optimizer", None),
+            ("train.use_cycle", "no"),
+            ("train.freeze_resolved", 1),
+            ("train.labeled_batch", True),
+            ("train.total_epochs", 2.5),
+            ("train.hidden_dims", "64"),
+            ("train.optimizer.base_lr", "0.1"),
+            ("dataset.num_classes", 3.0),
+            ("dataset.seed", True),
+        ],
+    )
+    def test_wrong_type_names_its_field(self, path, value):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        *sections, name = path.split(".")
+        section = data
+        for key in sections:
+            section = section.setdefault(key, {})
+        section[name] = value
+        with pytest.raises(ConfigError, match=f"^{path}: expected ") as err:
+            parse_config(data)
+        assert err.value.fieldname == path
+
+    def test_readme_config_block_parses_and_names_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        data = yaml.safe_load(block)
+        parse_config(data)
+
+        def names(prefix, section):
+            return {f"{prefix}.{key}" for key in section}
+
+        named = names("dataset", data["dataset"]) | names("train", data["train"])
+        named |= names("train.optimizer", data["train"]["optimizer"])
+        expected = names("dataset", [f.name for f in fields(DatasetSpec)])
+        expected |= names("train", [f.name for f in fields(TrainConfig)])
+        expected |= names("train.optimizer", [f.name for f in fields(OptimizerConfig)])
+        assert named == expected - {"train.optimizer.total_steps"}
+
     def test_bad_method(self):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["method"] = "alchemy"
@@ -142,9 +193,63 @@ class TestConfigParsing:
 
     def test_resolved_dict_round_trips(self):
         config = parse_config(json.loads(json.dumps(TINY_CONFIG)))
-        resolved = config_to_dict(config)
+        resolved = asdict(config)
         again = parse_config(resolved)
-        assert config_to_dict(again) == resolved
+        assert asdict(again) == resolved
+
+
+SPEC = DatasetSpec(
+    num_classes=4, feature_dim=3, n_max=20, m_max=50, gamma_l=2.0, gamma_u=3,
+    labeled_shape="arbitrary", unlabeled_shape="inverse", test_per_class=7,
+    arbitrary_mode="dirichlet", seed=9,
+)
+OPTIMIZER = OptimizerConfig(base_lr=0.1, momentum=0.5, weight_decay=0.0, total_steps=40)
+TRAIN = TrainConfig(
+    total_epochs=12, warmup_epochs=2, steps_per_epoch=3, labeled_batch=5, unlabeled_ratio=2,
+    confidence_threshold=0.8, min_votes=2, majority_frac=0.6, freeze_resolved=True,
+    use_aux_branch=False, use_cycle=False, use_synthesis=False, ema_decay=0.5,
+    checkpoint_every=4, hidden_dims=(8, 2), activation="tanh", optimizer=OPTIMIZER, seed=3,
+)
+RECORDS = [
+    SPEC,
+    OPTIMIZER,
+    TRAIN,
+    ExperimentConfig(
+        method="supervised_la", dataset=SPEC, train=TRAIN, seeds=[4], output_dir="x",
+        scenarios=["uniform"],
+    ),
+    ModelConfig(input_dim=3, num_classes=4, hidden_dims=(8, 2), activation="tanh", init_seed=5),
+    EpochReport(
+        epoch=3, primary_loss=0.5, aux_loss=1, pool_n=10, pool_m=4, pi=[0.25, 0.75],
+        metrics={"acc": 0.5, "kl": None, "per_class_acc": [0.5, 0.5]},
+        class_stats=[{"class": 0, "alpha": 0.1, "radius": 0.2, "count": 3}], wall_clock=1.5,
+    ),
+]
+
+
+class TestFromMapping:
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_json_round_trip(self, record):
+        for f in fields(record):
+            if f.default is not MISSING:
+                assert getattr(record, f.name) != f.default, f.name
+            elif f.default_factory is not MISSING:
+                assert getattr(record, f.name) != f.default_factory(), f.name
+        assert from_mapping(type(record), json.loads(json.dumps(asdict(record)))) == record
+
+    def test_type_rules(self):
+        opt = from_mapping(OptimizerConfig, {"base_lr": 1, "total_steps": None})
+        assert type(opt.base_lr) is int and opt.total_steps is None
+        model = from_mapping(ModelConfig, {"input_dim": 2, "num_classes": 3, "hidden_dims": [4]})
+        assert model.hidden_dims == (4,)
+        for data, message in [
+            ({"total_steps": True}, "^total_steps: expected int, got bool"),
+            ({"momentum": None}, "^momentum: expected float, got null"),
+            ({"base_lr": -1}, "^<root>: base_lr must be >= 0"),
+            ([], "^<root>: expected a mapping, got list"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                from_mapping(OptimizerConfig, data)
 
 
 class TestRunExperiment:
@@ -379,7 +484,18 @@ class TestCli:
         data["train"]["activation"] = "sigmoid"
         bad = write_config(tmp_path, data, name="bad.yaml")
         good = write_config(tmp_path, {**data, "train": TINY_CONFIG["train"]}, name="good.yaml")
-        for path, extra in [(bad, []), (good, ["--seeds", "0,0"]), (good, ["--seeds", "-1"])]:
+        # a null optimizer would crash the run, and a quoted "no" is truthy
+        null_optimizer, cycle_no = (
+            write_config(tmp_path, {**data, "train": {**TINY_CONFIG["train"], **change}}, name=name)
+            for name, change in [("null.yaml", {"optimizer": None}), ("no.yaml", {"use_cycle": "no"})]
+        )
+        for path, extra in [
+            (bad, []),
+            (null_optimizer, []),
+            (cycle_no, []),
+            (good, ["--seeds", "0,0"]),
+            (good, ["--seeds", "-1"]),
+        ]:
             assert main(["run", "--config", str(path), "--out", str(out), *extra]) == 2
             assert "config error" in capsys.readouterr().err
             assert {name: (out / name).read_bytes() for name in before} == before
