@@ -3,7 +3,8 @@
 Verbs: run (execute a config over its seeds), compare (Welch verdicts between
 two run directories), ablate (component matrix), gen-data (materialize splits
 to CSV), inspect (dump a registry snapshot). Exit codes: 0 success, 2 invalid
-config, 3 training divergence.
+config or a malformed summary.json or registry.json (named by file and
+field), 3 training divergence.
 
 The PSEUDOPOOL_OUTPUT_ROOT environment variable, when set, prefixes every
 relative output directory.

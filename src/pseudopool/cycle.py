@@ -185,18 +185,6 @@ class LabeledPool:
     def pseudo_size(self) -> int:
         return self.pseudo_rows.size
 
-    @property
-    def pseudo_ids(self) -> np.ndarray:
-        if self.source is None:
-            return np.zeros(0, dtype=np.int64)
-        return self.source.ids[self.pseudo_rows]
-
-    @property
-    def pseudo_features(self) -> np.ndarray:
-        if self.source is None:
-            return np.zeros((0, self.base_features.shape[1]))
-        return self.source.features[self.pseudo_rows]
-
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Features and labels of pool rows ``rows`` (each in ``[0, size)``)."""
         rows = np.asarray(rows, dtype=np.int64)

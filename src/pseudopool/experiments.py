@@ -115,21 +115,76 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _final_summary(finals: dict[int, dict]) -> dict:
-    """Mean +/- sample std of final-epoch metrics across seeds."""
+@dataclass
+class MetricSummary:
+    """Mean +/- sample std of one final-epoch metric across seeds (None
+    when no seed has a value), and the per-seed values."""
+
+    mean: float | None
+    std: float | None
+    values: list[float | None]
+
+
+@dataclass
+class SummaryMetrics:
+    """One ``MetricSummary`` per name in ``SUMMARY_METRICS``."""
+
+    acc: MetricSummary
+    macro_f1: MetricSummary
+    err_rate: MetricSummary
+    util_rate: MetricSummary
+    kl: MetricSummary
+
+
+@dataclass
+class RunSummary:
+    """``summary.json``: the method, its seeds and each summary metric."""
+
+    method: str
+    seeds: list[int]
+    metrics: SummaryMetrics
+
+
+@dataclass
+class RegistryEntry:
+    """One id of a ``registry.json`` snapshot (``PseudoRegistry.snapshot``)."""
+
+    votes: dict[str, int]
+    resolved: int | None
+    first_vote_epoch: int | None
+
+
+@dataclass
+class RegistrySnapshot:
+    """``registry.json``: the vote registry of one seed at the end of its run."""
+
+    num_classes: int
+    epoch: int
+    entries: dict[str, RegistryEntry]
+
+
+def _read_record(cls, path: Path):
+    """``cls`` read back from the JSON file ``path``; a malformed file raises
+    ``ConfigError`` naming the file and the dotted field."""
+    try:
+        return from_mapping(cls, json.loads(path.read_text()))
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise ConfigError(str(path), str(exc)) from None
+
+
+def _final_summary(method: str, finals: dict[int, dict]) -> RunSummary:
     seeds = sorted(finals)
-    out: dict = {"seeds": seeds, "metrics": {}}
+    metrics = {}
     for name in SUMMARY_METRICS:
         values = [finals[s][name] for s in seeds]
         clean = [v for v in values if v is not None]
         if clean:
             arr = np.asarray(clean, dtype=np.float64)
             std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-            stats = {"mean": float(arr.mean()), "std": std, "values": values}
+            metrics[name] = MetricSummary(float(arr.mean()), std, values)
         else:
-            stats = {"mean": None, "std": None, "values": values}
-        out["metrics"][name] = stats
-    return out
+            metrics[name] = MetricSummary(None, None, values)
+    return RunSummary(method, seeds, SummaryMetrics(**metrics))
 
 
 def run_experiment(
@@ -164,8 +219,7 @@ def run_experiment(
             paths.append(stats_path)
         finals[seed] = records[-1]
 
-    summary = _final_summary(finals)
-    summary["method"] = config.method
+    summary = asdict(_final_summary(config.method, finals))
     with atomic_open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True))
     paths.append(out_dir / "summary.json")
@@ -200,7 +254,7 @@ def _write_plot_data(path: Path, config: ExperimentConfig, finals: dict, out_dir
             history_path = out_dir / f"seed_{seed}" / "history.jsonl"
             for line in history_path.read_text().splitlines():
                 record = json.loads(line)
-                for name in ("acc", "macro_f1", "err_rate", "util_rate", "kl"):
+                for name in SUMMARY_METRICS:
                     value = record[name]
                     if value is not None:
                         writer.writerow([seed, record["epoch"], name, value])
@@ -212,26 +266,19 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path) -> dict:
     Requires matching seed counts and at least two seeds each (one seed has
     no variance to test).
     """
-    summary_a = json.loads((Path(dir_a) / "summary.json").read_text())
-    summary_b = json.loads((Path(dir_b) / "summary.json").read_text())
-    if len(summary_a["seeds"]) != len(summary_b["seeds"]):
-        raise ValueError(
-            f"seed counts differ: {len(summary_a['seeds'])} vs {len(summary_b['seeds'])}"
-        )
-    if len(summary_a["seeds"]) < 2:
+    summary_a = _read_record(RunSummary, Path(dir_a) / "summary.json")
+    summary_b = _read_record(RunSummary, Path(dir_b) / "summary.json")
+    if len(summary_a.seeds) != len(summary_b.seeds):
+        raise ValueError(f"seed counts differ: {len(summary_a.seeds)} vs {len(summary_b.seeds)}")
+    if len(summary_a.seeds) < 2:
         raise ValueError("need at least two seeds per run for a variance estimate")
     report: dict = {"a": str(dir_a), "b": str(dir_b), "metrics": {}}
     for name in SUMMARY_METRICS:
-        stats_a = summary_a["metrics"][name]
-        stats_b = summary_b["metrics"][name]
-        values_a = [v for v in stats_a["values"] if v is not None]
-        values_b = [v for v in stats_b["values"] if v is not None]
-        entry = {
-            "mean_a": stats_a["mean"],
-            "std_a": stats_a["std"],
-            "mean_b": stats_b["mean"],
-            "std_b": stats_b["std"],
-        }
+        stats_a = getattr(summary_a.metrics, name)
+        stats_b = getattr(summary_b.metrics, name)
+        values_a = [v for v in stats_a.values if v is not None]
+        values_b = [v for v in stats_b.values if v is not None]
+        entry = {"mean_a": stats_a.mean, "std_a": stats_a.std, "mean_b": stats_b.mean, "std_b": stats_b.std}
         if len(values_a) < 2 or len(values_b) < 2:
             entry.update({"t": None, "p": None, "verdict": "tie"})
         else:
@@ -310,19 +357,17 @@ def inspect_registry(run_dir: str | Path) -> dict:
     path = Path(run_dir) / "registry.json"
     if not path.exists():
         raise FileNotFoundError(f"no registry snapshot at {path}")
-    snapshot = json.loads(path.read_text())
-    entries = snapshot["entries"]
-    resolved = [e for e in entries.values() if e["resolved"] is not None]
-    votes_total = sum(sum(e["votes"].values()) for e in entries.values())
+    snapshot = _read_record(RegistrySnapshot, path)
+    resolved = [e.resolved for e in snapshot.entries.values() if e.resolved is not None]
     per_class: dict[str, int] = {}
-    for e in resolved:
-        per_class[str(e["resolved"])] = per_class.get(str(e["resolved"]), 0) + 1
+    for label in resolved:
+        per_class[str(label)] = per_class.get(str(label), 0) + 1
     return {
-        "snapshot": snapshot,
+        "snapshot": asdict(snapshot),
         "stats": {
-            "ids_with_votes": len(entries),
+            "ids_with_votes": len(snapshot.entries),
             "resolved": len(resolved),
-            "total_votes": votes_total,
+            "total_votes": sum(sum(e.votes.values()) for e in snapshot.entries.values()),
             "resolved_per_class": dict(sorted(per_class.items())),
         },
     }

@@ -32,15 +32,6 @@ class ClassPrior:
             raise ValueError("prior must sum to 1 within 1e-9")
         self.probabilities = probs
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "ClassPrior":
-        counts = np.asarray(counts, dtype=np.float64)
-        return cls(counts / counts.sum())
-
-    @classmethod
-    def uniform(cls, num_classes: int) -> "ClassPrior":
-        return cls(np.full(num_classes, 1.0 / num_classes))
-
     @property
     def log(self) -> np.ndarray:
         return np.log(self.probabilities)

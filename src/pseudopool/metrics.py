@@ -153,21 +153,22 @@ def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> tuple[float, flo
     return float(t), float(df), float(p)
 
 
-def risk_terms(previous: dict | None, eps_t: float, m_hat: int, n: int, balanced_error: float) -> dict:
-    """One epoch's measurable generalization-bound terms.
+def risk_terms(previous, eps_t: float, m_hat: int, n: int, balanced_error: float) -> dict:
+    """One epoch's measurable generalization-bound terms, keyed as in its
+    ``history.jsonl`` row.
 
-    ``previous`` holds the epoch before's terms (None for the first epoch).
-    o_t is the pool size n + m_hat; r_t is the balanced test error (mean
-    per-class error) under the current model; lambda_t is the realized drop
-    r_{t-1} - r_t (0 for the first epoch); cum_eps accumulates the
-    accepted-pseudo-label error rates.
+    ``previous`` is the epoch before's report (anything with ``R_t`` and
+    ``cum_eps``; None for the first epoch). O_t is the pool size n + m_hat;
+    R_t is the balanced test error (mean per-class error) under the current
+    model; lambda_t is the realized drop R_{t-1} - R_t (0 for the first
+    epoch); cum_eps accumulates the accepted-pseudo-label error rates.
     """
-    lam = previous["r_t"] - balanced_error if previous is not None else 0.0
-    cum = (previous["cum_eps"] if previous is not None else 0.0) + eps_t
+    lam = previous.R_t - balanced_error if previous is not None else 0.0
+    cum = (previous.cum_eps if previous is not None else 0.0) + eps_t
     return {
+        "O_t": int(n + m_hat),
         "eps_t": float(eps_t),
-        "o_t": int(n + m_hat),
-        "r_t": float(balanced_error),
+        "R_t": float(balanced_error),
         "lambda_t": float(lam),
         "cum_eps": float(cum),
     }
@@ -178,22 +179,9 @@ def risk_terms(previous: dict | None, eps_t: float, m_hat: int, n: int, balanced
 # ---------------------------------------------------------------------------
 
 
-def predict_batch(state: ModelState, X: np.ndarray, branch: str = "primary") -> np.ndarray:
-    """Argmax class per row of the selected head (ties -> lowest index)."""
-    return np.argmax(head_logits(state, branch, encode(state, X)), axis=1)
-
-
-def evaluate_classifier(
-    state: ModelState, features: np.ndarray, labels: np.ndarray, num_classes: int
-) -> dict:
-    preds = predict_batch(state, features)
-    per_class = per_class_accuracy(preds, labels, num_classes)
-    return {
-        "acc": accuracy(preds, labels),
-        "per_class_acc": per_class,
-        "macro_f1": macro_f1(preds, labels, num_classes),
-        "balanced_error": float(1.0 - per_class.mean()),
-    }
+def predict_batch(state: ModelState, X: np.ndarray) -> np.ndarray:
+    """Argmax class per row of the primary head (ties -> lowest index)."""
+    return np.argmax(head_logits(state, "primary", encode(state, X)), axis=1)
 
 
 def threshold_assignments(
@@ -218,30 +206,32 @@ def threshold_assignments(
     return np.where(confs > tau, labels, -1)
 
 
-def evaluate_epoch(
-    state: ModelState,
-    bundle: datasets.SplitBundle,
-    labels: np.ndarray,
-) -> dict:
-    """Test metrics plus the pseudo-label audit for one epoch.
+def evaluate_epoch(state: ModelState, bundle: datasets.SplitBundle, labels: np.ndarray, previous) -> dict:
+    """One epoch's test metrics, pseudo-label audit and risk terms, keyed as
+    in its ``history.jsonl`` row.
 
     ``labels`` is the cycle's label vector over the unlabeled rows (-1 means
-    unassigned).
+    unassigned); ``previous`` is the epoch before's report, as ``risk_terms``
+    takes it.
 
     ``kl`` is the divergence from the accepted-pseudo-label class
     distribution to the ground-truth unlabeled distribution; None while
     nothing is accepted (the empty distribution is undefined).
     """
     c = bundle.spec.num_classes
-    out = evaluate_classifier(state, bundle.test.features, bundle.test.labels, c)
+    preds = predict_batch(state, bundle.test.features)
+    per_class = per_class_accuracy(preds, bundle.test.labels, c)
     audit = pseudo_audit(labels, bundle.unlabeled.hidden_labels, c)
-    out["error_rate"] = audit.error_rate
-    out["utilization_rate"] = audit.utilization_rate
-    out["audit"] = audit
+    kl = None
     if audit.m_hat > 0:
-        accepted = audit.accepted_counts / audit.m_hat
-        gt = audit.gt_counts / audit.m_total
-        out["kl"] = kl_divergence(accepted, gt)
-    else:
-        out["kl"] = None
-    return out
+        kl = kl_divergence(audit.accepted_counts / audit.m_hat, audit.gt_counts / audit.m_total)
+    balanced_error = float(1.0 - per_class.mean())
+    return {
+        "acc": accuracy(preds, bundle.test.labels),
+        "macro_f1": macro_f1(preds, bundle.test.labels, c),
+        "per_class_acc": per_class.tolist(),
+        "err_rate": audit.error_rate,
+        "util_rate": audit.utilization_rate,
+        "kl": kl,
+        **risk_terms(previous, audit.error_rate, audit.m_hat, bundle.labeled.ids.size, balanced_error),
+    }

@@ -13,13 +13,12 @@ of the step) and runs one encoder backward.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,6 @@ from .losses import log_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
-
-CHECKPOINT_VERSION = 4
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -105,7 +102,7 @@ class ParamVector(dict):
 
 
 class ModelState:
-    """Parameters and momentum buffers, keyed by layer name.
+    """Parameters and momentum buffers (zero at construction), keyed by layer name.
 
     Encoder layers are ``enc{i}_w`` / ``enc{i}_b``; the heads are
     ``head_primary_w`` / ``head_primary_b`` and the auxiliary pair.
@@ -114,12 +111,7 @@ class ModelState:
     covers the first ``decayed`` entries.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        params: dict[str, np.ndarray],
-        momentum: dict[str, np.ndarray] | None = None,
-    ):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         names = list(params)
         order = [n for n in names if not n.endswith("_b")] + [n for n in names if n.endswith("_b")]
@@ -129,7 +121,7 @@ class ModelState:
         self.decayed = sum(np.size(params[n]) for n in names if not n.endswith("_b"))
         self.size = stops[-1]
         self.params = self._pack(params)
-        self.momentum = self._pack(momentum) if momentum is not None else self.zeros_like_params()
+        self.momentum = self.zeros_like_params()
 
     def _pack(self, arrays: dict[str, np.ndarray]) -> ParamVector:
         """A fresh vector holding a copy of ``arrays`` (same names and shapes)."""
@@ -143,9 +135,6 @@ class ModelState:
     def views(self, flat: np.ndarray) -> ParamVector:
         """Named views of a flat vector laid out like ``params.flat``."""
         return ParamVector(flat, self.layout)
-
-    def copy(self) -> "ModelState":
-        return ModelState(self.config, self.params, self.momentum)
 
     def zeros_like_params(self) -> ParamVector:
         return self.views(np.zeros(self.size))
@@ -395,45 +384,6 @@ def cosine_lr(t: int, opt: OptimizerConfig) -> float:
     return opt.base_lr * float(np.cos(7.0 * np.pi * t / (16.0 * opt.total_steps)))
 
 
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(
-    path: str | Path,
-    state: ModelState,
-    opt: OptimizerConfig,
-    epoch: int,
-    rng_states: dict | None = None,
-    extra: dict | None = None,
-    extra_arrays: dict[str, np.ndarray] | None = None,
-) -> Path:
-    """Versioned npz checkpoint; float64 arrays round-trip bit-exactly.
-
-    ``extra``/``extra_arrays`` hold caller-owned run state (the trainer uses
-    them for its registry, pool, and schedule position).
-    """
-    path = Path(path)
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "model": asdict(state.config),
-        "optimizer": asdict(opt),
-        "epoch": epoch,
-        "rng_states": rng_states,
-        "extra": extra,
-    }
-    arrays = {f"param_{k}": v for k, v in state.params.items()}
-    arrays.update({f"mom_{k}": v for k, v in state.momentum.items()})
-    if extra_arrays:
-        arrays.update({f"xtr_{k}": v for k, v in extra_arrays.items()})
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    return path
-
-
 @contextmanager
 def atomic_open(path: str | Path, mode: str = "w", **kwargs):
     """A file written beside ``path`` and renamed over it once the block ends:
@@ -467,8 +417,9 @@ def from_mapping(cls, data, path: str = ""):
     raises ``ConfigError`` named by its dotted path (``train.optimizer.base_lr``;
     ``path`` prefixes it). A bool is not an int; an int passes for a float and
     stays an int; a list (or a tuple, as ``asdict`` leaves it) fills a
-    ``list[...]`` or ``tuple[..., ...]``; a mapping fills a nested dataclass;
-    ``X | None`` accepts null.
+    ``list[...]`` or ``tuple[..., ...]``; a mapping fills a nested dataclass
+    or a ``dict[str, ...]``, whose values are named ``path.key``; ``X | None``
+    accepts null.
     """
     if not isinstance(data, dict):
         raise ConfigError(path or "<root>", f"expected a mapping, got {_kind(data)}")
@@ -500,6 +451,10 @@ def _typed(hint, value, path: str):
             raise ConfigError(path, f"expected a list, got {_kind(value)}")
         items = [_typed(args[0], item, path) for item in value]
         return items if origin is list else tuple(items)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"expected a mapping, got {_kind(value)}")
+        return {_typed(args[0], k, path): _typed(args[1], v, f"{path}.{k}") for k, v in value.items()}
     expected = origin or hint
     if type(value) is expected or (expected is float and type(value) is int):
         return value
@@ -508,23 +463,3 @@ def _typed(hint, value, path: str):
 
 def _kind(value) -> str:
     return "null" if value is None else type(value).__name__
-
-
-def load_checkpoint(path: str | Path):
-    """Inverse of save_checkpoint.
-
-    Returns (state, optimizer config, epoch, rng_states, extra, extra_arrays).
-    """
-    with np.load(Path(path), allow_pickle=False) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        model_cfg = from_mapping(ModelConfig, header["model"], "model")
-        params = {k[len("param_"):]: data[k] for k in data.files if k.startswith("param_")}
-        momentum = {k[len("mom_"):]: data[k] for k in data.files if k.startswith("mom_")}
-        state = ModelState(model_cfg, params, momentum)
-        extra_arrays = {
-            k[len("xtr_"):]: data[k].copy() for k in data.files if k.startswith("xtr_")
-        }
-    opt = from_mapping(OptimizerConfig, header["optimizer"], "optimizer")
-    return state, opt, header["epoch"], header["rng_states"], header["extra"], extra_arrays

@@ -17,6 +17,7 @@ comparable across component toggles.
 from __future__ import annotations
 
 import ctypes
+import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -49,20 +50,20 @@ from .network import (
     NonFiniteLossError,
     OptimizerConfig,
     SynthPlan,
+    atomic_open,
     cosine_lr,
     encode,
     from_mapping,
     head_logits,
     init,
-    load_checkpoint,
     loss_and_grads,
-    save_checkpoint,
     sgd_step,
     validate_architecture,
 )
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
 STREAM_NAMES = ("labeled", "unlabeled", "views", "synth", "audit")
+CHECKPOINT_VERSION = 5
 
 
 class TrainingDiverged(RuntimeError):
@@ -133,36 +134,49 @@ def paper_scale_config(**overrides) -> TrainConfig:
 
 
 @dataclass
+class Losses:
+    """Per-epoch mean of each head's summed batch losses."""
+
+    primary: float
+    auxiliary: float
+
+
+@dataclass
+class PoolSize:
+    """Base labeled rows ``n`` and accepted pseudo-labeled rows ``m_hat``."""
+
+    n: int
+    m_hat: int
+
+
+@dataclass
 class EpochReport:
+    """One epoch's record; its fields up to ``pi`` are the ``history.jsonl`` row
+    (``metrics.evaluate_epoch`` documents the metric fields)."""
+
     epoch: int
-    primary_loss: float
-    aux_loss: float
-    pool_n: int
-    pool_m: int
+    acc: float
+    macro_f1: float
+    per_class_acc: list[float]
+    err_rate: float
+    util_rate: float
+    kl: float | None
+    O_t: int
+    eps_t: float
+    R_t: float
+    lambda_t: float
+    cum_eps: float
+    losses: Losses
+    pool: PoolSize
     pi: list[float]
-    metrics: dict
     class_stats: list[dict] | None = None
     wall_clock: float = 0.0
 
     def to_record(self) -> dict:
         """JSONL row; deliberately excludes wall-clock so logs are replayable."""
-        return {
-            "epoch": self.epoch,
-            "acc": self.metrics["acc"],
-            "macro_f1": self.metrics["macro_f1"],
-            "per_class_acc": self.metrics["per_class_acc"],
-            "err_rate": self.metrics["error_rate"],
-            "util_rate": self.metrics["utilization_rate"],
-            "kl": self.metrics["kl"],
-            "O_t": self.metrics["o_t"],
-            "eps_t": self.metrics["eps_t"],
-            "R_t": self.metrics["r_t"],
-            "lambda_t": self.metrics["lambda_t"],
-            "cum_eps": self.metrics["cum_eps"],
-            "losses": {"primary": self.primary_loss, "auxiliary": self.aux_loss},
-            "pool": {"n": self.pool_n, "m_hat": self.pool_m},
-            "pi": self.pi,
-        }
+        record = asdict(self)
+        del record["class_stats"], record["wall_clock"]
+        return record
 
 
 @dataclass
@@ -212,29 +226,22 @@ def _build_model(config: TrainConfig, splits: SplitBundle) -> tuple[ModelState, 
 def _epoch_report(
     state: ModelState,
     splits: SplitBundle,
-    previous: dict | None,
+    previous: EpochReport | None,
     epoch: int,
     labels: np.ndarray,
-    primary_loss: float,
-    aux_loss: float,
+    losses: Losses,
     pool: LabeledPool,
     prior: ClassPrior,
     stats: ClassStats | None,
     started: float,
 ) -> EpochReport:
-    """``previous`` is the metrics of the epoch before, None for the first."""
-    bundle = metrics_mod.evaluate_epoch(state, splits, labels)
-    n, m_hat, r_t = splits.labeled.ids.size, bundle.pop("audit").m_hat, bundle.pop("balanced_error")
-    bundle.update(metrics_mod.risk_terms(previous, bundle["error_rate"], m_hat, n, r_t))
-    bundle["per_class_acc"] = bundle["per_class_acc"].tolist()
+    """``previous`` is the report of the epoch before, None for the first."""
     return EpochReport(
         epoch=epoch,
-        primary_loss=primary_loss,
-        aux_loss=aux_loss,
-        pool_n=int(n),
-        pool_m=pool.pseudo_size,
+        **metrics_mod.evaluate_epoch(state, splits, labels, previous),
+        losses=losses,
+        pool=PoolSize(int(splits.labeled.ids.size), pool.pseudo_size),
         pi=[float(v) for v in prior.probabilities],
-        metrics=bundle,
         class_stats=stats.rows() if stats is not None else None,
         wall_clock=time.perf_counter() - started,
     )
@@ -405,11 +412,10 @@ def _run(
             _epoch_report(
                 run.state,
                 splits,
-                run.reports[-1].metrics if run.reports else None,
+                run.reports[-1] if run.reports else None,
                 epoch,
                 run.labels,
-                primary_sum / config.steps_per_epoch,
-                aux_sum / config.steps_per_epoch,
+                Losses(primary_sum / config.steps_per_epoch, aux_sum / config.steps_per_epoch),
                 pool,
                 prior,
                 run.stats if config.use_synthesis else None,
@@ -462,20 +468,41 @@ def predict_views(state: ModelState, reps: np.ndarray) -> ViewPredictionBatch:
 
 
 # ---------------------------------------------------------------------------
-# Run-level checkpointing (model checkpoint format + trainer extras)
+# Run checkpoint: an npz of the run's arrays beside one JSON header
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _CheckpointHeader:
+    """What a run checkpoint holds besides arrays. The model and the optimizer
+    follow from ``config`` and the split, so only their vectors are stored."""
+
+    config: TrainConfig
+    epoch: int
+    global_step: int
+    rng_states: dict[str, dict]
+    reports: list[EpochReport]
+
+
 def save_run_checkpoint(path: str | Path, config: TrainConfig, run: _RunState) -> Path:
-    """Write ``run`` whole; ``resume_training`` reads it back."""
-    extra = {
-        "config": asdict(config),
-        "global_step": run.global_step,
-        "reports": [asdict(r) for r in run.reports],
-    }
-    arrays = {"labels": run.labels, **_arrays("registry", run.registry), **_arrays("stats", run.stats)}
+    """Write ``run`` whole, atomically; ``resume_training`` reads it back, with
+    every float64 array bit-exact."""
     rng_states = {name: rng.bit_generator.state for name, rng in run.rngs.items()}
-    return save_checkpoint(path, run.state, run.opt, run.epoch, rng_states, extra, arrays)
+    header = _CheckpointHeader(config, run.epoch, run.global_step, rng_states, run.reports)
+    text = json.dumps({"version": CHECKPOINT_VERSION, **asdict(header)})
+    arrays = {
+        "header": np.frombuffer(text.encode("utf-8"), dtype=np.uint8),
+        "params": run.state.params.flat,
+        "momentum": run.state.momentum.flat,
+        "labels": run.labels,
+        **_arrays("registry", run.registry),
+        **_arrays("stats", run.stats),
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
 
 
 def resume_training(
@@ -485,11 +512,25 @@ def resume_training(
     checkpoint_dir: str | Path | None = None,
 ) -> RunHistory:
     """Continue a checkpointed run; the result matches the uninterrupted run."""
-    state, opt, epoch, rng_states, extra, arrays = load_checkpoint(path)
-    config = from_mapping(TrainConfig, extra["config"], "config")
+    with np.load(Path(path), allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    raw = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
+    version = raw.pop("version", None)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    header = from_mapping(_CheckpointHeader, raw)
+    state, opt = _build_model(header.config, splits)
+    for name in ("params", "momentum"):
+        flat = getattr(state, name).flat
+        if arrays[name].shape != flat.shape:
+            raise ValueError(
+                f"checkpoint {name} hold {arrays[name].size} values; the model "
+                f"for its config and this split has {flat.size}"
+            )
+        flat[...] = arrays[name]
     rngs = _streams(0)
     for name, rng in rngs.items():
-        rng.bit_generator.state = rng_states[name]
+        rng.bit_generator.state = header.rng_states[name]
     c = splits.spec.num_classes
     run = _RunState(
         state=state,
@@ -498,11 +539,11 @@ def resume_training(
         registry=_restore(PseudoRegistry(arrays["registry.ids"], c), "registry", arrays),
         labels=arrays["labels"],
         stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),
-        reports=[from_mapping(EpochReport, item, "reports") for item in extra["reports"]],
-        global_step=extra["global_step"],
-        epoch=epoch,
+        reports=header.reports,
+        global_step=header.global_step,
+        epoch=header.epoch,
     )
-    return _run("cpg", config, splits, step_callback, checkpoint_dir, run)
+    return _run("cpg", header.config, splits, step_callback, checkpoint_dir, run)
 
 
 def _arrays(prefix: str, obj) -> dict[str, np.ndarray]:

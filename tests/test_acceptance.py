@@ -123,7 +123,7 @@ class TestExactCriteria:
             c = int(rng.integers(2, 9))
             logits = rng.normal(scale=4.0, size=c)
             y = int(rng.integers(c))
-            adjusted, _ = _xent_forward_backward(logits[None], [y], ClassPrior.uniform(c).log)
+            adjusted, _ = _xent_forward_backward(logits[None], [y], ClassPrior(np.full(c, 1.0 / c)).log)
             plain, _ = _xent_forward_backward(logits[None], [y], None)
             gap = abs(float(adjusted[0]) - float(plain[0]))
             worst = max(worst, gap)
@@ -167,8 +167,8 @@ class TestExactCriteria:
         cfg = replace(desk_config(0), use_aux_branch=False, use_cycle=False, use_synthesis=False)
         cpg = train(cfg, splits)
         la = run_baseline("supervised_la", cfg, splits)
-        trace_cpg = [r.primary_loss for r in cpg.reports]
-        trace_la = [r.primary_loss for r in la.reports]
+        trace_cpg = [r.losses.primary for r in cpg.reports]
+        trace_la = [r.losses.primary for r in la.reports]
         identical = trace_cpg == trace_la
         report(5, "degenerate-toggle identity", identical,
                f"{len(trace_cpg)} epochs compared exactly")

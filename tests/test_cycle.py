@@ -446,7 +446,7 @@ class TestLabelVectorProperties:
             pool = update_pool(pool, labels, source)
             assigned = labels >= 0
             assert np.array_equal(pool.phi, pool.recount())
-            assert np.array_equal(pool.pseudo_ids, source.ids[assigned])
+            assert np.array_equal(pool.source.ids[pool.pseudo_rows], source.ids[assigned])
             assert np.array_equal(pool.pseudo_labels, labels[assigned])
             assert pool.pseudo_size == int(assigned.sum())
 
@@ -466,7 +466,7 @@ class TestLabelVectorProperties:
             x, y = pool.take(rows)
             assert x.tobytes() == features[rows].tobytes()
             assert y.dtype == np.int64 and np.array_equal(y, classes[rows])
-            assert np.array_equal(pool.pseudo_features, source.features[assigned])
+            assert np.array_equal(pool.source.features[pool.pseudo_rows], source.features[assigned])
             assert np.array_equal(pool.labels(), classes)
 
     @settings(max_examples=200, deadline=None)
@@ -485,7 +485,7 @@ class TestLabelVectorProperties:
                     update_pool(pool, labels, source)
             else:
                 pool = update_pool(pool, labels, source)
-                assert np.array_equal(pool.pseudo_ids, ids[labels >= 0])
+                assert np.array_equal(pool.source.ids[pool.pseudo_rows], ids[labels >= 0])
 
     @settings(max_examples=200, deadline=None)
     @given(vote_rounds())

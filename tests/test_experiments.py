@@ -10,8 +10,14 @@ import yaml
 
 from pseudopool.cli import main
 from pseudopool.experiments import (
+    SUMMARY_METRICS,
     ConfigError,
     ExperimentConfig,
+    MetricSummary,
+    RegistryEntry,
+    RegistrySnapshot,
+    RunSummary,
+    SummaryMetrics,
     compare_runs,
     load_config,
     parse_config,
@@ -22,6 +28,8 @@ from pseudopool.datasets import DatasetSpec, generate_splits
 from pseudopool.network import ModelConfig, OptimizerConfig, from_mapping
 from pseudopool.training import (
     EpochReport,
+    Losses,
+    PoolSize,
     RunHistory,
     TrainConfig,
     TrainingDiverged,
@@ -220,9 +228,18 @@ RECORDS = [
     ),
     ModelConfig(input_dim=3, num_classes=4, hidden_dims=(8, 2), activation="tanh", init_seed=5),
     EpochReport(
-        epoch=3, primary_loss=0.5, aux_loss=1, pool_n=10, pool_m=4, pi=[0.25, 0.75],
-        metrics={"acc": 0.5, "kl": None, "per_class_acc": [0.5, 0.5]},
+        epoch=3, acc=0.5, macro_f1=0.4, per_class_acc=[0.5, 0.5], err_rate=0.25, util_rate=0.1,
+        kl=None, O_t=14, eps_t=0.25, R_t=0.5, lambda_t=-0.1, cum_eps=0.75,
+        losses=Losses(primary=0.5, auxiliary=1), pool=PoolSize(n=10, m_hat=4), pi=[0.25, 0.75],
         class_stats=[{"class": 0, "alpha": 0.1, "radius": 0.2, "count": 3}], wall_clock=1.5,
+    ),
+    RunSummary(
+        method="cpg", seeds=[0, 2],
+        metrics=SummaryMetrics(**{name: MetricSummary(0.5, 0.1, [0.4, 0.6]) for name in SUMMARY_METRICS}),
+    ),
+    RegistrySnapshot(
+        num_classes=3, epoch=9,
+        entries={"7": RegistryEntry({"0": 1, "2": 5}, 2, 4), "8": RegistryEntry({}, None, None)},
     ),
 ]
 
@@ -456,6 +473,12 @@ class TestAblation:
             run_ablation(parse_config(data), tmp_path / "abl")
 
 
+STATS = {"mean": 0.5, "std": 0.1, "values": [0.4, 0.6]}
+SUMMARY = {"method": "cpg", "seeds": [0, 1], "metrics": {name: STATS for name in SUMMARY_METRICS}}
+ENTRY = {"votes": {"1": 2}, "resolved": 1, "first_vote_epoch": 4}
+REGISTRY = {"num_classes": 3, "epoch": 5, "entries": {"7": ENTRY}}
+
+
 class TestCli:
     def test_run_and_inspect(self, tmp_path, capsys):
         data = json.loads(json.dumps(TINY_CONFIG))
@@ -523,6 +546,28 @@ class TestCli:
         code = main(["compare", str(tmp_path / "a"), str(tmp_path / "a")])
         assert code == 0
         assert "tie" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("compare", {"metrics": {}}, "method: field is required"),
+            ("compare", {**SUMMARY, "metrics": {**SUMMARY["metrics"], "acc": {**STATS, "values": 3}}},
+             "metrics.acc.values: expected a list, got int"),
+            ("compare", [], "<root>: expected a mapping, got list"),
+            ("inspect", {**REGISTRY, "entries": {"7": {"votes": {"1": 2}, "first_vote_epoch": 4}}},
+             "entries.7.resolved: field is required"),
+            ("inspect", {**REGISTRY, "entries": {"7": {**ENTRY, "votes": {"1": "2"}}}},
+             "entries.7.votes.1: expected int, got str"),
+            ("inspect", [], "<root>: expected a mapping, got list"),
+        ],
+        ids=["compare-missing", "compare-type", "compare-list", "inspect-missing", "inspect-type", "inspect-list"],
+    )
+    def test_malformed_record_exits_2(self, tmp_path, capsys, command, data, message):
+        path = tmp_path / ("summary.json" if command == "compare" else "registry.json")
+        path.write_text(json.dumps(data))
+        dirs = [str(tmp_path)] * (2 if command == "compare" else 1)
+        assert main([command, *dirs]) == 2
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
 
     def test_output_root_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PSEUDOPOOL_OUTPUT_ROOT", str(tmp_path / "root"))

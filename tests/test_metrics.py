@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats as scipy_stats
 
+from pseudopool.datasets import generate_splits
+
 from pseudopool.metrics import (
     accuracy,
-    evaluate_classifier,
+    evaluate_epoch,
     kl_divergence,
     macro_f1,
     per_class_accuracy,
@@ -15,6 +19,8 @@ from pseudopool.metrics import (
     risk_terms,
     welch_t_test,
 )
+
+from conftest import tiny_spec
 
 
 def per_class_accuracy_loop(preds, labels, num_classes):
@@ -229,7 +235,7 @@ class TestRiskLedger:
     def test_epoch_without_pseudo_labels(self):
         row = risk_terms(None, eps_t=0.0, m_hat=0, n=214, balanced_error=0.4)
         assert row["eps_t"] == 0.0
-        assert row["o_t"] == 214
+        assert row["O_t"] == 214
         assert row["lambda_t"] == 0.0
 
     def test_replay_matches_hand_built_table(self):
@@ -242,9 +248,10 @@ class TestRiskLedger:
         n = 100
         rows = []
         for _, eps, m_hat, err in stream:
-            rows.append(risk_terms(rows[-1] if rows else None, eps, m_hat, n, err))
+            previous = SimpleNamespace(**rows[-1]) if rows else None
+            rows.append(risk_terms(previous, eps, m_hat, n, err))
         hand = [
-            # (o_t, lambda_t, cum_eps)
+            # (O_t, lambda_t, cum_eps)
             (100, 0.0, 0.0),
             (110, 0.10, 0.2),
             (125, 0.05, 0.3),
@@ -252,7 +259,7 @@ class TestRiskLedger:
         ]
         assert len(rows) == len(hand)
         for row, (o_t, lam, cum) in zip(rows, hand):
-            assert row["o_t"] == o_t
+            assert row["O_t"] == o_t
             assert row["lambda_t"] == pytest.approx(lam, abs=1e-12)
             assert row["cum_eps"] == pytest.approx(cum, abs=1e-12)
 
@@ -260,11 +267,8 @@ class TestRiskLedger:
         # identity: R_t == 1 - mean(per-class accuracy)
         from pseudopool.network import ModelConfig, init
 
-        rng = np.random.default_rng(4)
+        bundle = generate_splits(tiny_spec(seed=4))
         state = init(ModelConfig(input_dim=4, num_classes=3, hidden_dims=(6,), init_seed=0))
-        feats = rng.normal(size=(30, 4))
-        labels = rng.integers(3, size=30)
-        out = evaluate_classifier(state, feats, labels, 3)
-        assert out["balanced_error"] == pytest.approx(
-            1.0 - np.mean(out["per_class_acc"]), abs=1e-12
-        )
+        out = evaluate_epoch(state, bundle, np.full(bundle.unlabeled.ids.size, -1), None)
+        assert 0.0 < out["R_t"] < 1.0
+        assert out["R_t"] == pytest.approx(1.0 - np.mean(out["per_class_acc"]), abs=1e-12)

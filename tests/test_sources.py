@@ -1,6 +1,7 @@
 """Static checks on the package sources (standard library ``ast`` only)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pseudopool
 
 PACKAGE = sorted(Path(pseudopool.__file__).parent.glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,3 +66,54 @@ def test_unreferenced_private_definition_is_caught():
         "c": "import b\nb._shared()\n",
     }
     assert unreferenced_private_definitions(sources) == ["a._dead", "a._Gone"]
+
+
+def unreferenced_public_definitions(package: dict[str, str], callers: list[str], readme: str) -> list[str]:
+    """``module.name`` (``module.Class.name`` for a method or property) for
+    each public function, class, method or property in ``package`` (module
+    name -> source) that no code in ``package`` or ``callers`` references
+    outside its own definition and whose name ``readme`` does not contain."""
+    used = set(re.findall(r"\w+", readme))
+
+    def collect(node, own: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None and name not in own:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            collect(child, own)
+
+    defined = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        collect(tree, frozenset())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined.append((f"{module}.{stmt.name}", stmt.name))
+            for item in stmt.body if isinstance(stmt, ast.ClassDef) else []:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defined.append((f"{module}.{stmt.name}.{item.name}", item.name))
+    for source in callers:
+        collect(ast.parse(source), frozenset())
+    return [qualified for qualified, name in defined if name not in used]
+
+
+def test_every_public_definition_is_used_outside_tests():
+    callers = [p.read_text() for folder in ("perfbench", "demos") for p in sorted((ROOT / folder).glob("*.py"))]
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unreferenced_public_definitions(package, callers, (ROOT / "README.md").read_text()) == []
+
+
+def test_unreferenced_public_definition_is_caught():
+    package = {
+        "a": (
+            "def used():\n    pass\ndef dead(n):\n    return dead(n - 1)\n"
+            "class Kept:\n    def method(self):\n        return self.method()\n"
+            "    @property\n    def size(self):\n        pass\n    def __len__(self):\n        return 0\n"
+            "    def _helper(self):\n        pass\n"
+        ),
+        "b": "import a\ndef documented():\n    pass\n",
+    }
+    callers = ["import a\na.used()\na.Kept().size\n"]
+    assert unreferenced_public_definitions(package, callers, "Call `documented()`.") == ["a.dead", "a.Kept.method"]

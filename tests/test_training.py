@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,8 +21,9 @@ import pseudopool.network
 import pseudopool.training
 from pseudopool.datasets import generate_splits
 from pseudopool.metrics import predict_batch
-from pseudopool.network import ModelConfig, OptimizerConfig, encode, head_logits, init
+from pseudopool.network import ConfigError, ModelConfig, OptimizerConfig, init
 from pseudopool.training import (
+    CHECKPOINT_VERSION,
     TrainConfig,
     TrainingDiverged,
     paper_scale_config,
@@ -55,8 +56,8 @@ class TestDegenerateToggles:
         cfg = fast_config(use_aux_branch=False, use_cycle=False, use_synthesis=False)
         cpg = train(cfg, tiny_splits)
         la = run_baseline("supervised_la", cfg, tiny_splits)
-        assert [r.primary_loss for r in cpg.reports] == [r.primary_loss for r in la.reports]
-        assert [r.metrics["acc"] for r in cpg.reports] == [r.metrics["acc"] for r in la.reports]
+        assert [r.losses.primary for r in cpg.reports] == [r.losses.primary for r in la.reports]
+        assert [r.acc for r in cpg.reports] == [r.acc for r in la.reports]
         for name in cpg.state.params:
             assert np.array_equal(cpg.state.params[name], la.state.params[name])
         assert cpg.pool.pseudo_size == 0
@@ -66,7 +67,7 @@ class TestDegenerateToggles:
         history = train(cfg, tiny_splits)
         assert history.registry.votes.sum() == 0
         assert history.pool.pseudo_size == 0
-        assert all(r.metrics["utilization_rate"] == 0.0 for r in history.reports)
+        assert all(r.util_rate == 0.0 for r in history.reports)
 
     def test_gate_blocks_votes_during_warmup(self, tiny_splits):
         cfg = fast_config()
@@ -95,12 +96,6 @@ class TestPredict:
         state.params["head_primary_w"][:] = np.eye(2)
         state.params["head_primary_b"][:] = 0.0
         assert predict_batch(state, np.array([[3.0, 1.0], [1.0, 3.0]])).tolist() == [0, 1]
-
-    def test_auxiliary_branch_flag(self):
-        state = init(ModelConfig(input_dim=2, num_classes=2, hidden_dims=(2,), init_seed=3))
-        x = np.array([[0.5, -0.5], [-1.0, 2.0]])
-        aux_logits = head_logits(state, "auxiliary", encode(state, x))
-        assert np.array_equal(predict_batch(state, x, branch="auxiliary"), np.argmax(aux_logits, axis=1))
 
 
 class TestTrainingRun:
@@ -198,7 +193,7 @@ class TestBaselines:
         ce = run_baseline("supervised_ce", cfg, splits)
         for name in la.state.params:
             assert np.allclose(la.state.params[name], ce.state.params[name], atol=1e-12)
-        assert [r.metrics["acc"] for r in la.reports] == [r.metrics["acc"] for r in ce.reports]
+        assert [r.acc for r in la.reports] == [r.acc for r in ce.reports]
 
     def test_consistency_with_unreachable_gate_equals_ce(self, tiny_splits):
         # tau = 1.0 never fires under the strict gate
@@ -245,7 +240,7 @@ class TestCheckpointResume:
                 assert np.array_equal(full.state.params[name], resumed.state.params[name])
                 assert np.array_equal(full.state.momentum[name], resumed.state.momentum[name])
             assert np.array_equal(full.registry.votes, resumed.registry.votes)
-            assert np.array_equal(full.pool.pseudo_ids, resumed.pool.pseudo_ids)
+            assert np.array_equal(full.pool.pseudo_rows, resumed.pool.pseudo_rows)
             assert np.array_equal(full.pool.pseudo_labels, resumed.pool.pseudo_labels)
 
     @settings(max_examples=12, deadline=None)
@@ -271,7 +266,7 @@ class TestCheckpointResume:
             resumed = resume_training(Path(tmp) / f"checkpoint_epoch{stop:04d}.npz", splits)
         assert resumed.to_records() == full.to_records()
         assert [r.class_stats for r in resumed.reports] == [r.class_stats for r in full.reports]
-        assert np.array_equal(resumed.pool.pseudo_ids, full.pool.pseudo_ids)
+        assert np.array_equal(resumed.pool.pseudo_rows, full.pool.pseudo_rows)
         assert np.array_equal(resumed.pool.pseudo_labels, full.pool.pseudo_labels)
 
     def test_resume_restores_frozen_labels_not_registry_resolution(self, tmp_path):
@@ -302,6 +297,106 @@ class TestCheckpointResume:
         other = generate_splits(tiny_spec(m_max=90))
         with pytest.raises(ValueError, match="unlabeled"):
             resume_training(tmp_path / "checkpoint_epoch0004.npz", other)
+
+
+def run_fields(config, run) -> dict:
+    """Every field of a run checkpoint's record, as bytes where it is an array."""
+    arrays = {f"{owner}.{k}": v for owner in ("registry", "stats") for k, v in vars(getattr(run, owner)).items()}
+    return {
+        "config": asdict(config),
+        "params": run.state.params.flat.tobytes(),
+        "momentum": run.state.momentum.flat.tobytes(),
+        "opt": run.opt,
+        "rngs": {name: rng.bit_generator.state for name, rng in run.rngs.items()},
+        "labels": run.labels.tobytes(),
+        "arrays": {k: v.tobytes() for k, v in arrays.items() if isinstance(v, np.ndarray)},
+        "reports": [asdict(r) for r in run.reports],
+        "counters": (run.global_step, run.epoch),
+    }
+
+
+def rewrite_checkpoint(path, edit_header=None, **arrays):
+    """Re-save a checkpoint with its header edited in place and ``arrays`` replaced."""
+    with np.load(path) as data:
+        saved = {name: data[name] for name in data.files}
+    header = json.loads(bytes(saved["header"]).decode("utf-8"))
+    if edit_header is not None:
+        edit_header(header)
+    saved.update(arrays, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8))
+    np.savez(path, **saved)
+
+
+class TestRunCheckpoint:
+    """``save_run_checkpoint`` and ``resume_training`` are the one writer and
+    reader of a run checkpoint; with ``_run`` replaced, the reader hands back
+    the record it rebuilt."""
+
+    CONFIG = dict(total_epochs=10, warmup_epochs=2, checkpoint_every=4, freeze_resolved=True)
+
+    @staticmethod
+    def read(monkeypatch, path, splits):
+        with monkeypatch.context() as patch:
+            patch.setattr(pseudopool.training, "_run", lambda method, config, splits, cb, out, run: (config, run))
+            return resume_training(path, splits)
+
+    def test_round_trip_bit_exact(self, tiny_splits, tmp_path, monkeypatch):
+        saved = {}
+        write = pseudopool.training.save_run_checkpoint
+
+        def capture(path, config, run):
+            saved[Path(path).name] = run_fields(config, run)
+            return write(path, config, run)
+
+        monkeypatch.setattr(pseudopool.training, "save_run_checkpoint", capture)
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        assert sorted(saved) == ["checkpoint_epoch0004.npz", "checkpoint_epoch0008.npz"]
+        assert saved["checkpoint_epoch0008.npz"]["arrays"] != saved["checkpoint_epoch0004.npz"]["arrays"]
+        for name, fields in saved.items():
+            config, run = self.read(monkeypatch, tmp_path / name, tiny_splits)
+            assert run_fields(config, run) == fields
+            assert run.state.params["enc0_w"].base is run.state.params.flat
+
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_splits, tmp_path, monkeypatch):
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        config, run = self.read(monkeypatch, tmp_path / "checkpoint_epoch0008.npz", tiny_splits)
+
+        def failing_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pseudopool.training.np, "savez", failing_savez)
+        with pytest.raises(OSError, match="disk full"):
+            pseudopool.training.save_run_checkpoint(path, config, run)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert self.read(monkeypatch, path, tiny_splits)[1].epoch == 4
+
+    def test_other_version_rejected(self, tiny_splits, tmp_path, monkeypatch):
+        monkeypatch.setattr(pseudopool.training, "CHECKPOINT_VERSION", CHECKPOINT_VERSION - 1)
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {CHECKPOINT_VERSION - 1}"):
+            resume_training(tmp_path / "checkpoint_epoch0004.npz", tiny_splits)
+
+    def test_wrong_typed_report_field_rejected(self, tiny_splits, tmp_path):
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        rewrite_checkpoint(path, lambda header: header["reports"][1].update(acc="x"))
+        with pytest.raises(ConfigError, match="^reports.acc: expected float, got str") as err:
+            resume_training(path, tiny_splits)
+        assert err.value.fieldname == "reports.acc"
+
+    @pytest.mark.parametrize("name", ["params", "momentum"])
+    def test_flat_vector_of_wrong_size_rejected(self, tiny_splits, tmp_path, name):
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        with np.load(path) as data:
+            short = data[name][:-1]
+        rewrite_checkpoint(path, **{name: short})
+        with pytest.raises(ValueError, match=f"checkpoint {name} hold {short.size} values"):
+            resume_training(path, tiny_splits)
 
 
 class TestHiddenLabelFirewall:
@@ -365,7 +460,8 @@ class TestFreezeResolved:
 
         def callback(info):
             sizes.append(info.pool.pseudo_size)
-            pool = dict(zip(info.pool.pseudo_ids.tolist(), info.pool.pseudo_labels.tolist()))
+            ids = info.pool.source.ids[info.pool.pseudo_rows].tolist() if info.pool.source is not None else []
+            pool = dict(zip(ids, info.pool.pseudo_labels.tolist()))
             assert all(pool.get(sid) == label for sid, label in kept.items())
             kept.update(pool)
 
