@@ -67,16 +67,19 @@ def update_class_stats(
         raise ValueError("ema_decay must lie in [0, 1)")
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    norms = np.linalg.norm(reps, axis=1)
-    if np.any(norms == 0):
+    norms = row_norms(reps)
+    if not norms.all():
         for c, n in zip(*np.unique(labels[norms == 0], return_counts=True)):
             logger.warning("class %d: skipping %d zero-norm representation(s)", c, n)
         keep = norms > 0
         reps, labels, norms = reps[keep], labels[keep], norms[keep]
-    counts = np.bincount(labels, minlength=stats.num_classes)
+    k, d = stats.num_classes, stats.rep_dim
+    counts = np.bincount(labels, minlength=k)
     present = counts > 0
-    sums = np.zeros_like(stats.centroids)
-    np.add.at(sums, labels, reps)
+    # per-class sums of the rows: one bincount over (class, coordinate) cells
+    # adds each cell's terms from zero in row order, as np.add.at would
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=reps.ravel(), minlength=k * d).reshape(k, d)
     batch_mean = sums[present] / counts[present, None]
     stats.centroids[present] = np.where(
         stats.has_centroid[present, None],
@@ -84,9 +87,10 @@ def update_class_stats(
         batch_mean,
     )
     stats.has_centroid |= present
-    centroid_norms = np.linalg.norm(stats.centroids, axis=1)
-    for c in np.flatnonzero(present & (centroid_norms == 0)):
-        logger.warning("class %d: zero-norm centroid, compactness left unchanged", c)
+    centroid_norms = row_norms(stats.centroids)
+    if not centroid_norms.all():
+        for c in np.flatnonzero(present & (centroid_norms == 0)):
+            logger.warning("class %d: zero-norm centroid, compactness left unchanged", c)
     updated = present & (centroid_norms > 0)
     rows = updated[labels]
     members = labels[rows]
@@ -94,7 +98,7 @@ def update_class_stats(
         norms[rows] * centroid_norms[members]
     )
     alpha = np.clip(
-        np.bincount(members, weights=cosines, minlength=stats.num_classes)[updated] / counts[updated],
+        np.bincount(members, weights=cosines, minlength=k)[updated] / counts[updated],
         -1.0,
         1.0,
     )
@@ -139,14 +143,24 @@ def plan_synthesis(
     return origin, radii, noise
 
 
-def synthesize(h: np.ndarray, radii: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array: ``np.linalg.norm(x, axis=1)``
+    bit for bit (the same product and sum), without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def synthesize(
+    h: np.ndarray, radii: np.ndarray, noise: np.ndarray, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Synthesized copies h' = h + (h/||h||) * (radius * noise), one per row.
 
     ``h`` holds the representation of each copy's origin row, ``radii`` one
     radius per copy and ``noise`` one standard-normal row per copy (the
-    output of ``plan_synthesis``, gathered by origin).
+    output of ``plan_synthesis``, gathered by origin). ``norms``, the column
+    ``row_norms(h)[:, None]``, may be passed by a caller that needs it too.
     """
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
-    if np.any(norms == 0):
+    if norms is None:
+        norms = row_norms(h)[:, None]
+    if not norms.all():
         raise ValueError("zero-norm representation cannot be synthesized from")
     return h + (h / norms) * (radii[:, None] * noise)

@@ -257,6 +257,6 @@ def class_distribution(pool: LabeledPool) -> ClassPrior:
     total = int(phi.sum())
     if total <= 0:
         raise ValueError("pool census is empty")
-    if np.any(phi == 0):
+    if not phi.all():
         raise ValueError("a class with zero pool count has an undefined log prior")
     return ClassPrior(phi / total)

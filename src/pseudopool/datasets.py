@@ -262,7 +262,10 @@ def weak_view_batch(
 ) -> np.ndarray:
     """Weak view of each row: additive Gaussian noise."""
     X = np.asarray(X, dtype=np.float64)
-    return X + policy.weak_noise_sigma * rng.standard_normal(X.shape)
+    out = rng.standard_normal(X.shape)
+    out *= policy.weak_noise_sigma
+    out += X
+    return out
 
 
 def strong_view_batch(
@@ -271,13 +274,15 @@ def strong_view_batch(
     """Strong view of each row: heavier noise, then a fixed fraction of its
     coordinates zeroed."""
     X = np.asarray(X, dtype=np.float64)
-    out = X + policy.strong_noise_sigma * rng.standard_normal(X.shape)
+    out = rng.standard_normal(X.shape)
+    out *= policy.strong_noise_sigma
+    out += X
     k = int(round(policy.strong_mask_rate * X.shape[1]))
     if k > 0:
         # Per-row mask: the k smallest of a uniform draw picks coords uniformly.
         scores = rng.random(X.shape)
         masked = np.argsort(scores, axis=1)[:, :k]
-        np.put_along_axis(out, masked, 0.0, axis=1)
+        out[np.arange(X.shape[0])[:, None], masked] = 0.0
     return out
 
 

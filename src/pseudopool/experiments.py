@@ -201,6 +201,7 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").unlink(missing_ok=True)
     finals: dict[int, dict] = {}
+    plot_records: dict[int, list[dict]] = {}
     paths = [_write_resolved_config(config, out_dir)]
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
@@ -218,6 +219,8 @@ def run_experiment(
             _write_class_stats(stats_path, history)
             paths.append(stats_path)
         finals[seed] = records[-1]
+        if emit_plot_data:
+            plot_records[seed] = records
 
     summary = asdict(_final_summary(config.method, finals))
     with atomic_open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
@@ -226,7 +229,7 @@ def run_experiment(
 
     if emit_plot_data:
         plot_path = out_dir / "plot_data.csv"
-        _write_plot_data(plot_path, config, finals, out_dir)
+        _write_plot_data(plot_path, plot_records)
         paths.append(plot_path)
     summary["paths"] = [str(p) for p in paths]
     return summary
@@ -245,15 +248,14 @@ def _write_class_stats(path: Path, history: training.RunHistory) -> None:
                 )
 
 
-def _write_plot_data(path: Path, config: ExperimentConfig, finals: dict, out_dir: Path) -> None:
-    """Tidy long-format per-epoch metrics for external plotting tools."""
+def _write_plot_data(path: Path, records: dict[int, list[dict]]) -> None:
+    """Tidy long-format per-epoch metrics for external plotting tools, from
+    each seed's ``history.jsonl`` records (seed -> records)."""
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "epoch", "metric", "value"])
-        for seed in config.seeds:
-            history_path = out_dir / f"seed_{seed}" / "history.jsonl"
-            for line in history_path.read_text().splitlines():
-                record = json.loads(line)
+        for seed, seed_records in records.items():
+            for record in seed_records:
                 for name in SUMMARY_METRICS:
                     value = record[name]
                     if value is not None:

@@ -26,7 +26,7 @@ class ClassPrior:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("prior must be a 1-D vector over >= 2 classes")
-        if np.any(probs <= 0):
+        if (probs <= 0).any():
             raise ValueError("prior entries must be strictly positive")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("prior must sum to 1 within 1e-9")
@@ -64,3 +64,11 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(z))
+
+
+def top_class(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax, max) of each row of a 2-D array; argmax ties go to the lowest
+    class index. The max is read at the argmax, which is exact and skips a
+    slow reduction along the short class axis."""
+    labels = np.argmax(probs, axis=1)
+    return labels, probs[np.arange(probs.shape[0]), labels]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets
-from .losses import softmax
+from .losses import softmax, top_class
 from .network import ModelState, encode, head_logits
 
 
@@ -200,9 +200,7 @@ def threshold_assignments(
     """
     view = bundle.unlabeled_view()
     weak = datasets.weak_view_batch(view.features, policy, rng)
-    probs = softmax(head_logits(state, "primary", encode(state, weak)))
-    labels = np.argmax(probs, axis=1)
-    confs = np.max(probs, axis=1)
+    labels, confs = top_class(softmax(head_logits(state, "primary", encode(state, weak))))
     return np.where(confs > tau, labels, -1)
 
 

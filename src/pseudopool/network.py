@@ -5,7 +5,8 @@ numpy (float64 throughout) so every gradient can be checked against central
 finite differences. A loss is described as a list of ``BatchPart`` objects;
 each part is a batch-mean term routed to one head, optionally extended by
 synthesized representations of some of its own rows. ``loss_and_grads``
-encodes the distinct input arrays of all parts in one stacked forward, builds
+encodes the distinct input arrays of all parts in one stacked forward (a part
+may instead carry the activations of an earlier forward of its rows), builds
 the synthesized copies from those same representations (so they stay
 differentiable in the encoder parameters; the noise and radii are constants
 of the step) and runs one encoder backward.
@@ -13,6 +14,7 @@ of the step) and runs one encoder backward.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import types
@@ -23,11 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import synthesize
+from .augment import row_norms, synthesize
 from .losses import log_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
+_HEAD_KEYS = {branch: (f"head_{branch}_w", f"head_{branch}_b") for branch in BRANCHES}
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -109,10 +112,16 @@ class ModelState:
     ``params`` and ``momentum`` are ``ParamVector``s. Their flat vectors hold
     every weight matrix first and the biases after them, so weight decay
     covers the first ``decayed`` entries.
+
+    The state is also a training step's workspace, with every view built
+    once: ``grads`` is the gradient vector the training loop has
+    ``loss_and_grads`` fill, and ``sgd_step`` writes the updated parameters
+    and momentum into a spare pair of vectors and swaps them in.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
+        self.encoder_keys = [(f"enc{i}_w", f"enc{i}_b") for i in range(len(config.hidden_dims))]
         names = list(params)
         order = [n for n in names if not n.endswith("_b")] + [n for n in names if n.endswith("_b")]
         stops = np.cumsum([np.size(params[n]) for n in order]).tolist()
@@ -122,6 +131,8 @@ class ModelState:
         self.size = stops[-1]
         self.params = self._pack(params)
         self.momentum = self.zeros_like_params()
+        self.grads = self.zeros_like_params()
+        self._spare = (self.views(np.empty(self.size)), self.views(np.empty(self.size)))
 
     def _pack(self, arrays: dict[str, np.ndarray]) -> ParamVector:
         """A fresh vector holding a copy of ``arrays`` (same names and shapes)."""
@@ -170,25 +181,33 @@ def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
     return a > 0 if kind == "relu" else 1.0 - a * a
 
 
-def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass caching (input, activation) per layer; the backward needs
-    no pre-activation, so none is kept."""
-    cfg = state.config
+def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass keeping every layer's activation, ``[input, layer 1, ...,
+    representation]``; the backward needs no pre-activation, so none is kept."""
     a = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if a.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected input dim {cfg.input_dim}, got {a.shape[1]}")
-    cache = []
-    for i in range(len(cfg.hidden_dims)):
-        out = _activate(a @ state.params[f"enc{i}_w"] + state.params[f"enc{i}_b"], cfg.activation)
-        cache.append((a, out))
-        a = out
-    return a, cache
+    if a.shape[1] != state.config.input_dim:
+        raise ValueError(f"expected input dim {state.config.input_dim}, got {a.shape[1]}")
+    params, kind = state.params, state.config.activation
+    activations = [a]
+    for w_key, b_key in state.encoder_keys:
+        z = a @ params[w_key]
+        z += params[b_key]
+        a = _activate(z, kind)
+        activations.append(a)
+    return a, activations
 
 
-def encode(state: ModelState, x: np.ndarray) -> np.ndarray:
-    """Deterministic encoder forward; output length = last hidden dim."""
+def encode(state: ModelState, x: np.ndarray, activations: list | None = None) -> np.ndarray:
+    """Deterministic encoder forward; output length = last hidden dim.
+
+    ``activations``, when given a list, receives the forward's per-layer
+    activations (2-D, input first, output last), so that a ``BatchPart`` can
+    carry these rows into ``loss_and_grads`` instead of encoding them again.
+    """
     x = np.asarray(x, dtype=np.float64)
-    h, _ = _forward_encoder(state, x)
+    h, layers = _forward_encoder(state, x)
+    if activations is not None:
+        activations.extend(layers)
     return h[0] if x.ndim == 1 else h
 
 
@@ -197,25 +216,27 @@ def head_logits(state: ModelState, branch: str, h: np.ndarray) -> np.ndarray:
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
     h = np.asarray(h, dtype=np.float64)
-    w = state.params[f"head_{branch}_w"]
-    b = state.params[f"head_{branch}_b"]
+    w_key, b_key = _HEAD_KEYS[branch]
+    w = state.params[w_key]
     if h.shape[-1] != w.shape[0]:
         raise ValueError(f"expected representation dim {w.shape[0]}, got {h.shape[-1]}")
-    return h @ w + b
+    return h @ w + state.params[b_key]
 
 
 def _backprop_encoder(
-    state: ModelState, cache: list, d_h: np.ndarray, grads: dict[str, np.ndarray]
+    state: ModelState, activations: list[np.ndarray], d_h: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
-    cfg = state.config
+    """Add the encoder's parameter gradients for output gradient ``d_h`` into
+    ``grads``; ``d_h`` is overwritten."""
+    kind = state.config.activation
     delta = d_h
-    for i in reversed(range(len(cache))):
-        a_in, a_out = cache[i]
-        delta = delta * _activate_grad(a_out, cfg.activation)
-        grads[f"enc{i}_w"] += a_in.T @ delta
-        grads[f"enc{i}_b"] += delta.sum(axis=0)
+    for i in reversed(range(len(state.encoder_keys))):
+        w_key, b_key = state.encoder_keys[i]
+        delta *= _activate_grad(activations[i + 1], kind)
+        grads[w_key] += activations[i].T @ delta
+        grads[b_key] += delta.sum(axis=0)
         if i:  # the input needs no gradient
-            delta = delta @ state.params[f"enc{i}_w"].T
+            delta = delta @ state.params[w_key].T
 
 
 @dataclass
@@ -244,6 +265,9 @@ class BatchPart:
     ``log_prior`` None means plain cross-entropy. ``normalizer`` overrides the
     mean denominator (used for gated terms averaged over the full batch).
     Parts that pass the same ``inputs`` array object share its encoder rows.
+    ``activations``, when set, is an earlier forward of ``inputs`` on the same
+    parameters, one array per layer as ``encode`` fills it; the loss reads
+    those rows instead of encoding ``inputs`` again.
     """
 
     branch: str
@@ -252,6 +276,7 @@ class BatchPart:
     log_prior: np.ndarray | None = None
     synth: SynthPlan | None = None
     normalizer: int | None = None
+    activations: list[np.ndarray] | None = None
 
 
 def _xent_forward_backward(
@@ -269,20 +294,28 @@ def _xent_forward_backward(
 
 
 def loss_and_grads(
-    state: ModelState, parts: list[BatchPart]
+    state: ModelState, parts: list[BatchPart], grads: ParamVector | None = None
 ) -> tuple[float, list[float], dict[str, np.ndarray]]:
     """Exact analytic gradients of the summed per-part batch means.
 
     The distinct input arrays of ``parts`` are stacked into one encoder
-    forward; every part reads its rows (and its synthesized copies' origins)
-    from that block, adds its representation gradient into it, and one
-    encoder backward follows. Returns (total loss, per-part means, gradient
-    dict covering every parameter; entries for heads a part never touches
-    stay exactly zero).
+    forward, leaving out those whose first part carries ``activations``.
+    Every array's activations, new or carried, are then stacked in the order
+    the arrays first appear, so the one encoder backward sums over the same
+    rows in the same order whether or not an array was encoded here. Every
+    part reads its rows (and its synthesized copies' origins) from that
+    block and adds its representation gradient into it. Returns (total loss,
+    per-part means, gradient dict covering every parameter; entries for heads
+    a part never touches stay exactly zero). ``grads`` (the training loop
+    passes ``state.grads``) is zeroed and filled in place instead of a fresh
+    vector from ``state.zeros_like_params()``.
     """
-    grads = state.zeros_like_params()
+    if grads is None:
+        grads = state.zeros_like_params()
+    else:
+        grads.flat.fill(0.0)
     offsets: dict[int, int] = {}
-    blocks: list[np.ndarray] = []
+    blocks: list[tuple[np.ndarray, list[np.ndarray] | None]] = []
     spans: list[tuple[int, int] | None] = []
     n_rows = 0
     for part in parts:
@@ -292,56 +325,90 @@ def loss_and_grads(
             spans.append(None)
             continue
         x = np.atleast_2d(part.inputs)
+        if part.activations is not None and part.activations[-1].shape[0] != x.shape[0]:
+            raise ValueError("activations must hold one row per input row")
         if id(part.inputs) not in offsets:
             offsets[id(part.inputs)] = n_rows
-            blocks.append(x)
+            blocks.append((x, part.activations))
             n_rows += x.shape[0]
         spans.append((offsets[id(part.inputs)], x.shape[0]))
     if not blocks:
         return 0.0, [0.0] * len(parts), grads
 
-    h, cache = _forward_encoder(state, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
-    d_h = np.zeros_like(h)
-    part_means: list[float] = []
-    total = 0.0
-    for part, span in zip(parts, spans):
+    fresh = [x for x, carried in blocks if carried is None]
+    if fresh:
+        _, encoded = _forward_encoder(state, fresh[0] if len(fresh) == 1 else np.concatenate(fresh))
+    per_block, start = [], 0
+    for x, carried in blocks:
+        if carried is None:
+            carried = [a[start : start + x.shape[0]] for a in encoded]
+            start += x.shape[0]
+        per_block.append(carried)
+    layers = per_block[0] if len(per_block) == 1 else [np.concatenate(rows) for rows in zip(*per_block)]
+    h = layers[-1]
+    terms = []  # per part evaluated: (index, span of its rows, representations, synthesis)
+    logits, labels = [], []
+    for i, (part, span) in enumerate(zip(parts, spans)):
         if span is None:
-            part_means.append(0.0)
             continue
         start, n_plain = span
-        h_rows, d_rows = h[start : start + n_plain], d_h[start : start + n_plain]
-        labels = np.asarray(part.labels, dtype=np.int64)
-        plan = part.synth if part.synth is not None and len(part.synth) else None
-        if plan is not None:
+        h_rows = h[start : start + n_plain]
+        y = np.asarray(part.labels, dtype=np.int64)
+        synth = None
+        if part.synth is not None and len(part.synth):
+            plan = part.synth
             h0 = h_rows[plan.origin]
-            h_rows = np.concatenate([h_rows, synthesize(h0, plan.radii, plan.noise)])
-            labels = np.concatenate([labels, labels[plan.origin]])
-        denom = part.normalizer if part.normalizer is not None else h_rows.shape[0]
-        w_key, b_key = f"head_{part.branch}_w", f"head_{part.branch}_b"
-        head_w = state.params[w_key]
-        logits = h_rows @ head_w + state.params[b_key]
-        losses, d_logits = _xent_forward_backward(logits, labels, part.log_prior)
-        mean = float(losses.sum()) / denom
-        if not np.isfinite(mean):
+            norms = row_norms(h0)[:, None]
+            h_rows = np.concatenate([h_rows, synthesize(h0, plan.radii, plan.noise, norms)])
+            y = np.concatenate([y, y[plan.origin]])
+            synth = (plan, h0, norms)
+        w_key, b_key = _HEAD_KEYS[part.branch]
+        z = h_rows @ state.params[w_key]
+        z += state.params[b_key]
+        if part.log_prior is not None:
+            z += part.log_prior
+        terms.append((i, span, h_rows, synth))
+        logits.append(z)
+        labels.append(y)
+    # the softmax works row by row, so one pass over the rows of every part
+    # gives each row the bits that a pass over its own part would
+    losses, d_all = _xent_forward_backward(np.concatenate(logits), np.concatenate(labels), None)
+    d_h = np.zeros_like(h)
+    part_means = [0.0] * len(parts)
+    row = 0
+    for i, (start, n_plain), h_rows, synth in terms:
+        n = h_rows.shape[0]
+        denom = parts[i].normalizer if parts[i].normalizer is not None else n
+        mean = float(losses[row : row + n].sum()) / denom
+        if not math.isfinite(mean):
             raise NonFiniteLossError("loss is not finite")
-        part_means.append(mean)
-        total += mean
+        part_means[i] = mean
+        d_logits = d_all[row : row + n]
+        row += n
         d_logits /= denom
+        w_key, b_key = _HEAD_KEYS[parts[i].branch]
+        head_w = state.params[w_key]
         grads[w_key] += h_rows.T @ d_logits
         grads[b_key] += d_logits.sum(axis=0)
         d_out = d_logits @ head_w.T
+        d_rows = d_h[start : start + n_plain]
         d_rows += d_out[:n_plain]
-        if plan is not None:
+        if synth is not None:
             # Jacobian of h' = h + (h/||h||) * (r * noise) w.r.t. h:
             #   d_h = d_hp + r*(noise . d_hp)/||h|| - h * (h . (r*noise . d_hp)) / ||h||^3
+            plan, h0, norms = synth
             d_hp = d_out[n_plain:]
             u = plan.noise * d_hp
             r = plan.radii[:, None]
-            inner = np.sum(h0 * u, axis=1, keepdims=True)
-            norms = np.linalg.norm(h0, axis=1, keepdims=True)
-            np.add.at(d_rows, plan.origin, d_hp + r * u / norms - h0 * (r * inner / norms**3))
-    _backprop_encoder(state, cache, d_h, grads)
-    return total, part_means, grads
+            inner = np.add.reduce(h0 * u, axis=1, keepdims=True)
+            d_h0 = d_hp + r * u / norms - h0 * (r * inner / norms**3)
+            # scatter-add by origin over the flat rows: the same additions in
+            # the same order as np.add.at(d_rows, plan.origin, d_h0), faster
+            width = d_h0.shape[1]
+            cells = (plan.origin[:, None] * width + np.arange(width)).ravel()
+            np.add.at(d_rows.reshape(-1), cells, d_h0.reshape(-1))
+    _backprop_encoder(state, layers, d_h, grads)
+    return sum(part_means), part_means, grads
 
 
 def sgd_step(
@@ -351,9 +418,10 @@ def sgd_step(
 
     buffer <- momentum*buffer + grad + weight_decay*param, then
     param <- param - lr*buffer. Weight decay skips biases. ``grads`` must
-    come from ``state.zeros_like_params()``: the update runs on the flat
-    vectors. The step is atomic: the new parameters and buffers are built as
-    fresh vectors and swapped in only once every new parameter is finite;
+    come from ``state.zeros_like_params()`` (or be ``state.grads``): the
+    update runs on the flat vectors, and ``grads`` is only read. The step is
+    atomic: the new parameters and buffers are written into the state's spare
+    vectors and swapped in only once every new parameter is finite;
     otherwise it raises ``NonFiniteLossError`` and leaves ``state`` untouched.
     """
     if lr <= 0:
@@ -361,17 +429,25 @@ def sgd_step(
     g = getattr(grads, "flat", None)
     if g is None or g.shape != (state.size,):
         raise TypeError("grads must come from ModelState.zeros_like_params()")
-    param = state.params.flat
+    new_params, new_momentum = state._spare
+    param, new, buf = state.params.flat, new_params.flat, new_momentum.flat
+    np.multiply(state.momentum.flat, opt.momentum, out=buf)
     if opt.weight_decay:
-        g = g.copy()
-        g[: state.decayed] += opt.weight_decay * param[: state.decayed]
-    buf = state.momentum.flat * opt.momentum
-    buf += g
-    new = param - lr * buf
+        # grad + weight_decay*param first (``new`` holds it), as one sum per entry
+        d = state.decayed
+        np.multiply(param[:d], opt.weight_decay, out=new[:d])
+        new[:d] += g[:d]
+        buf[:d] += new[:d]
+        buf[d:] += g[d:]
+    else:
+        buf += g
+    np.multiply(buf, lr, out=new)
+    np.subtract(param, new, out=new)
     if not np.isfinite(new).all():
-        bad = next(name for name, v in state.views(new).items() if not np.isfinite(v).all())
+        bad = next(name for name, v in new_params.items() if not np.isfinite(v).all())
         raise NonFiniteLossError(f"non-finite update in parameter {bad}")
-    state.params, state.momentum = state.views(new), state.views(buf)
+    state._spare = (state.params, state.momentum)
+    state.params, state.momentum = new_params, new_momentum
     return state
 
 

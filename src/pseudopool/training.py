@@ -42,7 +42,7 @@ from .datasets import (
     strong_view_batch,
     weak_view_batch,
 )
-from .losses import ClassPrior, softmax
+from .losses import ClassPrior, softmax, top_class
 from .network import (
     BatchPart,
     ModelConfig,
@@ -322,6 +322,8 @@ def _run(
     else:
         pool = update_pool(pool, run.labels, uview)
     prior = class_distribution(pool)
+    log_pi = prior.log if adjusted else None
+    minority = minority_classes(pool.phi)
 
     b_l = config.labeled_batch
     b_u = config.unlabeled_batch
@@ -341,17 +343,19 @@ def _run(
                 x_u = uview.features[u_rows]
                 weak_u = weak_view_batch(x_u, policy, run.rngs["views"])
                 strong_u = strong_view_batch(x_u, policy, run.rngs["views"])
-                # one forward serves every reader of the batch (only the filter
-                # reads the strong view); it is dropped once read, since holding
-                # it through the pool update raised the peak RSS of wide runs
-                h_u = encode(run.state, np.concatenate([weak_u, strong_u]) if cycle_active else weak_u)
+                # one forward of [weak; strong] serves every reader of the batch:
+                # the filter reads both views, the pseudo-labels the weak one,
+                # and the loss's strong-view part carries the strong rows'
+                # activations instead of encoding them again
+                layers: list[np.ndarray] = []
+                h_u = encode(run.state, np.concatenate([weak_u, strong_u]), layers)
+                strong_layers = [a[b_u:] for a in layers]
                 if cycle_active:
                     vpb = predict_views(run.state, h_u)
                 if config.use_aux_branch:
                     aux_pseudo = np.argmax(head_logits(run.state, "auxiliary", h_u[:b_u]), axis=1)
                 if gated_consistency:
-                    weak_probs = softmax(head_logits(run.state, "primary", h_u[:b_u]))
-                del h_u
+                    weak_labels, weak_confs = top_class(softmax(head_logits(run.state, "primary", h_u[:b_u])))
 
             if cycle_active:
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
@@ -360,40 +364,47 @@ def _run(
                     run.registry.record_vote(row, label)
                 # only the rows voted on this step can change their resolution
                 resolved = run.registry.resolve(config.min_votes, config.majority_frac, rows=voted)
+                before = run.labels[voted]
                 if config.freeze_resolved:
                     # grow-only variant: once assigned, a row keeps its label
                     merge_grow_only(run.labels, resolved, voted)
                 else:
                     run.labels = resolved
-                pool = update_pool(pool, run.labels, uview)
-                prior = class_distribution(pool)
+                # the pool, its prior and its minority classes follow from the
+                # label vector alone, so a step that changed no label keeps them
+                if (run.labels[voted] != before).any():
+                    pool = update_pool(pool, run.labels, uview)
+                    prior = class_distribution(pool)
+                    log_pi = prior.log if adjusted else None
+                    minority = minority_classes(pool.phi)
 
             rows = run.rngs["labeled"].integers(0, pool.size, size=b_l)
             x_b, y_b = pool.take(rows)
-            log_pi = prior.log if adjusted else None
 
             primary = BatchPart("primary", x_b, y_b, log_pi)
             if synth_active:
-                reps = encode(run.state, x_b)
+                # the class stats' forward of x_b also serves the loss
+                primary.activations = []
+                reps = encode(run.state, x_b, primary.activations)
                 update_class_stats(run.stats, reps, y_b, config.ema_decay)
-                plan = plan_synthesis(y_b, minority_classes(pool.phi), run.stats, run.rngs["synth"])
+                plan = plan_synthesis(y_b, minority, run.stats, run.rngs["synth"])
                 if plan is not None:
                     origin, radii, noise = plan
                     primary.synth = SynthPlan(origin, radii, noise)
             parts = [primary]
 
             if config.use_aux_branch:
-                parts.append(BatchPart("auxiliary", x_b, y_b, log_pi))
-                parts.append(BatchPart("auxiliary", strong_u, aux_pseudo, None))
+                parts.append(BatchPart("auxiliary", x_b, y_b, log_pi, activations=primary.activations))
+                parts.append(BatchPart("auxiliary", strong_layers[0], aux_pseudo, None, activations=strong_layers))
 
             if gated_consistency:
-                keep = np.max(weak_probs, axis=1) > config.confidence_threshold
+                keep = weak_confs > config.confidence_threshold
                 if keep.any():
-                    pseudo = np.argmax(weak_probs, axis=1)[keep]
-                    parts.append(BatchPart("primary", strong_u[keep], pseudo, None, normalizer=b_u))
+                    kept = [a[keep] for a in strong_layers]
+                    parts.append(BatchPart("primary", kept[0], weak_labels[keep], None, normalizer=b_u, activations=kept))
 
             try:
-                _, part_means, grads = loss_and_grads(run.state, parts)
+                _, part_means, grads = loss_and_grads(run.state, parts, run.state.grads)
             except NonFiniteLossError as exc:
                 raise TrainingDiverged(epoch, step, str(exc)) from exc
             sgd_step(run.state, grads, run.opt, cosine_lr(run.global_step, run.opt))
@@ -403,6 +414,9 @@ def _run(
             aux_sum += sum(part_means[1:])
             if step_callback is not None:
                 step_callback(StepInfo(epoch, step, run.global_step, pool, prior))
+            # release this step's activations before the next step's forward
+            # allocates its own; holding both raised peak RSS by about 0.5%
+            parts = primary = layers = strong_layers = h_u = None
 
         if gated_consistency:
             run.labels = metrics_mod.threshold_assignments(
@@ -459,8 +473,7 @@ def predict_views(state: ModelState, reps: np.ndarray) -> ViewPredictionBatch:
     ``reps`` is the encoding of the stacked ``[weak; strong]`` block, one
     forward for both views: its first half holds the weak rows.
     """
-    probs = softmax(head_logits(state, "primary", reps))
-    labels, confs = np.argmax(probs, axis=1), np.max(probs, axis=1)
+    labels, confs = top_class(softmax(head_logits(state, "primary", reps)))
     n = reps.shape[0] // 2
     return ViewPredictionBatch(
         labels_weak=labels[:n], confs_weak=confs[:n], labels_strong=labels[n:], confs_strong=confs[n:]

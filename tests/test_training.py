@@ -135,22 +135,27 @@ class TestTrainingRun:
         train(fast_config(total_epochs=10), tiny_splits, step_callback=callback)
         assert checks and max(checks) == 0
 
-    def test_post_warmup_cpg_step_makes_three_forwards_and_one_backward(self, tiny_splits, monkeypatch):
-        # the unlabeled views share one forward, x_b gets one for the class
-        # stats, and one stacked loss pass (synthesis included) ends in one backward
+    def test_post_warmup_cpg_step_encodes_no_row_twice_and_makes_one_backward(self, tiny_splits, monkeypatch):
+        # the filter's [weak; strong] forward also serves the loss's strong-view
+        # part, and the class stats' forward of x_b serves the loss's x_b parts,
+        # so a step encodes each of its 2*b_u view rows and b_l labeled rows
+        # once; one stacked loss pass, synthesis included, ends in one backward
         calls = Counter()
+        forward = pseudopool.network._forward_encoder
 
-        def counted(name):
+        def counted_forward(state, x):
+            calls["rows"] += np.atleast_2d(x).shape[0]
+            return forward(state, x)
+
+        monkeypatch.setattr(pseudopool.network, "_forward_encoder", counted_forward)
+        for name in ("_backprop_encoder", "synthesize"):
             fn = getattr(pseudopool.network, name)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+            def wrapper(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
 
             monkeypatch.setattr(pseudopool.network, name, wrapper)
-
-        for name in ("_forward_encoder", "_backprop_encoder", "synthesize"):
-            counted(name)
         per_step = []
 
         def callback(info):
@@ -162,7 +167,8 @@ class TestTrainingRun:
         # the first step of an epoch also carries the previous epoch's evaluation
         cycle_steps = [c for epoch, step, c in per_step if epoch > cfg.warmup_epochs and step > 1]
         assert cycle_steps
-        assert all(c["_forward_encoder"] <= 3 and c["_backprop_encoder"] == 1 for c in cycle_steps)
+        bound = 2 * cfg.unlabeled_batch + cfg.labeled_batch
+        assert all(c["rows"] <= bound and c["_backprop_encoder"] == 1 for c in cycle_steps)
         assert sum(c.get("synthesize", 0) for c in cycle_steps) > 0
 
     def test_divergence_raises_with_location(self, tiny_splits):
