@@ -22,7 +22,7 @@ from pathlib import Path
 from . import experiments
 from .datasets import generate_splits, save_splits
 from .experiments import ConfigError, OUTPUT_ROOT_ENV
-from .network import atomic_open
+from .records import atomic_open
 from .training import TrainingDiverged
 
 

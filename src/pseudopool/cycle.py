@@ -110,27 +110,38 @@ class PseudoRegistry:
             self.resolved[rows] = np.where(ok, modal, -1)
         return self.resolved.copy()
 
-    def snapshot(self) -> dict:
-        """JSON-ready export: per id, vote counts, resolved label, first epoch."""
+    def snapshot(self) -> RegistrySnapshot:
+        """The registry as ``registry.json`` holds it: per id with a vote or a
+        label, its vote counts by class, resolved label and first vote epoch."""
         entries = {}
         for pos, sid in enumerate(self.ids):
-            counts = {
-                int(c): int(v) for c, v in enumerate(self.votes[pos]) if v > 0
-            }
+            counts = {str(c): int(v) for c, v in enumerate(self.votes[pos]) if v > 0}
             if not counts and self.resolved[pos] < 0:
                 continue
-            entries[str(int(sid))] = {
-                "votes": counts,
-                "resolved": int(self.resolved[pos]) if self.resolved[pos] >= 0 else None,
-                "first_vote_epoch": int(self.first_vote_epoch[pos])
-                if self.first_vote_epoch[pos] >= 0
-                else None,
-            }
-        return {
-            "num_classes": self.num_classes,
-            "epoch": self.current_epoch,
-            "entries": entries,
-        }
+            resolved, first = int(self.resolved[pos]), int(self.first_vote_epoch[pos])
+            entries[str(int(sid))] = RegistryEntry(
+                counts, resolved if resolved >= 0 else None, first if first >= 0 else None
+            )
+        return RegistrySnapshot(self.num_classes, self.current_epoch, entries)
+
+
+@dataclass
+class RegistryEntry:
+    """One id of a registry snapshot; ``votes`` maps a class, as a string, to
+    its count."""
+
+    votes: dict[str, int]
+    resolved: int | None
+    first_vote_epoch: int | None
+
+
+@dataclass
+class RegistrySnapshot:
+    """``registry.json``: the vote registry of one seed at the end of its run."""
+
+    num_classes: int
+    epoch: int
+    entries: dict[str, RegistryEntry]
 
 
 class LabeledPool:

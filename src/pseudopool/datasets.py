@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import atomic_open, from_mapping
+from .records import atomic_open, from_mapping
 
 LABELED_SHAPES = ("long_tailed", "arbitrary")
 UNLABELED_SHAPES = ("consistent", "inverse", "uniform", "arbitrary")

@@ -18,9 +18,10 @@ import numpy as np
 import yaml
 
 from . import training
+from .cycle import RegistrySnapshot
 from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits
 from .metrics import welch_t_test
-from .network import ConfigError, atomic_open, from_mapping
+from .records import ConfigError, atomic_open, from_mapping
 from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -145,24 +146,6 @@ class RunSummary:
     metrics: SummaryMetrics
 
 
-@dataclass
-class RegistryEntry:
-    """One id of a ``registry.json`` snapshot (``PseudoRegistry.snapshot``)."""
-
-    votes: dict[str, int]
-    resolved: int | None
-    first_vote_epoch: int | None
-
-
-@dataclass
-class RegistrySnapshot:
-    """``registry.json``: the vote registry of one seed at the end of its run."""
-
-    num_classes: int
-    epoch: int
-    entries: dict[str, RegistryEntry]
-
-
 def _read_record(cls, path: Path):
     """``cls`` read back from the JSON file ``path``; a malformed file raises
     ``ConfigError`` naming the file and the dotted field."""
@@ -212,7 +195,7 @@ def run_experiment(
         paths.append(seed_dir / "history.jsonl")
         if history.registry is not None:
             with atomic_open(seed_dir / "registry.json", "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(history.registry.snapshot(), indent=2, sort_keys=True))
+                fh.write(json.dumps(asdict(history.registry.snapshot()), indent=2, sort_keys=True))
             paths.append(seed_dir / "registry.json")
         if config.method == "cpg" and config.train.use_synthesis:
             stats_path = seed_dir / "class_stats.csv"

@@ -4,24 +4,19 @@ The forward pass, the backward pass, and the optimizer are written out in
 numpy (float64 throughout) so every gradient can be checked against central
 finite differences. A loss is described as a list of ``BatchPart`` objects;
 each part is a batch-mean term routed to one head, optionally extended by
-synthesized representations of some of its own rows. ``loss_and_grads``
-encodes the distinct input arrays of all parts in one stacked forward (a part
-may instead carry the activations of an earlier forward of its rows), builds
-the synthesized copies from those same representations (so they stay
-differentiable in the encoder parameters; the noise and radii are constants
-of the step) and runs one encoder backward.
+synthesized representations of some of its own rows, and carries the
+per-layer activations of the forward that ``encode`` made of its rows.
+``loss_and_grads`` runs no forward of its own: it stacks the distinct
+activation lists of its parts, builds the synthesized copies from those same
+representations (so they stay differentiable in the encoder parameters; the
+noise and radii are constants of the step), runs one encoder backward into
+the state's gradient vector, and ``sgd_step`` reads that vector.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-import types
-import typing
-from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,10 +80,10 @@ class OptimizerConfig:
 class ParamVector(dict):
     """Named views into one contiguous float64 vector, ``flat``.
 
-    The parameters, the momentum buffers and every gradient from
-    ``ModelState.zeros_like_params`` take this form, so the optimizer updates
-    each of them as one vector. Write into a view in place; rebinding a name
-    to another array would leave it out of ``flat``.
+    The parameters, the momentum buffers and the gradient of a ``ModelState``
+    take this form, so the optimizer updates each of them as one vector.
+    Write into a view in place; rebinding a name to another array would
+    leave it out of ``flat``.
     """
 
     def __init__(self, flat: np.ndarray, layout: list[tuple[str, int, int, tuple[int, ...]]]):
@@ -114,9 +109,9 @@ class ModelState:
     covers the first ``decayed`` entries.
 
     The state is also a training step's workspace, with every view built
-    once: ``grads`` is the gradient vector the training loop has
-    ``loss_and_grads`` fill, and ``sgd_step`` writes the updated parameters
-    and momentum into a spare pair of vectors and swaps them in.
+    once: ``grads`` is the one gradient vector. ``loss_and_grads`` fills it
+    and ``sgd_step`` reads it, writing the updated parameters and momentum
+    into a spare pair of vectors that it then swaps in.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
@@ -197,17 +192,17 @@ def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list
     return a, activations
 
 
-def encode(state: ModelState, x: np.ndarray, activations: list | None = None) -> np.ndarray:
+def encode(state: ModelState, x: np.ndarray, layers: list | None = None) -> np.ndarray:
     """Deterministic encoder forward; output length = last hidden dim.
 
-    ``activations``, when given a list, receives the forward's per-layer
-    activations (2-D, input first, output last), so that a ``BatchPart`` can
-    carry these rows into ``loss_and_grads`` instead of encoding them again.
+    ``layers``, when given a list, receives the forward's per-layer
+    activations (2-D, input first, output last): the rows a ``BatchPart``
+    hands to ``loss_and_grads``.
     """
     x = np.asarray(x, dtype=np.float64)
-    h, layers = _forward_encoder(state, x)
-    if activations is not None:
-        activations.extend(layers)
+    h, activations = _forward_encoder(state, x)
+    if layers is not None:
+        layers.extend(activations)
     return h[0] if x.ndim == 1 else h
 
 
@@ -262,21 +257,24 @@ class SynthPlan:
 class BatchPart:
     """One batch-mean loss term routed to a single head.
 
-    ``log_prior`` None means plain cross-entropy. ``normalizer`` overrides the
-    mean denominator (used for gated terms averaged over the full batch).
-    Parts that pass the same ``inputs`` array object share its encoder rows.
-    ``activations``, when set, is an earlier forward of ``inputs`` on the same
-    parameters, one array per layer as ``encode`` fills it; the loss reads
-    those rows instead of encoding ``inputs`` again.
+    ``layers`` is a forward of the part's rows on the current parameters, one
+    array per layer as ``encode`` fills it; parts that pass the same list
+    object share its rows. ``log_prior`` None means plain cross-entropy.
+    ``normalizer`` overrides the mean denominator (used for gated terms
+    averaged over the full batch).
     """
 
     branch: str
-    inputs: np.ndarray
+    layers: list[np.ndarray]
     labels: np.ndarray
     log_prior: np.ndarray | None = None
     synth: SynthPlan | None = None
     normalizer: int | None = None
-    activations: list[np.ndarray] | None = None
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The part's input rows, the first of its ``layers``."""
+        return self.layers[0]
 
 
 def _xent_forward_backward(
@@ -293,29 +291,21 @@ def _xent_forward_backward(
     return losses, d_logits
 
 
-def loss_and_grads(
-    state: ModelState, parts: list[BatchPart], grads: ParamVector | None = None
-) -> tuple[float, list[float], dict[str, np.ndarray]]:
-    """Exact analytic gradients of the summed per-part batch means.
+def loss_and_grads(state: ModelState, parts: list[BatchPart]) -> tuple[float, list[float]]:
+    """Exact analytic gradients of the summed per-part batch means, written
+    into ``state.grads``.
 
-    The distinct input arrays of ``parts`` are stacked into one encoder
-    forward, leaving out those whose first part carries ``activations``.
-    Every array's activations, new or carried, are then stacked in the order
-    the arrays first appear, so the one encoder backward sums over the same
-    rows in the same order whether or not an array was encoded here. Every
-    part reads its rows (and its synthesized copies' origins) from that
-    block and adds its representation gradient into it. Returns (total loss,
-    per-part means, gradient dict covering every parameter; entries for heads
-    a part never touches stay exactly zero). ``grads`` (the training loop
-    passes ``state.grads``) is zeroed and filled in place instead of a fresh
-    vector from ``state.zeros_like_params()``.
+    The distinct ``layers`` lists of ``parts`` are stacked in the order they
+    first appear, so the one encoder backward runs over every row once. Every
+    part reads its rows (and its synthesized copies' origins) from that block
+    and adds its representation gradient into it. ``state.grads`` is zeroed
+    and then covers every parameter; entries for heads no part touches stay
+    exactly zero. Returns (total loss, per-part means).
     """
-    if grads is None:
-        grads = state.zeros_like_params()
-    else:
-        grads.flat.fill(0.0)
+    grads = state.grads
+    grads.flat.fill(0.0)
     offsets: dict[int, int] = {}
-    blocks: list[tuple[np.ndarray, list[np.ndarray] | None]] = []
+    blocks: list[list[np.ndarray]] = []
     spans: list[tuple[int, int] | None] = []
     n_rows = 0
     for part in parts:
@@ -324,27 +314,16 @@ def loss_and_grads(
         if part.inputs.size == 0 or (part.normalizer is not None and part.normalizer <= 0):
             spans.append(None)
             continue
-        x = np.atleast_2d(part.inputs)
-        if part.activations is not None and part.activations[-1].shape[0] != x.shape[0]:
-            raise ValueError("activations must hold one row per input row")
-        if id(part.inputs) not in offsets:
-            offsets[id(part.inputs)] = n_rows
-            blocks.append((x, part.activations))
-            n_rows += x.shape[0]
-        spans.append((offsets[id(part.inputs)], x.shape[0]))
+        n = part.inputs.shape[0]
+        if id(part.layers) not in offsets:
+            offsets[id(part.layers)] = n_rows
+            blocks.append(part.layers)
+            n_rows += n
+        spans.append((offsets[id(part.layers)], n))
     if not blocks:
-        return 0.0, [0.0] * len(parts), grads
+        return 0.0, [0.0] * len(parts)
 
-    fresh = [x for x, carried in blocks if carried is None]
-    if fresh:
-        _, encoded = _forward_encoder(state, fresh[0] if len(fresh) == 1 else np.concatenate(fresh))
-    per_block, start = [], 0
-    for x, carried in blocks:
-        if carried is None:
-            carried = [a[start : start + x.shape[0]] for a in encoded]
-            start += x.shape[0]
-        per_block.append(carried)
-    layers = per_block[0] if len(per_block) == 1 else [np.concatenate(rows) for rows in zip(*per_block)]
+    layers = blocks[0] if len(blocks) == 1 else [np.concatenate(rows) for rows in zip(*blocks)]
     h = layers[-1]
     terms = []  # per part evaluated: (index, span of its rows, representations, synthesis)
     logits, labels = [], []
@@ -408,27 +387,23 @@ def loss_and_grads(
             cells = (plan.origin[:, None] * width + np.arange(width)).ravel()
             np.add.at(d_rows.reshape(-1), cells, d_h0.reshape(-1))
     _backprop_encoder(state, layers, d_h, grads)
-    return sum(part_means), part_means, grads
+    return sum(part_means), part_means
 
 
-def sgd_step(
-    state: ModelState, grads: ParamVector, opt: OptimizerConfig, lr: float
-) -> ModelState:
-    """One SGD-with-momentum update of ``state``; returns the updated state.
+def sgd_step(state: ModelState, opt: OptimizerConfig, lr: float) -> ModelState:
+    """One SGD-with-momentum update of ``state`` by the gradient in
+    ``state.grads``; returns the updated state.
 
     buffer <- momentum*buffer + grad + weight_decay*param, then
-    param <- param - lr*buffer. Weight decay skips biases. ``grads`` must
-    come from ``state.zeros_like_params()`` (or be ``state.grads``): the
-    update runs on the flat vectors, and ``grads`` is only read. The step is
-    atomic: the new parameters and buffers are written into the state's spare
+    param <- param - lr*buffer. Weight decay skips biases. The update runs on
+    the flat vectors, and ``state.grads`` is only read. The step is atomic:
+    the new parameters and buffers are written into the state's spare
     vectors and swapped in only once every new parameter is finite;
     otherwise it raises ``NonFiniteLossError`` and leaves ``state`` untouched.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
-    g = getattr(grads, "flat", None)
-    if g is None or g.shape != (state.size,):
-        raise TypeError("grads must come from ModelState.zeros_like_params()")
+    g = state.grads.flat
     new_params, new_momentum = state._spare
     param, new, buf = state.params.flat, new_params.flat, new_momentum.flat
     np.multiply(state.momentum.flat, opt.momentum, out=buf)
@@ -458,84 +433,3 @@ def cosine_lr(t: int, opt: OptimizerConfig) -> float:
     if t < 0 or t > opt.total_steps:
         raise ValueError(f"step {t} outside [0, {opt.total_steps}]")
     return opt.base_lr * float(np.cos(7.0 * np.pi * t / (16.0 * opt.total_steps)))
-
-
-@contextmanager
-def atomic_open(path: str | Path, mode: str = "w", **kwargs):
-    """A file written beside ``path`` and renamed over it once the block ends:
-    a write that fails leaves the previous ``path`` as it was and no temporary
-    file behind. ``kwargs`` go to ``open`` (``encoding``, ``newline``)."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-class ConfigError(ValueError):
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname}: {message}")
-        self.fieldname = fieldname
-
-
-def from_mapping(cls, data, path: str = ""):
-    """Build dataclass ``cls`` from a parsed YAML or JSON mapping; the one
-    reader of every config and record read back from a file.
-
-    Omitted fields take their defaults. An unknown field, a missing required
-    one, a value of the wrong type or a ``ValueError`` from ``cls`` itself
-    raises ``ConfigError`` named by its dotted path (``train.optimizer.base_lr``;
-    ``path`` prefixes it). A bool is not an int; an int passes for a float and
-    stays an int; a list (or a tuple, as ``asdict`` leaves it) fills a
-    ``list[...]`` or ``tuple[..., ...]``; a mapping fills a nested dataclass
-    or a ``dict[str, ...]``, whose values are named ``path.key``; ``X | None``
-    accepts null.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(path or "<root>", f"expected a mapping, got {_kind(data)}")
-    prefix = f"{path}." if path else ""
-    hints = typing.get_type_hints(cls)
-    for key in data:
-        if key not in hints:
-            raise ConfigError(prefix + str(key), "unknown field")
-    for f in fields(cls):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(prefix + f.name, "field is required")
-    values = {key: _typed(hints[key], value, prefix + key) for key, value in data.items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(path or "<root>", str(exc)) from None
-
-
-def _typed(hint, value, path: str):
-    """``value`` checked against the type ``hint``, with lists made tuples
-    and mappings made dataclasses where the hint asks for them."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:  # X | None
-        return None if value is None else _typed(args[0], value, path)
-    if is_dataclass(hint):
-        return from_mapping(hint, value, path)
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(path, f"expected a list, got {_kind(value)}")
-        items = [_typed(args[0], item, path) for item in value]
-        return items if origin is list else tuple(items)
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(path, f"expected a mapping, got {_kind(value)}")
-        return {_typed(args[0], k, path): _typed(args[1], v, f"{path}.{k}") for k, v in value.items()}
-    expected = origin or hint
-    if type(value) is expected or (expected is float and type(value) is int):
-        return value
-    raise ConfigError(path, f"expected {expected.__name__}, got {_kind(value)}")
-
-
-def _kind(value) -> str:
-    return "null" if value is None else type(value).__name__

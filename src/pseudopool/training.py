@@ -50,16 +50,15 @@ from .network import (
     NonFiniteLossError,
     OptimizerConfig,
     SynthPlan,
-    atomic_open,
     cosine_lr,
     encode,
-    from_mapping,
     head_logits,
     init,
     loss_and_grads,
     sgd_step,
     validate_architecture,
 )
+from .records import atomic_open, from_mapping
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
 STREAM_NAMES = ("labeled", "unlabeled", "views", "synth", "audit")
@@ -345,8 +344,7 @@ def _run(
                 strong_u = strong_view_batch(x_u, policy, run.rngs["views"])
                 # one forward of [weak; strong] serves every reader of the batch:
                 # the filter reads both views, the pseudo-labels the weak one,
-                # and the loss's strong-view part carries the strong rows'
-                # activations instead of encoding them again
+                # and the loss's strong-view parts the strong rows' layers
                 layers: list[np.ndarray] = []
                 h_u = encode(run.state, np.concatenate([weak_u, strong_u]), layers)
                 strong_layers = [a[b_u:] for a in layers]
@@ -381,33 +379,32 @@ def _run(
             rows = run.rngs["labeled"].integers(0, pool.size, size=b_l)
             x_b, y_b = pool.take(rows)
 
-            primary = BatchPart("primary", x_b, y_b, log_pi)
+            # one forward of x_b serves the class stats and the loss's x_b parts
+            b_layers: list[np.ndarray] = []
+            reps = encode(run.state, x_b, b_layers)
+            primary = BatchPart("primary", b_layers, y_b, log_pi)
             if synth_active:
-                # the class stats' forward of x_b also serves the loss
-                primary.activations = []
-                reps = encode(run.state, x_b, primary.activations)
                 update_class_stats(run.stats, reps, y_b, config.ema_decay)
                 plan = plan_synthesis(y_b, minority, run.stats, run.rngs["synth"])
                 if plan is not None:
-                    origin, radii, noise = plan
-                    primary.synth = SynthPlan(origin, radii, noise)
+                    primary.synth = SynthPlan(*plan)
             parts = [primary]
 
             if config.use_aux_branch:
-                parts.append(BatchPart("auxiliary", x_b, y_b, log_pi, activations=primary.activations))
-                parts.append(BatchPart("auxiliary", strong_layers[0], aux_pseudo, None, activations=strong_layers))
+                parts.append(BatchPart("auxiliary", b_layers, y_b, log_pi))
+                parts.append(BatchPart("auxiliary", strong_layers, aux_pseudo, None))
 
             if gated_consistency:
                 keep = weak_confs > config.confidence_threshold
                 if keep.any():
                     kept = [a[keep] for a in strong_layers]
-                    parts.append(BatchPart("primary", kept[0], weak_labels[keep], None, normalizer=b_u, activations=kept))
+                    parts.append(BatchPart("primary", kept, weak_labels[keep], None, normalizer=b_u))
 
             try:
-                _, part_means, grads = loss_and_grads(run.state, parts, run.state.grads)
+                _, part_means = loss_and_grads(run.state, parts)
             except NonFiniteLossError as exc:
                 raise TrainingDiverged(epoch, step, str(exc)) from exc
-            sgd_step(run.state, grads, run.opt, cosine_lr(run.global_step, run.opt))
+            sgd_step(run.state, run.opt, cosine_lr(run.global_step, run.opt))
             run.global_step += 1
 
             primary_sum += part_means[0]
@@ -416,7 +413,7 @@ def _run(
                 step_callback(StepInfo(epoch, step, run.global_step, pool, prior))
             # release this step's activations before the next step's forward
             # allocates its own; holding both raised peak RSS by about 0.5%
-            parts = primary = layers = strong_layers = h_u = None
+            parts = primary = layers = strong_layers = b_layers = reps = h_u = None
 
         if gated_consistency:
             run.labels = metrics_mod.threshold_assignments(

@@ -110,8 +110,8 @@ class TestExactCriteria:
                         hidden=(int(rng.integers(3, 7)), int(rng.integers(3, 6))),
                     )
                 )
-                parts = random_parts(state, rng, with_synth=with_synth, with_aux=True)
-                worst = max(worst, finite_difference_check(state, parts))
+                build = random_parts(state, rng, with_synth=with_synth, with_aux=True)
+                worst = max(worst, finite_difference_check(state, build))
                 configs += 1
         report(1, "gradient fidelity", configs >= 20 and worst < 1e-4,
                f"{configs} configs, max rel err {worst:.2e}")

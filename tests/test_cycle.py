@@ -162,14 +162,13 @@ class TestRegistry:
     def test_first_vote(self):
         reg = PseudoRegistry(np.array([10, 11]), num_classes=4)
         reg.record_vote(0, 2)  # row 0 holds id 10
-        snap = reg.snapshot()["entries"]["10"]
-        assert snap["votes"] == {2: 1}
+        assert reg.snapshot().entries["10"].votes == {"2": 1}
 
     def test_vote_stream_accumulates(self):
         reg = PseudoRegistry(np.array([5]), num_classes=4)
         for label in (2, 2, 3):
             reg.record_vote(0, label)
-        assert reg.snapshot()["entries"]["5"]["votes"] == {2: 2, 3: 1}
+        assert reg.snapshot().entries["5"].votes == {"2": 2, "3": 1}
 
     def test_unknown_id_rejected(self):
         reg = PseudoRegistry(np.array([1, 2]), num_classes=3)

@@ -25,7 +25,7 @@ from pseudopool.datasets import (
     strong_view_batch,
     weak_view_batch,
 )
-from pseudopool.network import ConfigError
+from pseudopool.records import ConfigError
 
 from conftest import tiny_spec
 

@@ -9,13 +9,12 @@ import pytest
 import yaml
 
 from pseudopool.cli import main
+from pseudopool.cycle import RegistryEntry, RegistrySnapshot
 from pseudopool.experiments import (
     SUMMARY_METRICS,
     ConfigError,
     ExperimentConfig,
     MetricSummary,
-    RegistryEntry,
-    RegistrySnapshot,
     RunSummary,
     SummaryMetrics,
     compare_runs,
@@ -25,7 +24,8 @@ from pseudopool.experiments import (
     run_experiment,
 )
 from pseudopool.datasets import DatasetSpec, generate_splits
-from pseudopool.network import ModelConfig, OptimizerConfig, from_mapping
+from pseudopool.network import ModelConfig, OptimizerConfig
+from pseudopool.records import from_mapping
 from pseudopool.training import (
     EpochReport,
     Losses,

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudopool.losses import ClassPrior, log_softmax
-from pseudopool.network import BatchPart, ModelConfig, _xent_forward_backward, init, loss_and_grads
+from pseudopool.network import ModelConfig, _xent_forward_backward, init, loss_and_grads
+
+from test_network import encoded_part
 
 
 def uniform_prior(c):
@@ -143,21 +145,23 @@ class TestOverallLoss:
 
     def test_primary_only(self):
         prior, x, y = random_batch(self.state, self.rng)
-        total, means, grads = loss_and_grads(self.state, [BatchPart("primary", x, y, prior.log)])
+        total, means = loss_and_grads(self.state, [encoded_part(self.state, "primary", x, y, prior.log)])
+        grads = self.state.grads
         assert total == means[0]
         assert not grads["head_auxiliary_w"].any() and not grads["head_auxiliary_b"].any()
 
     def test_additivity_with_aux(self):
         prior, x, y = random_batch(self.state, self.rng)
         strong = self.rng.normal(size=x.shape)
-        parts = [BatchPart("primary", x, y, prior.log), BatchPart("auxiliary", strong, y, None)]
-        total, means, _ = loss_and_grads(self.state, parts)
+        parts = [encoded_part(self.state, "primary", x, y, prior.log), encoded_part(self.state, "auxiliary", strong, y)]
+        total, means = loss_and_grads(self.state, parts)
         assert total == pytest.approx(means[0] + means[1], abs=1e-15)
         assert means[1] == pytest.approx(loss_and_grads(self.state, parts[1:])[0], abs=1e-15)
 
     def test_auxiliary_la_routes_to_auxiliary(self):
         prior, x, y = random_batch(self.state, self.rng)
-        _, _, grads = loss_and_grads(self.state, [BatchPart("auxiliary", x, y, prior.log)])
+        loss_and_grads(self.state, [encoded_part(self.state, "auxiliary", x, y, prior.log)])
+        grads = self.state.grads
         assert not grads["head_primary_w"].any() and not grads["head_primary_b"].any()
         assert grads["head_auxiliary_w"].any()
 

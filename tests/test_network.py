@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from pseudopool import network
-from pseudopool.augment import row_norms, synthesize
+from pseudopool.augment import synthesize
 from pseudopool.losses import ClassPrior
 from pseudopool.network import (
     BRANCHES,
@@ -118,18 +118,34 @@ class TestForward:
             head_logits(state, "primary", np.ones(9))
 
 
-def finite_difference_check(state, parts, step=1e-4, tol=1e-4):
-    """Central finite differences against the analytic gradients, every entry."""
-    _, _, grads = loss_and_grads(state, parts)
+def encoded_part(state, branch, x, labels, log_prior=None, **kwargs):
+    """A ``BatchPart`` over a forward of ``x`` on the state's parameters."""
+    layers: list = []
+    encode(state, x, layers)
+    return BatchPart(branch, layers, labels, log_prior, **kwargs)
+
+
+def loss_with_grads(state, parts):
+    """``loss_and_grads`` with a copy of the gradient it leaves in
+    ``state.grads``, so that the next call cannot overwrite it."""
+    total, means = loss_and_grads(state, parts)
+    return total, means, state.views(state.grads.flat.copy())
+
+
+def finite_difference_check(state, build, step=1e-4, tol=1e-4):
+    """Central finite differences against the analytic gradients, every entry.
+    ``build(state)`` returns the parts, encoding their rows at the state's
+    current parameters, so every perturbed loss gets its own forward."""
+    _, _, grads = loss_with_grads(state, build(state))
     worst = 0.0
     for name, param in state.params.items():
         flat = param.reshape(-1)
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + step
-            plus, _, _ = loss_and_grads(state, parts)
+            plus, _ = loss_and_grads(state, build(state))
             flat[idx] = original - step
-            minus, _, _ = loss_and_grads(state, parts)
+            minus, _ = loss_and_grads(state, build(state))
             flat[idx] = original
             numeric = (plus - minus) / (2 * step)
             analytic = grads[name].reshape(-1)[idx]
@@ -139,43 +155,52 @@ def finite_difference_check(state, parts, step=1e-4, tol=1e-4):
 
 
 def random_parts(state, rng, with_synth=False, with_aux=True):
-    """Parts shaped like a training step's: the primary and the labeled aux
-    part share one input array, synthesis expands rows of it by origin (with
-    repeats, so the scatter-add is exercised), and an unlabeled aux part
-    brings a second array."""
+    """``build(state)``, which makes parts shaped like a training step's at
+    the state's current parameters: the primary and the labeled aux part
+    share one forward of an input array, synthesis expands rows of it by
+    origin (with repeats, so the scatter-add is exercised), and an unlabeled
+    aux part brings a second array, encoded in the same forward as the first."""
     cfg = state.config
     n = 8
     x = rng.normal(size=(n, cfg.input_dim))
     y = rng.integers(cfg.num_classes, size=n)
     prior = ClassPrior(rng.dirichlet(np.ones(cfg.num_classes) * 5))
-    primary = BatchPart("primary", x, y, prior.log)
+    plan = None
     if with_synth:
         k = 6
-        primary.synth = SynthPlan(
+        plan = SynthPlan(
             origin=rng.integers(n, size=k),
             radii=rng.uniform(0.5, 2.0, size=k),
             noise=rng.normal(size=(k, cfg.rep_dim)),
         )
-    parts = [primary]
     if with_aux:
-        parts.append(BatchPart("auxiliary", x, y, prior.log))
         xs = rng.normal(size=(n, cfg.input_dim))
-        parts.append(BatchPart("auxiliary", xs, rng.integers(cfg.num_classes, size=n), None))
-    return parts
+        ys = rng.integers(cfg.num_classes, size=n)
+        x = np.concatenate([x, xs])
+
+    def build(state):
+        layers: list = []
+        encode(state, x, layers)
+        labeled = [a[:n] for a in layers]
+        parts = [BatchPart("primary", labeled, y, prior.log, synth=plan)]
+        if with_aux:
+            parts.append(BatchPart("auxiliary", labeled, y, prior.log))
+            parts.append(BatchPart("auxiliary", [a[n:] for a in layers], ys, None))
+        return parts
+
+    return build
 
 
 class TestGradients:
     def test_finite_differences_all_loss_kinds(self):
         rng = np.random.default_rng(12)
         state = init(small_config(activation="tanh", seed=4))
-        parts = random_parts(state, rng, with_synth=True, with_aux=True)
-        finite_difference_check(state, parts)
+        finite_difference_check(state, random_parts(state, rng, with_synth=True, with_aux=True))
 
     def test_finite_differences_relu(self):
         rng = np.random.default_rng(13)
         state = init(small_config(activation="relu", seed=6))
-        parts = random_parts(state, rng, with_synth=False, with_aux=True)
-        finite_difference_check(state, parts)
+        finite_difference_check(state, random_parts(state, rng, with_synth=False, with_aux=True))
 
     def test_saturated_batch_has_vanishing_gradient(self):
         state = init(small_config(activation="relu"))
@@ -185,9 +210,8 @@ class TestGradients:
         # zero representations: logits equal the bias; saturate class 1
         state.params["head_primary_w"][:] = 0.0
         state.params["head_primary_b"][:] = np.array([-40.0, 40.0, -40.0])
-        part = BatchPart("primary", np.ones((4, 3)), np.ones(4, dtype=int), None)
-        _, _, grads = loss_and_grads(state, [part])
-        total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+        loss_and_grads(state, [encoded_part(state, "primary", np.ones((4, 3)), np.ones(4, dtype=int))])
+        total = np.sqrt(sum(float(np.sum(g**2)) for g in state.grads.values()))
         assert total < 1e-6
 
     def test_doubling_batch_leaves_mean_gradient_unchanged(self):
@@ -195,10 +219,8 @@ class TestGradients:
         state = init(small_config(seed=7))
         x = rng.normal(size=(5, 3))
         y = rng.integers(3, size=5)
-        part_single = BatchPart("primary", x, y, None)
-        part_double = BatchPart("primary", np.tile(x, (2, 1)), np.tile(y, 2), None)
-        _, _, g1 = loss_and_grads(state, [part_single])
-        _, _, g2 = loss_and_grads(state, [part_double])
+        _, _, g1 = loss_with_grads(state, [encoded_part(state, "primary", x, y)])
+        _, _, g2 = loss_with_grads(state, [encoded_part(state, "primary", np.tile(x, (2, 1)), np.tile(y, 2))])
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-12)
 
@@ -207,10 +229,10 @@ class TestGradients:
         state = init(small_config(seed=8))
         x = rng.normal(size=(4, 3))
         y = rng.integers(3, size=4)
-        _, _, g_primary = loss_and_grads(state, [BatchPart("primary", x, y, None)])
+        _, _, g_primary = loss_with_grads(state, [encoded_part(state, "primary", x, y)])
         assert np.all(g_primary["head_auxiliary_w"] == 0.0)
         assert np.all(g_primary["head_auxiliary_b"] == 0.0)
-        _, _, g_aux = loss_and_grads(state, [BatchPart("auxiliary", x, y, None)])
+        _, _, g_aux = loss_with_grads(state, [encoded_part(state, "auxiliary", x, y)])
         assert np.all(g_aux["head_primary_w"] == 0.0)
         assert np.all(g_aux["head_primary_b"] == 0.0)
         # both route gradients into the shared encoder
@@ -222,17 +244,15 @@ class TestGradients:
         state = init(small_config(seed=9))
         x = rng.normal(size=(4, 3))
         y = rng.integers(3, size=4)
-        loss_plain, _, _ = loss_and_grads(state, [BatchPart("primary", x, y, None)])
-        loss_scaled, _, _ = loss_and_grads(
-            state, [BatchPart("primary", x, y, None, normalizer=8)]
-        )
+        loss_plain, _ = loss_and_grads(state, [encoded_part(state, "primary", x, y)])
+        loss_scaled, _ = loss_and_grads(state, [encoded_part(state, "primary", x, y, normalizer=8)])
         assert loss_scaled == pytest.approx(loss_plain / 2)
 
     def test_non_finite_loss_raises(self):
         state = init(small_config())
         x = np.full((2, 3), np.nan)
         with pytest.raises(NonFiniteLossError):
-            loss_and_grads(state, [BatchPart("primary", x, np.zeros(2, dtype=int), None)])
+            loss_and_grads(state, [encoded_part(state, "primary", x, np.zeros(2, dtype=int))])
 
 
 def per_block_reference(state, part):
@@ -270,7 +290,7 @@ def per_block_reference(state, part):
 
 
 def assert_same_loss(a, b):
-    """Two ``loss_and_grads`` results agree: means to 1e-12, gradients allclose."""
+    """Two ``loss_with_grads`` results agree: means to 1e-12, gradients allclose."""
     assert a[0] == pytest.approx(b[0], abs=1e-12)
     assert np.allclose(a[1], b[1], rtol=0, atol=1e-12)
     for name in a[2]:
@@ -278,8 +298,8 @@ def assert_same_loss(a, b):
 
 
 class TestFusedLoss:
-    """``loss_and_grads`` stacks the distinct inputs of its parts into one
-    forward and runs one backward; none of that may change what it computes."""
+    """``loss_and_grads`` stacks the distinct forwards of its parts and runs
+    one backward; that may not change what it computes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -287,7 +307,7 @@ class TestFusedLoss:
         layout=st.lists(
             st.tuples(
                 st.sampled_from(BRANCHES),
-                st.integers(0, 2),  # which input array the part reads (shared when repeated)
+                st.integers(0, 2),  # which forward the part reads (shared when repeated)
                 st.booleans(),  # logit-adjusted
                 st.integers(0, 4),  # synthesized copies
                 st.sampled_from([None, 0, 11]),  # normalizer
@@ -300,20 +320,23 @@ class TestFusedLoss:
     def test_equals_sum_of_parts_evaluated_alone(self, seed, layout, sizes):
         rng = np.random.default_rng(seed)
         state = init(small_config(seed=seed % 97))
-        arrays = [rng.normal(size=(n, 3)) for n in sizes]
+        forwards = []
+        for n in sizes:
+            forwards.append([])
+            encode(state, rng.normal(size=(n, 3)), forwards[-1])
         parts = []
         for branch, source, adjusted, k, normalizer in layout:
-            x = arrays[source]
-            n = x.shape[0]
+            layers = forwards[source]
+            n = layers[0].shape[0]
             prior = ClassPrior(rng.dirichlet(np.ones(3))).log if adjusted else None
-            part = BatchPart(branch, x, rng.integers(3, size=n), prior, normalizer=normalizer)
+            part = BatchPart(branch, layers, rng.integers(3, size=n), prior, normalizer=normalizer)
             if k and n:
                 part.synth = SynthPlan(
                     rng.integers(n, size=k), rng.uniform(0.5, 2.0, size=k), rng.normal(size=(k, 4))
                 )
             parts.append(part)
-        fused = loss_and_grads(state, parts)
-        alone = [loss_and_grads(state, [part]) for part in parts]
+        fused = loss_with_grads(state, parts)
+        alone = [loss_with_grads(state, [part]) for part in parts]
         summed = {name: sum(result[2][name] for result in alone) for name in fused[2]}
         means = [result[0] for result in alone]
         assert_same_loss(fused, (sum(means), means, summed))
@@ -330,10 +353,12 @@ class TestFusedLoss:
         prior = ClassPrior(rng.dirichlet(np.ones(3))).log
         plan = SynthPlan(np.array([0, 2, 2, 5]), rng.uniform(0.5, 2.0, size=4), rng.normal(size=(4, 4)))
 
-        def parts(first, second):
-            return [BatchPart("primary", first, y, prior, synth=plan), BatchPart("auxiliary", second, y, prior)]
+        def parts(shared):
+            primary = encoded_part(state, "primary", x, y, prior, synth=plan)
+            layers = primary.layers if shared else encoded_part(state, "auxiliary", x.copy(), y).layers
+            return [primary, BatchPart("auxiliary", layers, y, prior)]
 
-        assert_same_loss(loss_and_grads(state, parts(x, x)), loss_and_grads(state, parts(x, x.copy())))
+        assert_same_loss(loss_with_grads(state, parts(True)), loss_with_grads(state, parts(False)))
 
     def test_origin_synthesis_equals_re_encoded_copies(self):
         rng = np.random.default_rng(22)
@@ -342,20 +367,21 @@ class TestFusedLoss:
             x = rng.normal(size=(7, 3)) + 1.0
             origin = np.array([6, 0, 0, 3, 6, 6])
             plan = SynthPlan(origin, rng.uniform(0.5, 2.0, size=6), rng.normal(size=(6, 4)))
-            part = BatchPart("primary", x, rng.integers(3, size=7), ClassPrior(np.full(3, 1.0 / 3)).log, synth=plan)
-            total, means, grads = loss_and_grads(state, [part])
+            part = encoded_part(state, "primary", x, rng.integers(3, size=7), ClassPrior(np.full(3, 1.0 / 3)).log, synth=plan)
+            total, means, grads = loss_with_grads(state, [part])
             ref_mean, ref_grads = per_block_reference(state, part)
             assert_same_loss((total, means, grads), (ref_mean, [ref_mean], ref_grads))
 
     def test_workspace_gradient_is_zeroed_in_place(self):
         state = init(small_config(seed=24))
-        parts = random_parts(state, np.random.default_rng(24), with_synth=True, with_aux=True)
-        state.grads.flat[:] = 7.0
-        total, means, grads = loss_and_grads(state, parts, state.grads)
-        fresh = loss_and_grads(state, parts)
-        assert grads is state.grads
-        assert total == fresh[0] and means == fresh[1]
-        assert np.array_equal(grads.flat, fresh[2].flat)
+        parts = random_parts(state, np.random.default_rng(24), with_synth=True, with_aux=True)(state)
+        grads = state.grads
+        total, means = loss_and_grads(state, parts)
+        first = grads.flat.copy()
+        grads.flat[:] = 7.0
+        assert loss_and_grads(state, parts) == (total, means)
+        assert state.grads is grads
+        assert np.array_equal(grads.flat, first)
 
     def test_one_forward_and_one_backward_per_call(self, monkeypatch):
         calls = {"forward": 0, "backward": 0}
@@ -370,87 +396,17 @@ class TestFusedLoss:
         monkeypatch.setattr(network, "_forward_encoder", counted("forward", network._forward_encoder))
         monkeypatch.setattr(network, "_backprop_encoder", counted("backward", network._backprop_encoder))
         state = init(small_config(seed=4))
-        parts = random_parts(state, np.random.default_rng(23), with_synth=True, with_aux=True)
-        loss_and_grads(state, parts)
+        build = random_parts(state, np.random.default_rng(23), with_synth=True, with_aux=True)
+        parts = build(state)
+        assert calls == {"forward": 1, "backward": 0}
+        loss_and_grads(state, parts)  # the loss reads the parts' forward and encodes nothing
         assert calls == {"forward": 1, "backward": 1}
 
 
-class TestCarriedActivations:
-    """A part that carries the activations of an earlier forward of its rows
-    must give what the same part re-encoded inside ``loss_and_grads`` gives,
-    bit for bit: the training loop relies on it for byte-identical runs.
-
-    That holds as long as the BLAS computes each row of a product apart from
-    the rows beside it. numpy hands a one-row product to a vector routine,
-    and OpenBLAS's kernels for output widths of 1 to 3 past a multiple of 8
-    sum differently with the row count; the shapes drawn avoid both, as the
-    training runs' shapes do (16 labeled and 112 unlabeled rows, width 64).
-    """
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        activation=st.sampled_from(["relu", "tanh"]),
-        hidden=st.sampled_from([(5, 4), (16, 16), (64, 64), (12, 7)]),
-        n_labeled=st.integers(2, 20),
-        n_unlabeled=st.integers(2, 60),
-        copies=st.integers(0, 13),
-        normalizer=st.sampled_from([None, 7, 112]),
-        gather=st.booleans(),
-    )
-    def test_equals_re_encoded_part(self, seed, activation, hidden, n_labeled, n_unlabeled, copies, normalizer, gather):
-        rng = np.random.default_rng(seed)
-        state = init(ModelConfig(input_dim=16, num_classes=5, hidden_dims=hidden, activation=activation, init_seed=seed % 89))
-        prior = ClassPrior(rng.dirichlet(np.ones(5))).log
-        x_b = rng.normal(size=(n_labeled, 16))
-        y_b = rng.integers(5, size=n_labeled)
-        # the training step's layout: one forward of [weak; strong], whose
-        # strong half (or a gated subset of it) feeds the loss
-        views = rng.normal(size=(2 * n_unlabeled, 16))
-        layers_u: list = []
-        encode(state, views, layers_u)
-        strong = [a[n_unlabeled:] for a in layers_u]
-        if gather:
-            keep = rng.random(n_unlabeled) < 0.6
-            keep[rng.choice(n_unlabeled, size=2, replace=False)] = True
-            strong = [a[keep] for a in strong]
-        layers_b: list = []
-        encode(state, x_b, layers_b)
-        y_u = rng.integers(5, size=strong[0].shape[0])
-        plan = None
-        if copies:
-            plan = SynthPlan(rng.integers(n_labeled, size=copies), rng.uniform(0.5, 2.0, size=copies), rng.normal(size=(copies, hidden[-1])))
-            assume(row_norms(layers_b[-1][plan.origin]).all())  # synthesis needs non-zero origins
-
-        def parts(carried):
-            b_acts, u_acts = (layers_b, strong) if carried else (None, None)
-            x_u = strong[0] if carried else strong[0].copy()
-            return [
-                BatchPart("primary", x_b, y_b, prior, synth=plan, activations=b_acts),
-                BatchPart("auxiliary", x_b, y_b, prior, activations=b_acts),
-                BatchPart("auxiliary", x_u, y_u, None, normalizer=normalizer, activations=u_acts),
-            ]
-
-        carried = loss_and_grads(state, parts(True), state.grads)
-        fresh = loss_and_grads(state, parts(False))
-        assert carried[0] == fresh[0]
-        assert np.array_equal(carried[1], fresh[1])
-        assert np.array_equal(carried[2].flat, fresh[2].flat)
-
-    def test_activations_of_other_rows_rejected(self):
-        state = init(small_config(seed=3))
-        x = np.random.default_rng(4).normal(size=(6, 3))
-        layers: list = []
-        encode(state, x[:5], layers)
-        with pytest.raises(ValueError, match="one row per input row"):
-            loss_and_grads(state, [BatchPart("primary", x, np.zeros(6, dtype=int), activations=layers)])
-
-
 def filled_grads(state, value):
-    """A gradient vector from ``zeros_like_params`` with every entry ``value``."""
-    grads = state.zeros_like_params()
-    grads.flat[:] = value
-    return grads
+    """``state.grads``, every entry set to ``value``."""
+    state.grads.flat[:] = value
+    return state.grads
 
 
 def per_tensor_sgd(params, momentum, grads, opt, lr):
@@ -477,9 +433,9 @@ class TestSgdStep:
     def test_plain_gradient_descent(self):
         state = init(small_config(seed=10))
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.0, total_steps=10)
-        grads = filled_grads(state, 1.0)
+        filled_grads(state, 1.0)
         before = {k: v.copy() for k, v in state.params.items()}
-        sgd_step(state, grads, opt, lr=0.1)
+        sgd_step(state, opt, lr=0.1)
         for name in state.params:
             assert np.allclose(state.params[name], before[name] - 0.1, atol=1e-15)
 
@@ -487,7 +443,7 @@ class TestSgdStep:
         state = init(small_config(seed=11))
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.0, total_steps=10)
         before = {k: v.copy() for k, v in state.params.items()}
-        sgd_step(state, state.zeros_like_params(), opt, lr=0.5)
+        sgd_step(state, opt, lr=0.5)
         for name in state.params:
             assert np.array_equal(state.params[name], before[name])
 
@@ -496,11 +452,11 @@ class TestSgdStep:
         state = init(small_config(seed=12))
         m = 0.7
         opt = OptimizerConfig(momentum=m, weight_decay=0.0, total_steps=10)
-        grads = filled_grads(state, 2.0)
+        filled_grads(state, 2.0)
         p0 = state.params["enc0_w"].copy()
-        sgd_step(state, grads, opt, lr=0.1)
+        sgd_step(state, opt, lr=0.1)
         p1 = state.params["enc0_w"].copy()
-        sgd_step(state, grads, opt, lr=0.1)
+        sgd_step(state, opt, lr=0.1)
         p2 = state.params["enc0_w"].copy()
         assert np.allclose(p0 - p1, 0.1 * 2.0, atol=1e-15)
         assert np.allclose(p1 - p2, 0.1 * 2.0 * (1 + m), atol=1e-12)
@@ -508,20 +464,22 @@ class TestSgdStep:
     def test_diverging_step_leaves_state_unchanged(self):
         state = init(small_config(seed=14))
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
-        sgd_step(state, filled_grads(state, 1.0), opt, lr=0.1)
+        filled_grads(state, 1.0)
+        sgd_step(state, opt, lr=0.1)
         params = {k: v.copy() for k, v in state.params.items()}
         momentum = {k: v.copy() for k, v in state.momentum.items()}
         grads = filled_grads(state, 0.5)
         last = list(state.params)[-1]
         grads[last][0] = np.inf  # only the last layer diverges
         with pytest.raises(NonFiniteLossError, match=last):
-            sgd_step(state, grads, opt, lr=0.1)
+            sgd_step(state, opt, lr=0.1)
         for name in state.params:
             assert np.array_equal(state.params[name], params[name])
             assert np.array_equal(state.momentum[name], momentum[name])
         # the failed step left the views on their flat vectors, so it can go on
-        sgd_step(state, filled_grads(state, 0.5), opt, lr=0.1)
-        expected, _ = per_tensor_sgd(params, momentum, filled_grads(state, 0.5), opt, 0.1)
+        filled_grads(state, 0.5)
+        sgd_step(state, opt, lr=0.1)
+        expected, _ = per_tensor_sgd(params, momentum, state.grads, opt, 0.1)
         assert_same_bytes(state.params, expected)
 
     def test_weight_decay_skips_biases(self):
@@ -529,7 +487,7 @@ class TestSgdStep:
         opt = OptimizerConfig(momentum=0.0, weight_decay=0.5, total_steps=10)
         state.params["enc0_b"][:] = 1.0
         before_w = state.params["enc0_w"].copy()
-        sgd_step(state, state.zeros_like_params(), opt, lr=0.1)
+        sgd_step(state, opt, lr=0.1)
         assert np.allclose(state.params["enc0_b"], 1.0)  # no decay on bias
         assert np.allclose(state.params["enc0_w"], before_w * (1 - 0.1 * 0.5))
 
@@ -548,12 +506,11 @@ class TestSgdStep:
         params = {k: v.copy() for k, v in state.params.items()}
         buffers = {k: v.copy() for k, v in state.momentum.items()}
         for _ in range(steps):
-            grads = state.zeros_like_params()
-            for g in grads.values():
+            for g in state.grads.values():
                 g[...] = rng.normal(scale=10.0, size=g.shape)
             lr = float(rng.uniform(0.001, 0.5))
-            params, buffers = per_tensor_sgd(params, buffers, grads, opt, lr)
-            sgd_step(state, grads, opt, lr)
+            params, buffers = per_tensor_sgd(params, buffers, state.grads, opt, lr)
+            sgd_step(state, opt, lr)
             assert_same_bytes(state.params, params)
             assert_same_bytes(state.momentum, buffers)
             assert np.shares_memory(state.params["enc0_w"], state.params.flat)
@@ -563,20 +520,21 @@ class TestSgdStep:
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
         state.grads.flat[:] = np.random.default_rng(17).normal(size=state.size)
         before = state.grads.flat.copy()
-        sgd_step(state, state.grads, opt, lr=0.1)
-        sgd_step(state, state.grads, opt, lr=0.1)
+        sgd_step(state, opt, lr=0.1)
+        sgd_step(state, opt, lr=0.1)
         assert state.grads.flat.tobytes() == before.tobytes()
 
     def test_non_finite_workspace_step_keeps_params_and_momentum(self):
         state = init(small_config(seed=18))
         opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
-        sgd_step(state, filled_grads(state, 1.0), opt, lr=0.1)
+        filled_grads(state, 1.0)
+        sgd_step(state, opt, lr=0.1)
         params, momentum = state.params, state.momentum
         params_bytes, momentum_bytes = params.flat.tobytes(), momentum.flat.tobytes()
         state.grads.flat[:] = 0.5
         state.grads.flat[3] = np.nan
         with pytest.raises(NonFiniteLossError):
-            sgd_step(state, state.grads, opt, lr=0.1)
+            sgd_step(state, opt, lr=0.1)
         assert state.params is params and state.momentum is momentum
         assert params.flat.tobytes() == params_bytes
         assert momentum.flat.tobytes() == momentum_bytes
@@ -591,15 +549,9 @@ class TestSgdStep:
             state.grads.flat[:] = rng.normal(scale=3.0, size=state.size)
             lr = float(rng.uniform(0.001, 0.5))
             params, buffers = per_tensor_sgd(params, buffers, state.grads, opt, lr)
-            sgd_step(state, state.grads, opt, lr)
+            sgd_step(state, opt, lr)
             assert_same_bytes(state.params, params)
             assert_same_bytes(state.momentum, buffers)
-
-    def test_hand_built_grads_rejected(self):
-        state = init(small_config(seed=15))
-        opt = OptimizerConfig(total_steps=10)
-        with pytest.raises(TypeError, match="zeros_like_params"):
-            sgd_step(state, {k: np.zeros_like(v) for k, v in state.params.items()}, opt, lr=0.1)
 
     def test_rebinding_a_view_rejected(self):
         grads = init(small_config(seed=16)).zeros_like_params()

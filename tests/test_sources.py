@@ -38,6 +38,28 @@ def test_unused_import_is_caught():
     assert unused_imports(source) == ["json (line 2)", "z (line 4)"]
 
 
+def package_imports(source: str) -> list[str]:
+    """The modules of the package that ``source`` imports, relative or by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "pseudopool"):
+            found.append("." * node.level + (node.module or ", ".join(a.name for a in node.names)))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "pseudopool"]
+    return found
+
+
+def test_records_module_imports_no_package_module():
+    # every module reads and writes its records through it, so it may import none of them
+    path = next(p for p in SOURCES if p.name == "records.py")
+    assert package_imports(path.read_text()) == []
+
+
+def test_package_import_is_caught():
+    source = "import os\nfrom . import network\nfrom .cycle import x\nimport pseudopool.training\nfrom pseudopool import y\n"
+    assert package_imports(source) == [".network", ".cycle", "pseudopool.training", "pseudopool"]
+
+
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     """``module._name`` for each module-level private function or class that
     no code in ``sources`` (module name -> source) references outside its own

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 import pseudopool.augment
 import pseudopool.cycle
 import pseudopool.losses
+import pseudopool.metrics
 import pseudopool.network
 import pseudopool.training
 from pseudopool.datasets import generate_splits
 from pseudopool.metrics import predict_batch
-from pseudopool.network import ConfigError, ModelConfig, OptimizerConfig, init
+from pseudopool.network import ModelConfig, OptimizerConfig, init
+from pseudopool.records import ConfigError
 from pseudopool.training import (
+    BASELINE_KINDS,
     CHECKPOINT_VERSION,
     TrainConfig,
     TrainingDiverged,
@@ -98,6 +101,64 @@ class TestPredict:
         assert predict_batch(state, np.array([[3.0, 1.0], [1.0, 3.0]])).tolist() == [0, 1]
 
 
+def encoder_calls_per_step(monkeypatch, method: str, cfg: TrainConfig, splits) -> list[Counter]:
+    """Per training step, delimited by its ``sgd_step`` call: the rows the
+    encoder forward sees (``rows``), the forwards run inside
+    ``loss_and_grads`` (``loss_forwards``), the encoder backwards and the
+    synthesis calls. The epoch-end evaluation's forwards are not counted."""
+    calls, steps, scope = Counter(), [], ["step"]
+    forward, sgd_step = pseudopool.network._forward_encoder, pseudopool.training.sgd_step
+
+    def counted_forward(state, x):
+        if scope[-1] != "eval":
+            calls["rows"] += np.atleast_2d(x).shape[0]
+            calls["loss_forwards"] += scope[-1] == "loss"
+        return forward(state, x)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def scoped(name, fn):
+        def wrapper(*args, **kwargs):
+            scope.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+
+        return wrapper
+
+    def step_end(*args):
+        steps.append(calls.copy())
+        calls.clear()
+        return sgd_step(*args)
+
+    monkeypatch.setattr(pseudopool.network, "_forward_encoder", counted_forward)
+    for name in ("_backprop_encoder", "synthesize"):
+        monkeypatch.setattr(pseudopool.network, name, counted(name, getattr(pseudopool.network, name)))
+    monkeypatch.setattr(pseudopool.training, "loss_and_grads", scoped("loss", pseudopool.training.loss_and_grads))
+    for name in ("evaluate_epoch", "threshold_assignments"):
+        monkeypatch.setattr(pseudopool.metrics, name, scoped("eval", getattr(pseudopool.metrics, name)))
+    monkeypatch.setattr(pseudopool.training, "sgd_step", step_end)
+    if method == "cpg":
+        train(cfg, splits)
+    else:
+        run_baseline(method, cfg, splits)
+    return steps
+
+
+def assert_each_row_encoded_once(steps: list[Counter], bound: int) -> None:
+    """Every step encodes at most ``bound`` rows, none inside the loss, and
+    makes one encoder backward."""
+    for c in steps:
+        assert c["loss_forwards"] == 0 and c["_backprop_encoder"] == 1, c
+        assert 0 < c["rows"] <= bound, c
+
+
 class TestTrainingRun:
     def test_filtered_error_beats_unfiltered_argmax(self):
         # accepted pseudo-labels must be cleaner than blanket argmax labels
@@ -140,36 +201,27 @@ class TestTrainingRun:
         # part, and the class stats' forward of x_b serves the loss's x_b parts,
         # so a step encodes each of its 2*b_u view rows and b_l labeled rows
         # once; one stacked loss pass, synthesis included, ends in one backward
-        calls = Counter()
-        forward = pseudopool.network._forward_encoder
-
-        def counted_forward(state, x):
-            calls["rows"] += np.atleast_2d(x).shape[0]
-            return forward(state, x)
-
-        monkeypatch.setattr(pseudopool.network, "_forward_encoder", counted_forward)
-        for name in ("_backprop_encoder", "synthesize"):
-            fn = getattr(pseudopool.network, name)
-
-            def wrapper(*args, _fn=fn, _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(pseudopool.network, name, wrapper)
-        per_step = []
-
-        def callback(info):
-            per_step.append((info.epoch, info.step, dict(calls)))
-            calls.clear()
-
         cfg = fast_config(total_epochs=6, warmup_epochs=2, min_votes=1)
-        train(cfg, tiny_splits, step_callback=callback)
-        # the first step of an epoch also carries the previous epoch's evaluation
-        cycle_steps = [c for epoch, step, c in per_step if epoch > cfg.warmup_epochs and step > 1]
-        assert cycle_steps
-        bound = 2 * cfg.unlabeled_batch + cfg.labeled_batch
-        assert all(c["rows"] <= bound and c["_backprop_encoder"] == 1 for c in cycle_steps)
-        assert sum(c.get("synthesize", 0) for c in cycle_steps) > 0
+        steps = encoder_calls_per_step(monkeypatch, "cpg", cfg, tiny_splits)
+        cycle_steps = steps[cfg.warmup_epochs * cfg.steps_per_epoch :]
+        assert len(cycle_steps) == (cfg.total_epochs - cfg.warmup_epochs) * cfg.steps_per_epoch
+        assert_each_row_encoded_once(cycle_steps, 2 * cfg.unlabeled_batch + cfg.labeled_batch)
+        assert sum(c["synthesize"] for c in cycle_steps) > 0
+
+    @pytest.mark.parametrize("method", ["cpg", *BASELINE_KINDS])
+    def test_warmup_and_baseline_steps_encode_no_row_twice_and_make_one_backward(
+        self, tiny_splits, monkeypatch, method
+    ):
+        # x_b has one forward outside the loss in every phase of every method;
+        # the supervised baselines draw no unlabeled batch, so x_b is all they encode
+        cfg = fast_config(total_epochs=4, warmup_epochs=2, min_votes=1)
+        steps = encoder_calls_per_step(monkeypatch, method, cfg, tiny_splits)
+        if method == "cpg":
+            steps = steps[: cfg.warmup_epochs * cfg.steps_per_epoch]
+        assert len(steps) == (cfg.warmup_epochs if method == "cpg" else cfg.total_epochs) * cfg.steps_per_epoch
+        if method.startswith("supervised"):
+            assert all(c["rows"] == cfg.labeled_batch for c in steps)
+        assert_each_row_encoded_once(steps, 2 * cfg.unlabeled_batch + cfg.labeled_batch)
 
     def test_divergence_raises_with_location(self, tiny_splits):
         cfg = fast_config(optimizer=OptimizerConfig(base_lr=1e14, total_steps=None))
