@@ -11,9 +11,12 @@ prior fed to the logit-adjusted loss.
 The cycle's state is one position-indexed label vector, aligned with the
 rows of the unlabeled split (and of its ``UnlabeledView``): entry ``i`` holds
 the class assigned to row ``i``, or -1 while that row is not in the pool.
-``PseudoRegistry.resolve`` produces it, ``update_pool`` turns it into the
-pool's pseudo portion (the assigned rows' indices and labels; features are
-read through the indices when a batch is drawn, never copied), and
+``PseudoRegistry`` owns it as ``resolved``, beside the vote tallies it is
+resolved from; ``PseudoRegistry.resolve`` updates it in place (under the
+grow-only rule when the registry is built with ``grow_only``) and reports
+whether a row changed label. ``update_pool`` turns it into the pool's pseudo
+portion (the assigned rows' indices and labels; features are read through
+the indices when a batch is drawn, never copied), and
 ``metrics.pseudo_audit`` tallies it against hidden ground truth.
 """
 
@@ -52,13 +55,19 @@ def reliability_mask_batch(vpb: ViewPredictionBatch, tau: float) -> np.ndarray:
 
 
 class PseudoRegistry:
-    """Cumulative per-sample vote tallies over the whole training run."""
+    """Cumulative per-sample vote tallies over the whole training run, and
+    the label vector they resolve to (``resolved``, aligned with ``ids``).
 
-    def __init__(self, ids: np.ndarray, num_classes: int):
+    With ``grow_only`` (the ``freeze_resolved`` variant) a row keeps the
+    first label it resolves to, whatever its later votes say.
+    """
+
+    def __init__(self, ids: np.ndarray, num_classes: int, grow_only: bool = False):
         self.ids = np.asarray(ids, dtype=np.int64).copy()
         if np.unique(self.ids).size != self.ids.size:
             raise ValueError("registry ids must be unique")
         self.num_classes = num_classes
+        self.grow_only = grow_only
         self.votes = np.zeros((self.ids.size, num_classes), dtype=np.int64)
         self.first_vote_epoch = np.full(self.ids.size, -1, dtype=np.int64)
         self.resolved = np.full(self.ids.size, -1, dtype=np.int64)
@@ -77,42 +86,45 @@ class PseudoRegistry:
         if self.first_vote_epoch[row] < 0:
             self.first_vote_epoch[row] = self.current_epoch
 
-    def resolve(
-        self, min_votes: int, majority_frac: float, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Current assignments as a label vector: -1 where a row is unassigned.
+    def resolve(self, min_votes: int, majority_frac: float, rows: np.ndarray | None = None) -> bool:
+        """Re-resolve ``rows`` (registry positions; all rows by default) of
+        ``resolved`` from their tallies; True iff one of them changed label.
 
         A sample is assigned iff its total votes reach ``min_votes`` and the
         modal class share strictly exceeds ``majority_frac``; modal ties stay
-        unassigned. Recomputed from the cumulative tallies, so an id can gain,
-        change, or lose its label as votes accrue.
+        unassigned (-1). Recomputed from the cumulative tallies, so an id can
+        gain, change, or lose its label as votes accrue; under ``grow_only``
+        only an unassigned row takes a new resolution.
 
-        Only ``rows`` (registry positions; all rows by default) are
-        recomputed; the others keep their last resolution. That is exact as
+        The rows outside ``rows`` keep their last resolution. That is exact as
         long as ``rows`` covers every row voted on since the last call with
         the same ``min_votes`` and ``majority_frac``, because a row's
-        resolution depends on its own tallies alone. Returns a copy of
-        ``self.resolved``, aligned with ``self.ids``.
+        resolution depends on its own tallies (and, grow-only, its own label)
+        alone.
         """
         if min_votes < 1:
             raise ValueError("min_votes must be >= 1")
         if not 0.5 <= majority_frac <= 1.0:
             raise ValueError("majority_frac must lie in [0.5, 1]")
-        votes = self.votes if rows is None else self.votes[rows]
+        rows = slice(None) if rows is None else rows
+        votes = self.votes[rows]
         totals = votes.sum(axis=1)
         modal = np.argmax(votes, axis=1)
         modal_count = votes[np.arange(votes.shape[0]), modal]
         tied = (votes == modal_count[:, None]).sum(axis=1) > 1
         ok = (totals >= min_votes) & (modal_count > majority_frac * totals) & ~tied
-        if rows is None:
-            self.resolved = np.where(ok, modal, -1)
-        else:
-            self.resolved[rows] = np.where(ok, modal, -1)
-        return self.resolved.copy()
+        before = self.resolved[rows]
+        after = np.where(ok, modal, -1)
+        if self.grow_only:
+            after = np.where(before >= 0, before, after)
+        changed = bool((after != before).any())  # before may be a view of resolved
+        self.resolved[rows] = after
+        return changed
 
     def snapshot(self) -> RegistrySnapshot:
         """The registry as ``registry.json`` holds it: per id with a vote or a
-        label, its vote counts by class, resolved label and first vote epoch."""
+        label, its vote counts by class, its label in the pool (``resolved``) and
+        first vote epoch."""
         entries = {}
         for pos, sid in enumerate(self.ids):
             counts = {str(c): int(v) for c, v in enumerate(self.votes[pos]) if v > 0}
@@ -248,18 +260,6 @@ def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) ->
     grown.source, grown.colliding_rows = source, colliding
     grown.pseudo_rows, grown.pseudo_labels = rows, labels[rows]
     return grown
-
-
-def merge_grow_only(labels: np.ndarray, resolved: np.ndarray, voted: np.ndarray) -> None:
-    """The ``freeze_resolved`` merge, in place: each ``voted`` row still
-    unassigned in ``labels`` takes its label from ``resolved``.
-
-    Equal to ``labels = np.where(labels >= 0, labels, resolved)`` as long as
-    ``voted`` covers the rows ``resolved`` recomputed since the last merge:
-    every other unassigned row resolved to -1 when it was last merged.
-    """
-    open_rows = voted[labels[voted] < 0]
-    labels[open_rows] = resolved[open_rows]
 
 
 def class_distribution(pool: LabeledPool) -> ClassPrior:

@@ -31,13 +31,13 @@ from .cycle import (
     PseudoRegistry,
     ViewPredictionBatch,
     class_distribution,
-    merge_grow_only,
     reliability_mask_batch,
     update_pool,
 )
 from .datasets import (
     AugmentationPolicy,
     SplitBundle,
+    UnlabeledView,
     policy_from_features,
     strong_view_batch,
     weak_view_batch,
@@ -62,7 +62,7 @@ from .records import atomic_open, from_mapping
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
 STREAM_NAMES = ("labeled", "unlabeled", "views", "synth", "audit")
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class TrainingDiverged(RuntimeError):
@@ -194,17 +194,6 @@ class RunHistory:
         return [r.to_record() for r in self.reports]
 
 
-@dataclass
-class StepInfo:
-    """Read-only view handed to step callbacks (diagnostics/invariant checks)."""
-
-    epoch: int
-    step: int
-    global_step: int
-    pool: LabeledPool
-    prior: ClassPrior
-
-
 def _streams(seed: int) -> dict[str, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
     return {name: np.random.default_rng(child) for name, child in zip(STREAM_NAMES, children)}
@@ -249,7 +238,6 @@ def _epoch_report(
 def train(
     config: TrainConfig,
     splits: SplitBundle,
-    step_callback=None,
     checkpoint_dir: str | Path | None = None,
 ) -> RunHistory:
     """Run the full training loop; deterministic per (config, splits) seed.
@@ -259,7 +247,7 @@ def train(
     votes, re-resolves the pool, refreshes the prior, and optionally expands
     minority classes before the SGD step at the cosine learning rate.
     """
-    return _run("cpg", config, splits, step_callback, checkpoint_dir)
+    return _run("cpg", config, splits, checkpoint_dir)
 
 
 def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHistory:
@@ -284,8 +272,7 @@ class _RunState:
     state: ModelState
     opt: OptimizerConfig
     rngs: dict[str, np.random.Generator]
-    registry: PseudoRegistry
-    labels: np.ndarray  # the cycle's state: class per unlabeled row, -1 while not in the pool
+    registry: PseudoRegistry  # holds the cycle's label vector
     stats: ClassStats
     reports: list[EpochReport] = field(default_factory=list)
     global_step: int = 0
@@ -296,7 +283,6 @@ def _run(
     method: str,
     config: TrainConfig,
     splits: SplitBundle,
-    step_callback=None,
     checkpoint_dir: str | Path | None = None,
     run: _RunState | None = None,
 ) -> RunHistory:
@@ -311,18 +297,15 @@ def _run(
     gated_consistency = method == "consistency_ssl"
 
     c = splits.spec.num_classes
-    pool = LabeledPool.from_split(splits.labeled, c)
     if run is None:
         state, opt = _build_model(config, splits)
-        registry, stats = PseudoRegistry(uview.ids, c), ClassStats(c, state.config.rep_dim)
-        run = _RunState(state, opt, _streams(config.seed), registry, np.full(m, -1, dtype=np.int64), stats)
+        registry = PseudoRegistry(uview.ids, c, grow_only=config.freeze_resolved)
+        run = _RunState(state, opt, _streams(config.seed), registry, ClassStats(c, state.config.rep_dim))
     elif not np.array_equal(run.registry.ids, uview.ids):
         raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
-    else:
-        pool = update_pool(pool, run.labels, uview)
-    prior = class_distribution(pool)
-    log_pi = prior.log if adjusted else None
-    minority = minority_classes(pool.phi)
+    pool, prior, log_pi, minority = _grown(
+        LabeledPool.from_split(splits.labeled, c), run.registry.resolved, uview, adjusted
+    )
 
     b_l = config.labeled_batch
     b_u = config.unlabeled_batch
@@ -360,21 +343,11 @@ def _run(
                 voted = u_rows[fired]
                 for row, label in zip(voted.tolist(), vpb.labels_weak[fired].tolist()):
                     run.registry.record_vote(row, label)
-                # only the rows voted on this step can change their resolution
-                resolved = run.registry.resolve(config.min_votes, config.majority_frac, rows=voted)
-                before = run.labels[voted]
-                if config.freeze_resolved:
-                    # grow-only variant: once assigned, a row keeps its label
-                    merge_grow_only(run.labels, resolved, voted)
-                else:
-                    run.labels = resolved
-                # the pool, its prior and its minority classes follow from the
-                # label vector alone, so a step that changed no label keeps them
-                if (run.labels[voted] != before).any():
-                    pool = update_pool(pool, run.labels, uview)
-                    prior = class_distribution(pool)
-                    log_pi = prior.log if adjusted else None
-                    minority = minority_classes(pool.phi)
+                # only the rows voted on this step can change their resolution,
+                # and a step that changed no label keeps the pool and all that
+                # follows from it
+                if run.registry.resolve(config.min_votes, config.majority_frac, rows=voted):
+                    pool, prior, log_pi, minority = _grown(pool, run.registry.resolved, uview, adjusted)
 
             rows = run.rngs["labeled"].integers(0, pool.size, size=b_l)
             x_b, y_b = pool.take(rows)
@@ -409,14 +382,13 @@ def _run(
 
             primary_sum += part_means[0]
             aux_sum += sum(part_means[1:])
-            if step_callback is not None:
-                step_callback(StepInfo(epoch, step, run.global_step, pool, prior))
             # release this step's activations before the next step's forward
             # allocates its own; holding both raised peak RSS by about 0.5%
             parts = primary = layers = strong_layers = b_layers = reps = h_u = None
 
+        labels = run.registry.resolved
         if gated_consistency:
-            run.labels = metrics_mod.threshold_assignments(
+            labels = metrics_mod.threshold_assignments(
                 run.state, splits, policy, config.confidence_threshold, run.rngs["audit"]
             )
         run.reports.append(
@@ -425,7 +397,7 @@ def _run(
                 splits,
                 run.reports[-1] if run.reports else None,
                 epoch,
-                run.labels,
+                labels,
                 Losses(primary_sum / config.steps_per_epoch, aux_sum / config.steps_per_epoch),
                 pool,
                 prior,
@@ -450,6 +422,15 @@ def _run(
         pool=pool,
         policy=policy,
     )
+
+
+def _grown(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView, adjusted: bool) -> tuple:
+    """The pool whose pseudo portion is ``labels`` and what follows from it
+    alone: its prior, the loss's log prior (None unless ``adjusted``) and its
+    minority classes."""
+    pool = update_pool(pool, labels, source)
+    prior = class_distribution(pool)
+    return pool, prior, prior.log if adjusted else None, minority_classes(pool.phi)
 
 
 def _pin_heap_thresholds() -> None:
@@ -504,7 +485,6 @@ def save_run_checkpoint(path: str | Path, config: TrainConfig, run: _RunState) -
         "header": np.frombuffer(text.encode("utf-8"), dtype=np.uint8),
         "params": run.state.params.flat,
         "momentum": run.state.momentum.flat,
-        "labels": run.labels,
         **_arrays("registry", run.registry),
         **_arrays("stats", run.stats),
     }
@@ -518,7 +498,6 @@ def save_run_checkpoint(path: str | Path, config: TrainConfig, run: _RunState) -
 def resume_training(
     path: str | Path,
     splits: SplitBundle,
-    step_callback=None,
     checkpoint_dir: str | Path | None = None,
 ) -> RunHistory:
     """Continue a checkpointed run; the result matches the uninterrupted run."""
@@ -542,18 +521,18 @@ def resume_training(
     for name, rng in rngs.items():
         rng.bit_generator.state = header.rng_states[name]
     c = splits.spec.num_classes
+    ids = arrays.get("registry.ids", splits.unlabeled.ids)  # if missing, _restore names it
     run = _RunState(
         state=state,
         opt=opt,
         rngs=rngs,
-        registry=_restore(PseudoRegistry(arrays["registry.ids"], c), "registry", arrays),
-        labels=arrays["labels"],
+        registry=_restore(PseudoRegistry(ids, c, header.config.freeze_resolved), "registry", arrays),
         stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),
         reports=header.reports,
         global_step=header.global_step,
         epoch=header.epoch,
     )
-    return _run("cpg", header.config, splits, step_callback, checkpoint_dir, run)
+    return _run("cpg", header.config, splits, checkpoint_dir, run)
 
 
 def _arrays(prefix: str, obj) -> dict[str, np.ndarray]:
@@ -563,9 +542,12 @@ def _arrays(prefix: str, obj) -> dict[str, np.ndarray]:
 
 
 def _restore(obj, prefix: str, arrays: dict[str, np.ndarray]):
-    """Inverse of ``_arrays``: set each ``<prefix>.<attribute>`` array on ``obj``."""
-    for key, value in arrays.items():
-        owner, _, name = key.partition(".")
-        if owner == prefix:
-            setattr(obj, name, value)
+    """Inverse of ``_arrays``: set each ndarray attribute of the fresh ``obj``
+    to the array saved under ``<prefix>.<attribute>``, which must be there
+    with the same shape and dtype."""
+    for key, fresh in _arrays(prefix, obj).items():
+        saved = arrays.get(key)
+        if saved is None or saved.shape != fresh.shape or saved.dtype != fresh.dtype:
+            raise ValueError(f"checkpoint {key} is missing or is not a {fresh.shape} array of {fresh.dtype}")
+        setattr(obj, key.partition(".")[2], saved)
     return obj

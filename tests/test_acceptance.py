@@ -23,6 +23,7 @@ from pseudopool.training import TrainConfig, run_baseline, train
 
 from conftest import desk_spec
 from test_network import finite_difference_check, random_parts, small_config
+from test_training import pool_and_prior_per_step
 
 SEEDS = (0, 1, 2)
 SCENARIOS = ("consistent", "inverse", "arbitrary")
@@ -149,18 +150,18 @@ class TestExactCriteria:
         report(3, "filter equivalence", mismatches == 0 and boundary == 0,
                f"{mismatches} mismatches on 10^4 draws; boundary->0")
 
-    def test_criterion_4_distribution_bookkeeping(self):
-        worst = [0.0]
-
-        def callback(info):
-            scratch = info.pool.recount()
-            pi_scratch = scratch / scratch.sum()
-            worst[0] = max(worst[0], float(np.max(np.abs(info.prior.probabilities - pi_scratch))))
-            assert np.array_equal(scratch, info.pool.phi)
-
+    def test_criterion_4_distribution_bookkeeping(self, monkeypatch):
+        worst = 0.0
         splits = generate_splits(desk_spec("arbitrary", 0))
-        train(desk_config(0), splits, step_callback=callback)
-        report(4, "distribution bookkeeping", worst[0] < 1e-12, f"max |pi gap| {worst[0]:.2e}")
+        steps = pool_and_prior_per_step(monkeypatch)
+        train(desk_config(0), splits)
+        assert len(steps) == desk_config(0).total_steps
+        for pool, prior in steps:
+            scratch = pool.recount()
+            pi_scratch = scratch / scratch.sum()
+            worst = max(worst, float(np.max(np.abs(prior.probabilities - pi_scratch))))
+            assert np.array_equal(scratch, pool.phi)
+        report(4, "distribution bookkeeping", worst < 1e-12, f"max |pi gap| {worst:.2e}")
 
     def test_criterion_5_degenerate_toggle_identity(self):
         splits = generate_splits(desk_spec("arbitrary", 0))

@@ -10,7 +10,6 @@ from pseudopool.cycle import (
     PseudoRegistry,
     ViewPredictionBatch,
     class_distribution,
-    merge_grow_only,
     reliability_mask_batch,
     update_pool,
 )
@@ -232,19 +231,22 @@ class TestResolve:
         reg = PseudoRegistry(np.array([0]), num_classes=3)
         for _ in range(3):
             reg.record_vote(0, 1)
-        assert reg.resolve(min_votes=3, majority_frac=0.5).tolist() == [1]
+        assert reg.resolve(min_votes=3, majority_frac=0.5)
+        assert reg.resolved.tolist() == [1]
 
     def test_tie_stays_unassigned(self):
         reg = PseudoRegistry(np.array([0]), num_classes=3)
         for label in (1, 1, 2, 2):
             reg.record_vote(0, label)
-        assert reg.resolve(min_votes=3, majority_frac=0.5).tolist() == [-1]
+        assert not reg.resolve(min_votes=3, majority_frac=0.5)
+        assert reg.resolved.tolist() == [-1]
 
     def test_below_min_votes_unassigned(self):
         reg = PseudoRegistry(np.array([0]), num_classes=3)
         reg.record_vote(0, 1)
         reg.record_vote(0, 1)
-        assert reg.resolve(min_votes=3, majority_frac=0.5).tolist() == [-1]
+        assert not reg.resolve(min_votes=3, majority_frac=0.5)
+        assert reg.resolved.tolist() == [-1]
 
     def test_matches_brute_force_rule(self):
         rng = np.random.default_rng(9)
@@ -255,17 +257,33 @@ class TestResolve:
                 reg.record_vote(int(rng.integers(30)), int(rng.integers(4)))
             min_votes = int(rng.integers(1, 6))
             frac = float(rng.choice([0.5, 0.6, 0.75, 0.9]))
-            got = reg.resolve(min_votes, frac)
-            assert np.array_equal(got, brute_resolve(reg.votes, min_votes, frac))
+            reg.resolve(min_votes, frac)
+            assert np.array_equal(reg.resolved, brute_resolve(reg.votes, min_votes, frac))
 
     def test_resolution_can_change_with_new_votes(self):
         reg = PseudoRegistry(np.array([0]), num_classes=2)
         for _ in range(3):
             reg.record_vote(0, 0)
-        assert reg.resolve(1, 0.5).tolist() == [0]
+        assert reg.resolve(1, 0.5)
+        assert reg.resolved.tolist() == [0]
         for _ in range(5):
             reg.record_vote(0, 1)
-        assert reg.resolve(1, 0.5).tolist() == [1]
+        assert reg.resolve(1, 0.5)
+        assert reg.resolved.tolist() == [1]
+        assert not reg.resolve(1, 0.5)
+
+    def test_grow_only_keeps_the_first_label(self):
+        reg = PseudoRegistry(np.array([0, 1]), num_classes=2, grow_only=True)
+        for _ in range(3):
+            reg.record_vote(0, 0)
+        assert reg.resolve(1, 0.5)
+        for _ in range(5):
+            reg.record_vote(0, 1)
+        reg.record_vote(1, 1)
+        assert not reg.resolve(1, 0.5, rows=np.array([0, 0]))  # row 1 is not asked for
+        assert reg.resolved.tolist() == [0, -1]
+        assert reg.resolve(1, 0.5)
+        assert reg.resolved.tolist() == [0, 1]
 
     def test_parameter_validation(self):
         reg = PseudoRegistry(np.array([0]), num_classes=2)
@@ -416,9 +434,12 @@ class TestLabelVectorProperties:
                 incremental.record_vote(pos, label)
                 full.record_vote(pos, label)
             rows = np.array([pos for pos, _ in votes], dtype=np.int64)
-            got = incremental.resolve(min_votes, frac, rows=rows)
-            assert np.array_equal(got, full.resolve(min_votes, frac))
-            assert np.array_equal(got, brute_resolve(full.votes, min_votes, frac))
+            before = full.resolved.copy()
+            changed = incremental.resolve(min_votes, frac, rows=rows)
+            assert full.resolve(min_votes, frac) == changed
+            assert np.array_equal(incremental.resolved, full.resolved)
+            assert np.array_equal(full.resolved, brute_resolve(full.votes, min_votes, frac))
+            assert changed == (not np.array_equal(before, full.resolved))
 
     @settings(max_examples=200, deadline=None)
     @given(label_vectors())
@@ -489,16 +510,18 @@ class TestLabelVectorProperties:
     @settings(max_examples=200, deadline=None)
     @given(vote_rounds())
     def test_voted_rows_merge_equals_full_merge(self, case):
+        # a grow-only registry that re-resolves only the voted rows holds the
+        # full grow-only merge of the brute-force resolutions
         n, c, rounds, min_votes, frac = case
         ids = np.arange(50, 50 + n)
-        registry = PseudoRegistry(ids, c)
+        registry = PseudoRegistry(ids, c, grow_only=True)
         full = np.full(n, -1)
-        voted_only = np.full(n, -1)
         for votes in rounds:
             for pos, label in votes:
                 registry.record_vote(pos, label)
             voted = np.array([pos for pos, _ in votes], dtype=np.int64)
-            resolved = registry.resolve(min_votes, frac, rows=voted)
-            full = np.where(full >= 0, full, resolved)
-            merge_grow_only(voted_only, resolved, voted)
-            assert np.array_equal(voted_only, full)
+            changed = registry.resolve(min_votes, frac, rows=voted)
+            grown = np.where(full >= 0, full, brute_resolve(registry.votes, min_votes, frac))
+            assert np.array_equal(registry.resolved, grown)
+            assert changed == (not np.array_equal(grown, full))
+            full = grown

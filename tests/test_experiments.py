@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import pseudopool.training
 from pseudopool.cli import main
 from pseudopool.cycle import RegistryEntry, RegistrySnapshot
 from pseudopool.experiments import (
@@ -18,6 +19,7 @@ from pseudopool.experiments import (
     RunSummary,
     SummaryMetrics,
     compare_runs,
+    inspect_registry,
     load_config,
     parse_config,
     run_ablation,
@@ -35,6 +37,8 @@ from pseudopool.training import (
     TrainingDiverged,
     resume_training,
 )
+
+from test_cycle import brute_resolve
 
 TINY_CONFIG = {
     "method": "cpg",
@@ -320,6 +324,37 @@ class TestRunExperiment:
         resumed = resume_training(seed_dir / "checkpoint_epoch0004.npz", splits)
         lines = (seed_dir / "history.jsonl").read_text().splitlines()
         assert [json.loads(line) for line in lines] == json.loads(json.dumps(resumed.to_records()))
+
+    def test_frozen_registry_reports_the_pool_labels(self, tmp_path, monkeypatch):
+        # under freeze_resolved a row keeps its first label while its tallies
+        # may resolve elsewhere: registry.json reports the label in the pool
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [1, 2, 3]
+        data["dataset"].update(n_max=20, m_max=60, gamma_l=4.0, gamma_u=4.0, test_per_class=10)
+        data["train"].update(
+            total_epochs=20, warmup_epochs=2, steps_per_epoch=6, labeled_batch=8, unlabeled_ratio=3,
+            min_votes=1, majority_frac=0.5, hidden_dims=[16, 16], freeze_resolved=True,
+        )
+        histories = {}
+        train = pseudopool.training.train
+
+        def kept(config, splits, **kwargs):
+            histories[config.seed] = train(config, splits, **kwargs)
+            return histories[config.seed]
+
+        monkeypatch.setattr(pseudopool.training, "train", kept)
+        run_experiment(parse_config(data), tmp_path / "out")
+        retallied = []
+        for seed, history in histories.items():
+            pool, registry = history.pool, history.registry
+            labels = dict(zip(pool.source.ids[pool.pseudo_rows].tolist(), pool.pseudo_labels.tolist()))
+            inspected = inspect_registry(tmp_path / "out" / f"seed_{seed}")
+            entries = inspected["snapshot"]["entries"]
+            assert {int(k): e["resolved"] for k, e in entries.items() if e["resolved"] is not None} == labels
+            assert inspected["stats"]["resolved"] == history.reports[-1].pool.m_hat
+            tally = brute_resolve(registry.votes, 1, 0.5)
+            retallied.append(dict(zip(registry.ids[tally >= 0].tolist(), tally[tally >= 0].tolist())) != labels)
+        assert any(retallied)  # some row's tallies no longer back its label
 
     @pytest.mark.parametrize("method", ["supervised_ce", "supervised_la", "consistency_ssl"])
     def test_baseline_checkpoint_every_rejected(self, method):

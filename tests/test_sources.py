@@ -1,6 +1,7 @@
 """Static checks on the package sources (standard library ``ast`` only)."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -139,3 +140,13 @@ def test_unreferenced_public_definition_is_caught():
     }
     callers = ["import a\na.used()\na.Kept().size\n"]
     assert unreferenced_public_definitions(package, callers, "Call `documented()`.") == ["a.dead", "a.Kept.method"]
+
+
+def test_every_traced_name_exists():
+    # perfbench/spans.py wraps each layer function where training looks it up;
+    # entering its block looks up every name, so a renamed or removed one fails here
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.instrument(spans.Trace()):
+        pass

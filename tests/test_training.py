@@ -36,6 +36,7 @@ from pseudopool.training import (
 )
 
 from conftest import tiny_spec
+from test_cycle import brute_resolve
 
 
 def fast_config(**overrides) -> TrainConfig:
@@ -99,6 +100,33 @@ class TestPredict:
         state.params["head_primary_w"][:] = np.eye(2)
         state.params["head_primary_b"][:] = 0.0
         assert predict_batch(state, np.array([[3.0, 1.0], [1.0, 3.0]])).tolist() == [0, 1]
+
+
+def pool_and_prior_per_step(monkeypatch) -> list[tuple]:
+    """Per training step, delimited by its ``sgd_step`` call: the pool the
+    loop holds, which the last ``update_pool`` call returned, and the prior
+    of the last ``class_distribution`` call."""
+    held, steps = {}, []
+    update_pool = pseudopool.training.update_pool
+    class_distribution = pseudopool.training.class_distribution
+    sgd_step = pseudopool.training.sgd_step
+
+    def grown(*args):
+        held["pool"] = update_pool(*args)
+        return held["pool"]
+
+    def prior(pool):
+        held["prior"] = class_distribution(pool)
+        return held["prior"]
+
+    def step(*args):
+        steps.append((held["pool"], held["prior"]))
+        return sgd_step(*args)
+
+    monkeypatch.setattr(pseudopool.training, "update_pool", grown)
+    monkeypatch.setattr(pseudopool.training, "class_distribution", prior)
+    monkeypatch.setattr(pseudopool.training, "sgd_step", step)
+    return steps
 
 
 def encoder_calls_per_step(monkeypatch, method: str, cfg: TrainConfig, splits) -> list[Counter]:
@@ -183,18 +211,15 @@ class TestTrainingRun:
         b = train(fast_config(seed=1), tiny_splits)
         assert json.dumps(a.to_records()) != json.dumps(b.to_records())
 
-    def test_pool_census_matches_recount_every_step(self, tiny_splits):
+    def test_pool_census_matches_recount_every_step(self, tiny_splits, monkeypatch):
         checks = []
-
-        def callback(info):
-            scratch = info.pool.recount()
-            incremental = info.pool.phi
-            checks.append(np.max(np.abs(scratch - incremental)))
-            pi = info.prior.probabilities
-            assert np.max(np.abs(pi - scratch / scratch.sum())) < 1e-12
-
-        train(fast_config(total_epochs=10), tiny_splits, step_callback=callback)
-        assert checks and max(checks) == 0
+        steps = pool_and_prior_per_step(monkeypatch)
+        train(fast_config(total_epochs=10), tiny_splits)
+        for pool, prior in steps:
+            scratch = pool.recount()
+            checks.append(np.max(np.abs(scratch - pool.phi)))
+            assert np.max(np.abs(prior.probabilities - scratch / scratch.sum())) < 1e-12
+        assert len(checks) == 10 * fast_config().steps_per_epoch and max(checks) == 0
 
     def test_post_warmup_cpg_step_encodes_no_row_twice_and_makes_one_backward(self, tiny_splits, monkeypatch):
         # the filter's [weak; strong] forward also serves the loss's strong-view
@@ -329,7 +354,7 @@ class TestCheckpointResume:
 
     def test_resume_restores_frozen_labels_not_registry_resolution(self, tmp_path):
         # with freeze_resolved, a row keeps its first label while its tallies
-        # may resolve elsewhere: the checkpoint must carry the label vector
+        # may resolve elsewhere: the checkpoint must carry the pool's labels
         splits = generate_splits(tiny_spec(seed=2))
         cfg = fast_config(
             total_epochs=20,
@@ -343,7 +368,8 @@ class TestCheckpointResume:
         full = train(cfg, splits, checkpoint_dir=tmp_path)
         pool_labels = np.full(splits.unlabeled.ids.size, -1, dtype=np.int64)
         pool_labels[full.pool.pseudo_rows] = full.pool.pseudo_labels
-        assert np.any(pool_labels != full.registry.resolved)
+        assert np.any(pool_labels != brute_resolve(full.registry.votes, cfg.min_votes, cfg.majority_frac))
+        assert np.array_equal(pool_labels, full.registry.resolved)
         resumed = resume_training(tmp_path / "checkpoint_epoch0010.npz", splits)
         assert resumed.to_records() == full.to_records()
         assert np.array_equal(resumed.pool.pseudo_rows, full.pool.pseudo_rows)
@@ -366,17 +392,18 @@ def run_fields(config, run) -> dict:
         "momentum": run.state.momentum.flat.tobytes(),
         "opt": run.opt,
         "rngs": {name: rng.bit_generator.state for name, rng in run.rngs.items()},
-        "labels": run.labels.tobytes(),
+        "grow_only": run.registry.grow_only,
         "arrays": {k: v.tobytes() for k, v in arrays.items() if isinstance(v, np.ndarray)},
         "reports": [asdict(r) for r in run.reports],
         "counters": (run.global_step, run.epoch),
     }
 
 
-def rewrite_checkpoint(path, edit_header=None, **arrays):
-    """Re-save a checkpoint with its header edited in place and ``arrays`` replaced."""
+def rewrite_checkpoint(path, edit_header=None, drop=(), **arrays):
+    """Re-save a checkpoint with its header edited in place, the arrays named
+    in ``drop`` left out and ``arrays`` replaced."""
     with np.load(path) as data:
-        saved = {name: data[name] for name in data.files}
+        saved = {name: data[name] for name in data.files if name not in drop}
     header = json.loads(bytes(saved["header"]).decode("utf-8"))
     if edit_header is not None:
         edit_header(header)
@@ -394,7 +421,7 @@ class TestRunCheckpoint:
     @staticmethod
     def read(monkeypatch, path, splits):
         with monkeypatch.context() as patch:
-            patch.setattr(pseudopool.training, "_run", lambda method, config, splits, cb, out, run: (config, run))
+            patch.setattr(pseudopool.training, "_run", lambda method, config, splits, out, run: (config, run))
             return resume_training(path, splits)
 
     def test_round_trip_bit_exact(self, tiny_splits, tmp_path, monkeypatch):
@@ -456,6 +483,22 @@ class TestRunCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {name} hold {short.size} values"):
             resume_training(path, tiny_splits)
 
+    @pytest.mark.parametrize(
+        "key, shorten",
+        [("stats.centroids", False), ("registry.votes", False), ("registry.votes", True)],
+        ids=["missing-stats.centroids", "missing-registry.votes", "misshaped-registry.votes"],
+    )
+    def test_incomplete_registry_or_stats_rejected(self, tiny_splits, tmp_path, key, shorten):
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        if shorten:
+            with np.load(path) as data:
+                rewrite_checkpoint(path, **{key: data[key][:, :-1]})  # 2 of 3 class columns
+        else:
+            rewrite_checkpoint(path, drop=[key])
+        with pytest.raises(ValueError, match=f"checkpoint {key} is missing or is not a "):
+            resume_training(path, tiny_splits)
+
 
 class TestHiddenLabelFirewall:
     TRAINING_MODULES = (
@@ -502,29 +545,26 @@ class TestConfigValidation:
         "field, value",
         [("min_votes", 0), ("majority_frac", 0.2), ("majority_frac", 1.5), ("ema_decay", 1.5), ("ema_decay", -0.1)],
     )
-    def test_cycle_parameters_rejected_before_epoch_one(self, tiny_splits, field, value):
-        steps = []
+    def test_cycle_parameters_rejected_before_epoch_one(self, tiny_splits, monkeypatch, field, value):
+        steps = pool_and_prior_per_step(monkeypatch)
         cfg = replace(fast_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
-            train(cfg, tiny_splits, step_callback=steps.append)
+            train(cfg, tiny_splits)
         assert steps == []
 
 
 class TestFreezeResolved:
-    def test_frozen_assignments_never_shrink(self, tiny_splits):
+    def test_frozen_assignments_never_shrink(self, tiny_splits, monkeypatch):
         cfg = fast_config(total_epochs=30, warmup_epochs=5, freeze_resolved=True, min_votes=2)
-        sizes = []
         kept: dict[int, int] = {}
-
-        def callback(info):
-            sizes.append(info.pool.pseudo_size)
-            ids = info.pool.source.ids[info.pool.pseudo_rows].tolist() if info.pool.source is not None else []
-            pool = dict(zip(ids, info.pool.pseudo_labels.tolist()))
-            assert all(pool.get(sid) == label for sid, label in kept.items())
-            kept.update(pool)
-
-        train(cfg, tiny_splits, step_callback=callback)
-        assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+        steps = pool_and_prior_per_step(monkeypatch)
+        train(cfg, tiny_splits)
+        for pool, _ in steps:
+            labels = dict(zip(pool.source.ids[pool.pseudo_rows].tolist(), pool.pseudo_labels.tolist()))
+            assert all(labels.get(sid) == label for sid, label in kept.items())
+            kept.update(labels)
+        sizes = [pool.pseudo_size for pool, _ in steps]
+        assert len(sizes) == cfg.total_steps and all(b >= a for a, b in zip(sizes, sizes[1:]))
         assert kept
 
 
