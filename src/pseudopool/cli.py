@@ -56,11 +56,7 @@ def _load(args: argparse.Namespace) -> experiments.ExperimentConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
     out_dir = _resolve_out(config.output_dir)
-    try:
-        summary = experiments.run_experiment(config, out_dir, emit_plot_data=args.emit_plot_data)
-    except TrainingDiverged as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    summary = experiments.run_experiment(config, out_dir, emit_plot_data=args.emit_plot_data)
     for path in summary["paths"]:
         print(path)
     return 0
@@ -80,12 +76,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _load(args)
-    out_dir = _resolve_out(args.out or config.output_dir)
-    try:
-        result = experiments.run_ablation(config, out_dir)
-    except TrainingDiverged as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    result = experiments.run_ablation(config, _resolve_out(args.out or config.output_dir))
     print(result["csv"])
     print(result["json"])
     return 0
@@ -161,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ grow-only rule when the registry is built with ``grow_only``) and reports
 whether a row changed label. ``update_pool`` turns it into the pool's pseudo
 portion (the assigned rows' indices and labels; features are read through
 the indices when a batch is drawn, never copied), and
-``metrics.pseudo_audit`` tallies it against hidden ground truth.
+``metrics.pseudo_audit`` tallies it against hidden ground truth. Neither the
+registry nor the pool checks ids: ``SplitBundle`` rejects a repeated id when
+it is built, so no pseudo row can share an id with a base row.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ class PseudoRegistry:
 
     def __init__(self, ids: np.ndarray, num_classes: int, grow_only: bool = False):
         self.ids = np.asarray(ids, dtype=np.int64).copy()
-        if np.unique(self.ids).size != self.ids.size:
-            raise ValueError("registry ids must be unique")
         self.num_classes = num_classes
         self.grow_only = grow_only
         self.votes = np.zeros((self.ids.size, num_classes), dtype=np.int64)
@@ -159,22 +159,17 @@ class RegistrySnapshot:
 class LabeledPool:
     """The base labeled set plus the currently accepted pseudo-labeled samples.
 
-    Base examples are immutable: never removed, never relabeled. The pseudo
-    portion is held as indices: ``pseudo_rows`` are rows of the unlabeled
-    view ``source`` it was taken from, ``pseudo_labels`` their classes. Its
-    ids and features are read through those indices, never copied into the
-    pool. Pool row ``i`` is base row ``i`` below ``len(base_ids)`` and pseudo
-    row ``i - len(base_ids)`` from there on.
+    The pool holds features and labels, not ids: the split bundle already
+    guarantees that no unlabeled id is a base id. Base examples are
+    immutable: never removed, never relabeled. The pseudo portion is held as
+    indices: ``pseudo_rows`` are rows of the unlabeled view ``source`` it was
+    taken from, ``pseudo_labels`` their classes, and its features are read
+    through those indices, never copied into the pool. Pool row ``i`` is base
+    row ``i`` below ``len(base_labels)`` and pseudo row ``i - len(base_labels)``
+    from there on.
     """
 
-    def __init__(
-        self,
-        base_ids: np.ndarray,
-        base_features: np.ndarray,
-        base_labels: np.ndarray,
-        num_classes: int,
-    ):
-        self.base_ids = np.asarray(base_ids, dtype=np.int64)
+    def __init__(self, base_features: np.ndarray, base_labels: np.ndarray, num_classes: int):
         self.base_features = np.asarray(base_features, dtype=np.float64)
         self.base_labels = np.asarray(base_labels, dtype=np.int64)
         self.num_classes = num_classes
@@ -182,15 +177,12 @@ class LabeledPool:
         if np.any(self.n < 1):
             raise ValueError("every class needs at least one base labeled sample")
         self.source: UnlabeledView | None = None
-        # rows of ``source`` whose id is also a base id (none for any split
-        # this library builds); found once per view, since ids never change
-        self.colliding_rows = np.zeros(0, dtype=np.int64)
         self.pseudo_rows = np.zeros(0, dtype=np.int64)
         self.pseudo_labels = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def from_split(cls, split, num_classes: int) -> "LabeledPool":
-        return cls(split.ids, split.features, split.labels, num_classes)
+        return cls(split.features, split.labels, num_classes)
 
     @property
     def m(self) -> np.ndarray:
@@ -202,7 +194,7 @@ class LabeledPool:
 
     @property
     def size(self) -> int:
-        return self.base_ids.size + self.pseudo_rows.size
+        return self.base_labels.size + self.pseudo_rows.size
 
     @property
     def pseudo_size(self) -> int:
@@ -213,7 +205,7 @@ class LabeledPool:
         rows = np.asarray(rows, dtype=np.int64)
         if not self.pseudo_rows.size:
             return self.base_features[rows], self.base_labels[rows]
-        n_base = self.base_ids.size
+        n_base = self.base_labels.size
         pseudo = rows >= n_base
         base_at = np.where(pseudo, 0, rows)
         pseudo_at = np.where(pseudo, rows - n_base, 0)
@@ -248,16 +240,9 @@ def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) ->
         raise ValueError(
             f"label vector of shape {labels.shape} does not match {source.ids.size} unlabeled rows"
         )
-    if source is pool.source:
-        colliding = pool.colliding_rows
-    else:
-        colliding = np.flatnonzero(np.isin(source.ids, pool.base_ids))
-    collisions = source.ids[colliding[labels[colliding] >= 0]]
-    if collisions.size:
-        raise ValueError(f"pseudo ids collide with base labeled ids: {collisions[:5].tolist()}")
     rows = np.flatnonzero(labels >= 0)
     grown = copy.copy(pool)
-    grown.source, grown.colliding_rows = source, colliding
+    grown.source = source
     grown.pseudo_rows, grown.pseudo_labels = rows, labels[rows]
     return grown
 

@@ -101,10 +101,34 @@ class UnlabeledView:
 
 @dataclass
 class SplitBundle:
+    """The three splits of one dataset. Checked once, here, so that no
+    reader checks again: each role has one id, one feature row and one label
+    per sample, every role's features are 2-D with the labeled split's width,
+    and no id appears twice, within a role or across roles."""
+
     spec: DatasetSpec
     labeled: LabeledSplit
     unlabeled: UnlabeledSplit
     test: LabeledSplit
+
+    def __post_init__(self) -> None:
+        for role, split, labels in (
+            ("labeled", self.labeled, self.labeled.labels),
+            ("unlabeled", self.unlabeled, self.unlabeled.hidden_labels),
+            ("test", self.test, self.test.labels),
+        ):
+            shape = np.shape(split.features)
+            if len(shape) != 2 or shape[1] != np.shape(self.labeled.features)[1]:
+                raise ValueError(f"{role} features of shape {shape} are not 2-D rows as wide as the labeled ones")
+            if not np.size(split.ids) == shape[0] == np.size(labels):
+                raise ValueError(
+                    f"{role} split has {np.size(split.ids)} ids, {shape[0]} feature rows and {np.size(labels)} labels"
+                )
+        ids = np.concatenate([self.labeled.ids, self.unlabeled.ids, self.test.ids])
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later positions of a repeated id
+        if repeats.size:
+            raise ValueError(f"id {ids[repeats.min()]} appears more than once in the labeled, unlabeled and test ids")
 
     def unlabeled_view(self) -> UnlabeledView:
         return UnlabeledView(ids=self.unlabeled.ids, features=self.unlabeled.features)

@@ -64,17 +64,14 @@ class OptimizerConfig:
     base_lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    total_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.base_lr < 0:
-            raise ValueError("base_lr must be >= 0")
+        if self.base_lr <= 0:
+            raise ValueError("base_lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.total_steps is not None and self.total_steps < 1:
-            raise ValueError("total_steps must be positive")
 
 
 class ParamVector(dict):
@@ -426,10 +423,9 @@ def sgd_step(state: ModelState, opt: OptimizerConfig, lr: float) -> ModelState:
     return state
 
 
-def cosine_lr(t: int, opt: OptimizerConfig) -> float:
-    """Learning rate base_lr * cos(7*pi*t / (16*T)); decreasing, positive on [0, T]."""
-    if opt.total_steps is None:
-        raise ValueError("OptimizerConfig.total_steps must be set for the schedule")
-    if t < 0 or t > opt.total_steps:
-        raise ValueError(f"step {t} outside [0, {opt.total_steps}]")
-    return opt.base_lr * float(np.cos(7.0 * np.pi * t / (16.0 * opt.total_steps)))
+def cosine_lr(t: int, base_lr: float, total_steps: int) -> float:
+    """Learning rate base_lr * cos(7*pi*t / (16*total_steps)); decreasing, and
+    positive for a positive ``base_lr``, on [0, total_steps]."""
+    if t < 0 or t > total_steps:
+        raise ValueError(f"step {t} outside [0, {total_steps}]")
+    return base_lr * float(np.cos(7.0 * np.pi * t / (16.0 * total_steps)))

@@ -62,7 +62,7 @@ from .records import atomic_open, from_mapping
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
 STREAM_NAMES = ("labeled", "unlabeled", "views", "synth", "audit")
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 class TrainingDiverged(RuntimeError):
@@ -111,8 +111,6 @@ class TrainConfig:
             raise ValueError("ema_decay must lie in [0, 1)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.optimizer.total_steps is not None:
-            raise ValueError("optimizer.total_steps must be null: training sets it")
         validate_architecture(self.hidden_dims, self.activation)
 
     @property
@@ -199,16 +197,9 @@ def _streams(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(child) for name, child in zip(STREAM_NAMES, children)}
 
 
-def _build_model(config: TrainConfig, splits: SplitBundle) -> tuple[ModelState, OptimizerConfig]:
-    model_cfg = ModelConfig(
-        input_dim=splits.labeled.features.shape[1],
-        num_classes=splits.spec.num_classes,
-        hidden_dims=config.hidden_dims,
-        activation=config.activation,
-        init_seed=config.seed,
-    )
-    opt = replace(config.optimizer, total_steps=config.total_steps)
-    return init(model_cfg), opt
+def _build_model(config: TrainConfig, splits: SplitBundle) -> ModelState:
+    width, c = splits.labeled.features.shape[1], splits.spec.num_classes
+    return init(ModelConfig(width, c, config.hidden_dims, config.activation, config.seed))
 
 
 def _epoch_report(
@@ -270,7 +261,6 @@ class _RunState:
     """Everything one epoch hands the next; a run checkpoint is this record."""
 
     state: ModelState
-    opt: OptimizerConfig
     rngs: dict[str, np.random.Generator]
     registry: PseudoRegistry  # holds the cycle's label vector
     stats: ClassStats
@@ -298,9 +288,9 @@ def _run(
 
     c = splits.spec.num_classes
     if run is None:
-        state, opt = _build_model(config, splits)
+        state = _build_model(config, splits)
         registry = PseudoRegistry(uview.ids, c, grow_only=config.freeze_resolved)
-        run = _RunState(state, opt, _streams(config.seed), registry, ClassStats(c, state.config.rep_dim))
+        run = _RunState(state, _streams(config.seed), registry, ClassStats(c, state.config.rep_dim))
     elif not np.array_equal(run.registry.ids, uview.ids):
         raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
     pool, prior, log_pi, minority = _grown(
@@ -377,7 +367,8 @@ def _run(
                 _, part_means = loss_and_grads(run.state, parts)
             except NonFiniteLossError as exc:
                 raise TrainingDiverged(epoch, step, str(exc)) from exc
-            sgd_step(run.state, run.opt, cosine_lr(run.global_step, run.opt))
+            lr = cosine_lr(run.global_step, config.optimizer.base_lr, config.total_steps)
+            sgd_step(run.state, config.optimizer, lr)
             run.global_step += 1
 
             primary_sum += part_means[0]
@@ -508,7 +499,7 @@ def resume_training(
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     header = from_mapping(_CheckpointHeader, raw)
-    state, opt = _build_model(header.config, splits)
+    state = _build_model(header.config, splits)
     for name in ("params", "momentum"):
         flat = getattr(state, name).flat
         if arrays[name].shape != flat.shape:
@@ -524,7 +515,6 @@ def resume_training(
     ids = arrays.get("registry.ids", splits.unlabeled.ids)  # if missing, _restore names it
     run = _RunState(
         state=state,
-        opt=opt,
         rngs=rngs,
         registry=_restore(PseudoRegistry(ids, c, header.config.freeze_resolved), "registry", arrays),
         stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),

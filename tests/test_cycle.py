@@ -294,10 +294,9 @@ class TestResolve:
 
 
 def small_pool():
-    base_ids = np.array([0, 1, 2, 3])
     feats = np.arange(8.0).reshape(4, 2)
     labels = np.array([0, 0, 0, 1])
-    return LabeledPool(base_ids, feats, labels, num_classes=2)
+    return LabeledPool(feats, labels, num_classes=2)
 
 
 def unlabeled_source(n=6, offset=100):
@@ -349,15 +348,9 @@ class TestPool:
         assert np.array_equal(grown.base_labels, before_labels)
         assert np.array_equal(pool.base_labels, before_labels)
 
-    def test_id_collision_with_base_rejected(self):
-        pool = small_pool()
-        source = UnlabeledView(ids=np.array([2, 100]), features=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="collide"):
-            update_pool(pool, label_vector(source, {2: 1}), source)
-
     def test_base_needs_every_class(self):
         with pytest.raises(ValueError):
-            LabeledPool(np.array([0]), np.zeros((1, 2)), np.array([0]), num_classes=2)
+            LabeledPool(np.zeros((1, 2)), np.array([0]), num_classes=2)
 
 
 class TestClassDistribution:
@@ -367,14 +360,11 @@ class TestClassDistribution:
         assert np.allclose(prior.probabilities, [0.75, 0.25])
 
     def test_uniform_pool(self):
-        pool = LabeledPool(
-            np.arange(4), np.zeros((4, 2)), np.array([0, 0, 1, 1]), num_classes=2
-        )
+        pool = LabeledPool(np.zeros((4, 2)), np.array([0, 0, 1, 1]), num_classes=2)
         assert np.allclose(class_distribution(pool).probabilities, [0.5, 0.5])
 
     def test_direct_normalization(self):
         pool = LabeledPool(
-            np.arange(8),
             np.zeros((8, 2)),
             np.array([0, 0, 0, 0, 1, 1, 2, 3]),
             num_classes=4,
@@ -460,7 +450,7 @@ class TestLabelVectorProperties:
     @given(label_vectors())
     def test_pool_census_matches_recount_under_churn(self, case):
         c, n, vectors = case
-        pool = LabeledPool(np.arange(c), np.zeros((c, 2)), np.arange(c), num_classes=c)
+        pool = LabeledPool(np.zeros((c, 2)), np.arange(c), num_classes=c)
         source = unlabeled_source(n=n)
         for labels in vectors:
             pool = update_pool(pool, labels, source)
@@ -475,7 +465,7 @@ class TestLabelVectorProperties:
     def test_take_equals_concatenated_reference(self, case, seed):
         c, n, vectors = case
         rng = np.random.default_rng(seed)
-        pool = LabeledPool(np.arange(c), rng.normal(size=(c, 2)), np.arange(c), num_classes=c)
+        pool = LabeledPool(rng.normal(size=(c, 2)), np.arange(c), num_classes=c)
         source = unlabeled_source(n=n)
         for labels in [np.full(n, -1), *vectors]:  # starts from an empty pseudo portion
             pool = update_pool(pool, labels, source)
@@ -488,24 +478,6 @@ class TestLabelVectorProperties:
             assert y.dtype == np.int64 and np.array_equal(y, classes[rows])
             assert np.array_equal(pool.source.features[pool.pseudo_rows], source.features[assigned])
             assert np.array_equal(pool.labels(), classes)
-
-    @settings(max_examples=200, deadline=None)
-    @given(label_vectors(), st.sets(st.integers(0, 14), max_size=4))
-    def test_colliding_id_rejected_on_any_step(self, case, shared):
-        c, n, vectors = case
-        pool = LabeledPool(np.arange(200, 200 + c), np.zeros((c, 2)), np.arange(c), num_classes=c)
-        ids = np.arange(100, 100 + n)
-        shared = sorted(r for r in shared if r < n)
-        ids[shared] = 200 + np.arange(len(shared)) % c  # these rows carry base ids
-        source = UnlabeledView(ids=ids, features=np.zeros((n, 2)))
-        for labels in vectors:
-            colliding = [int(ids[r]) for r in shared if labels[r] >= 0]
-            if colliding:
-                with pytest.raises(ValueError, match=str(colliding[0])):
-                    update_pool(pool, labels, source)
-            else:
-                pool = update_pool(pool, labels, source)
-                assert np.array_equal(pool.source.ids[pool.pseudo_rows], ids[labels >= 0])
 
     @settings(max_examples=200, deadline=None)
     @given(vote_rounds())

@@ -14,6 +14,7 @@ from pseudopool.datasets import (
     AugmentationPolicy,
     DatasetSpec,
     LabeledSplit,
+    SplitBundle,
     UnlabeledSplit,
     generate_splits,
     load_csv,
@@ -214,6 +215,86 @@ class TestViews:
         policy = policy_from_features(feats)
         assert policy.strong_noise_sigma == pytest.approx(3 * policy.weak_noise_sigma)
         assert policy.weak_noise_sigma == pytest.approx(0.05 * 2.0, rel=0.1)
+
+
+def hand_built(labeled_ids, unlabeled_ids, test_ids, unlabeled_rows=None):
+    """A two-class bundle of zero features over the given ids, labels 0, 1, 0, ...;
+    ``unlabeled_rows`` sets the unlabeled split's feature and label count."""
+    def split(kind, ids, rows=None):
+        rows = len(ids) if rows is None else rows
+        return kind(np.array(ids), np.zeros((rows, 2)), np.arange(rows) % 2)
+
+    return SplitBundle(
+        tiny_spec(num_classes=2, feature_dim=2),
+        split(LabeledSplit, labeled_ids),
+        split(UnlabeledSplit, unlabeled_ids, unlabeled_rows),
+        split(LabeledSplit, test_ids),
+    )
+
+
+class TestSplitBundle:
+    """A bundle checks its ids and row counts once, when it is built, so the
+    pool and the registry need not."""
+
+    def test_id_collision_with_base_rejected(self):
+        with pytest.raises(ValueError, match="^id 2 appears more than once"):
+            hand_built([0, 1, 2, 3], [2, 100], [300])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 15), st.sets(st.integers(0, 14), max_size=4))
+    def test_colliding_id_rejected_on_any_step(self, c, n, shared):
+        base = np.arange(200, 200 + c)
+        ids = np.arange(100, 100 + n)
+        shared = sorted(r for r in shared if r < n)
+        ids[shared] = 200 + np.arange(len(shared)) % c  # these rows carry base ids
+        if shared:
+            with pytest.raises(ValueError, match=f"^id {ids[shared[0]]} appears"):
+                hand_built(base, ids, [300])
+        else:
+            assert np.array_equal(hand_built(base, ids, [300]).unlabeled_view().ids, ids)
+
+    def test_unlabeled_id_shared_with_test_rejected(self):
+        with pytest.raises(ValueError, match="^id 101 appears"):
+            hand_built([0, 1], [100, 101, 102], [300, 101])
+
+    def test_id_repeated_within_unlabeled_rejected(self):
+        with pytest.raises(ValueError, match="^id 102 appears"):
+            hand_built([0, 1], [100, 102, 101, 102], [300])
+
+    @pytest.mark.parametrize("rows", [2, 4], ids=["ids-shorter", "ids-longer"])
+    def test_unlabeled_ids_must_match_feature_rows(self, rows):
+        with pytest.raises(ValueError, match=f"^unlabeled split has 3 ids, {rows} feature rows and {rows} labels"):
+            hand_built([0, 1], [100, 101, 102], [300], unlabeled_rows=rows)
+
+    def test_narrower_test_csv_rejected_on_load(self, tmp_path):
+        save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
+        path = tmp_path / "test.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        narrow = [["f0", "f1", "f2", "label"]] + [row[:3] + row[4:] for row in rows[1:]]
+        path.write_text("\n".join(",".join(row) for row in narrow) + "\n")
+        with pytest.raises(ValueError, match=r"^test features of shape \(30, 3\) are not 2-D rows as wide"):
+            load_splits(tmp_path)
+
+    def test_one_dimensional_features_rejected(self):
+        bundle = hand_built([0, 1], [100], [300])
+        flat = LabeledSplit(np.array([5]), np.zeros(1), np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"^test features of shape \(1,\)"):
+            SplitBundle(bundle.spec, bundle.labeled, bundle.unlabeled, flat)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 5), st.integers(1, 4), st.integers(1, 30), st.integers(0, 40),
+        st.sampled_from(["consistent", "inverse", "uniform", "arbitrary"]), st.integers(0, 2**16),
+    )
+    def test_generated_and_reloaded_bundles_construct(self, c, d, n_max, m_extra, shape, seed):
+        spec = tiny_spec(num_classes=c, feature_dim=d, n_max=n_max, m_max=n_max + m_extra,
+                         gamma_l=1.0, gamma_u=1.0, unlabeled_shape=shape, test_per_class=2, seed=seed)
+        bundle = generate_splits(spec)
+        with tempfile.TemporaryDirectory() as out:
+            save_splits(bundle, out)
+            loaded = load_splits(out)
+        for role in ("labeled", "unlabeled", "test"):
+            assert np.array_equal(getattr(loaded, role).ids, getattr(bundle, role).ids)
 
 
 class TestCsv:

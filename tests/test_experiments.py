@@ -97,12 +97,16 @@ class TestConfigParsing:
             ("train.synth_count", 10),
             ("train.augmentation", None),
             ("dataset.class_means", None),
+            ("train.optimizer.total_steps", 5),
             ("dataset.mean_scale", 2.5),
             ("dataset.cov_scale", 1.0),
         ]:
             data = json.loads(json.dumps(TINY_CONFIG))
-            *section, name = path.split(".")
-            (data[section[0]] if section else data)[name] = value
+            *sections, name = path.split(".")
+            section = data
+            for key in sections:
+                section = section.setdefault(key, {})
+            section[name] = value
             with pytest.raises(ConfigError, match=f"^{path}: unknown field"):
                 parse_config(data)
 
@@ -122,7 +126,6 @@ class TestConfigParsing:
             ("hidden_dims", []),
             ("hidden_dims", [0]),
             ("checkpoint_every", -1),
-            ("optimizer", {"total_steps": 5}),  # training sets it, so it must stay null
         ],
     )
     def test_cycle_parameters_validated(self, field, value):
@@ -188,7 +191,7 @@ class TestConfigParsing:
         expected = names("dataset", [f.name for f in fields(DatasetSpec)])
         expected |= names("train", [f.name for f in fields(TrainConfig)])
         expected |= names("train.optimizer", [f.name for f in fields(OptimizerConfig)])
-        assert named == expected - {"train.optimizer.total_steps"}
+        assert named == expected
 
     def test_bad_method(self):
         data = json.loads(json.dumps(TINY_CONFIG))
@@ -215,7 +218,7 @@ SPEC = DatasetSpec(
     labeled_shape="arbitrary", unlabeled_shape="inverse", test_per_class=7,
     arbitrary_mode="dirichlet", seed=9,
 )
-OPTIMIZER = OptimizerConfig(base_lr=0.1, momentum=0.5, weight_decay=0.0, total_steps=40)
+OPTIMIZER = OptimizerConfig(base_lr=0.1, momentum=0.5, weight_decay=0.0)
 TRAIN = TrainConfig(
     total_epochs=12, warmup_epochs=2, steps_per_epoch=3, labeled_batch=5, unlabeled_ratio=2,
     confidence_threshold=0.8, min_votes=2, majority_frac=0.6, freeze_resolved=True,
@@ -259,18 +262,22 @@ class TestFromMapping:
         assert from_mapping(type(record), json.loads(json.dumps(asdict(record)))) == record
 
     def test_type_rules(self):
-        opt = from_mapping(OptimizerConfig, {"base_lr": 1, "total_steps": None})
-        assert type(opt.base_lr) is int and opt.total_steps is None
+        opt = from_mapping(OptimizerConfig, {"base_lr": 1})
+        assert type(opt.base_lr) is int
+        entry = from_mapping(RegistryEntry, {"votes": {}, "resolved": None, "first_vote_epoch": None})
+        assert entry.resolved is None
         model = from_mapping(ModelConfig, {"input_dim": 2, "num_classes": 3, "hidden_dims": [4]})
         assert model.hidden_dims == (4,)
-        for data, message in [
-            ({"total_steps": True}, "^total_steps: expected int, got bool"),
-            ({"momentum": None}, "^momentum: expected float, got null"),
-            ({"base_lr": -1}, "^<root>: base_lr must be >= 0"),
-            ([], "^<root>: expected a mapping, got list"),
+        for cls, data, message in [
+            (RegistryEntry, {"votes": {}, "resolved": True, "first_vote_epoch": None},
+             "^resolved: expected int, got bool"),
+            (OptimizerConfig, {"momentum": None}, "^momentum: expected float, got null"),
+            (OptimizerConfig, {"base_lr": -1}, "^<root>: base_lr must be positive"),
+            (OptimizerConfig, {"base_lr": 0}, "^<root>: base_lr must be positive"),
+            (OptimizerConfig, [], "^<root>: expected a mapping, got list"),
         ]:
             with pytest.raises(ConfigError, match=message):
-                from_mapping(OptimizerConfig, data)
+                from_mapping(cls, data)
 
 
 class TestRunExperiment:
@@ -542,15 +549,21 @@ class TestCli:
         data["train"]["activation"] = "sigmoid"
         bad = write_config(tmp_path, data, name="bad.yaml")
         good = write_config(tmp_path, {**data, "train": TINY_CONFIG["train"]}, name="good.yaml")
-        # a null optimizer would crash the run, and a quoted "no" is truthy
-        null_optimizer, cycle_no = (
+        # a null optimizer would crash the run, a quoted "no" is truthy, and a
+        # zero learning rate fails the first SGD step
+        null_optimizer, cycle_no, zero_lr = (
             write_config(tmp_path, {**data, "train": {**TINY_CONFIG["train"], **change}}, name=name)
-            for name, change in [("null.yaml", {"optimizer": None}), ("no.yaml", {"use_cycle": "no"})]
+            for name, change in [
+                ("null.yaml", {"optimizer": None}),
+                ("no.yaml", {"use_cycle": "no"}),
+                ("zero.yaml", {"optimizer": {"base_lr": 0}}),
+            ]
         )
         for path, extra in [
             (bad, []),
             (null_optimizer, []),
             (cycle_no, []),
+            (zero_lr, []),
             (good, ["--seeds", "0,0"]),
             (good, ["--seeds", "-1"]),
         ]:
@@ -613,12 +626,13 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "root" / "nested" / "run" / "summary.json").exists()
 
-    def test_divergent_run_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_divergent_run_exits_3(self, tmp_path, capsys, command):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
         data["train"]["optimizer"] = {"base_lr": 1e14}
         path = write_config(tmp_path, data)
         with np.errstate(all="ignore"):
-            code = main(["run", "--config", str(path), "--out", str(tmp_path / "d")])
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "d")])
         assert code == 3
         assert "epoch" in capsys.readouterr().err

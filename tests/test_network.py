@@ -432,7 +432,7 @@ def assert_same_bytes(a, b):
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         state = init(small_config(seed=10))
-        opt = OptimizerConfig(momentum=0.0, weight_decay=0.0, total_steps=10)
+        opt = OptimizerConfig(momentum=0.0, weight_decay=0.0)
         filled_grads(state, 1.0)
         before = {k: v.copy() for k, v in state.params.items()}
         sgd_step(state, opt, lr=0.1)
@@ -441,7 +441,7 @@ class TestSgdStep:
 
     def test_zero_grads_zero_buffers_no_change(self):
         state = init(small_config(seed=11))
-        opt = OptimizerConfig(momentum=0.9, weight_decay=0.0, total_steps=10)
+        opt = OptimizerConfig(momentum=0.9, weight_decay=0.0)
         before = {k: v.copy() for k, v in state.params.items()}
         sgd_step(state, opt, lr=0.5)
         for name in state.params:
@@ -451,7 +451,7 @@ class TestSgdStep:
         # constant gradient g: second step displacement is lr*g*(1+m)
         state = init(small_config(seed=12))
         m = 0.7
-        opt = OptimizerConfig(momentum=m, weight_decay=0.0, total_steps=10)
+        opt = OptimizerConfig(momentum=m, weight_decay=0.0)
         filled_grads(state, 2.0)
         p0 = state.params["enc0_w"].copy()
         sgd_step(state, opt, lr=0.1)
@@ -463,7 +463,7 @@ class TestSgdStep:
 
     def test_diverging_step_leaves_state_unchanged(self):
         state = init(small_config(seed=14))
-        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
+        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1)
         filled_grads(state, 1.0)
         sgd_step(state, opt, lr=0.1)
         params = {k: v.copy() for k, v in state.params.items()}
@@ -484,7 +484,7 @@ class TestSgdStep:
 
     def test_weight_decay_skips_biases(self):
         state = init(small_config(seed=13))
-        opt = OptimizerConfig(momentum=0.0, weight_decay=0.5, total_steps=10)
+        opt = OptimizerConfig(momentum=0.0, weight_decay=0.5)
         state.params["enc0_b"][:] = 1.0
         before_w = state.params["enc0_w"].copy()
         sgd_step(state, opt, lr=0.1)
@@ -502,7 +502,7 @@ class TestSgdStep:
     def test_flat_step_equals_per_tensor_loop(self, seed, hidden, momentum, weight_decay, steps):
         rng = np.random.default_rng(seed)
         state = init(small_config(activation="relu", seed=seed, hidden=hidden))
-        opt = OptimizerConfig(momentum=momentum, weight_decay=weight_decay, total_steps=10)
+        opt = OptimizerConfig(momentum=momentum, weight_decay=weight_decay)
         params = {k: v.copy() for k, v in state.params.items()}
         buffers = {k: v.copy() for k, v in state.momentum.items()}
         for _ in range(steps):
@@ -517,7 +517,7 @@ class TestSgdStep:
 
     def test_workspace_step_does_not_write_grads(self):
         state = init(small_config(seed=17))
-        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
+        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1)
         state.grads.flat[:] = np.random.default_rng(17).normal(size=state.size)
         before = state.grads.flat.copy()
         sgd_step(state, opt, lr=0.1)
@@ -526,7 +526,7 @@ class TestSgdStep:
 
     def test_non_finite_workspace_step_keeps_params_and_momentum(self):
         state = init(small_config(seed=18))
-        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1, total_steps=10)
+        opt = OptimizerConfig(momentum=0.9, weight_decay=0.1)
         filled_grads(state, 1.0)
         sgd_step(state, opt, lr=0.1)
         params, momentum = state.params, state.momentum
@@ -542,7 +542,7 @@ class TestSgdStep:
     def test_five_workspace_steps_equal_per_tensor_loop(self):
         rng = np.random.default_rng(19)
         state = init(small_config(activation="relu", seed=19, hidden=(6, 5)))
-        opt = OptimizerConfig(momentum=0.9, weight_decay=5e-4, total_steps=10)
+        opt = OptimizerConfig(momentum=0.9, weight_decay=5e-4)
         params = {k: v.copy() for k, v in state.params.items()}
         buffers = {k: v.copy() for k, v in state.momentum.items()}
         for _ in range(5):
@@ -563,29 +563,24 @@ class TestSgdStep:
 
 class TestCosineSchedule:
     def test_initial_value_is_base_lr(self):
-        opt = OptimizerConfig(total_steps=1000)
-        assert cosine_lr(0, opt) == pytest.approx(0.03)
+        assert cosine_lr(0, 0.03, 1000) == pytest.approx(0.03)
 
     def test_final_value_high_precision(self):
         mp.dps = 50
         expected = float(mp.mpf("0.03") * mp.cos(7 * mp.pi / 16))
-        opt = OptimizerConfig(total_steps=1000)
-        assert cosine_lr(1000, opt) == pytest.approx(expected, abs=1e-15)
-        assert cosine_lr(1000, opt) == pytest.approx(0.0058527, abs=1e-7)
+        assert cosine_lr(1000, 0.03, 1000) == pytest.approx(expected, abs=1e-15)
+        assert cosine_lr(1000, 0.03, 1000) == pytest.approx(0.0058527, abs=1e-7)
 
     def test_zero_base_lr(self):
-        opt = OptimizerConfig(base_lr=0.0, total_steps=100)
-        assert all(cosine_lr(t, opt) == 0.0 for t in range(0, 101, 10))
+        assert all(cosine_lr(t, 0.0, 100) == 0.0 for t in range(0, 101, 10))
 
     def test_strictly_decreasing_and_positive(self):
-        opt = OptimizerConfig(total_steps=500)
-        values = [cosine_lr(t, opt) for t in range(501)]
+        values = [cosine_lr(t, 0.03, 500) for t in range(501)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
 
     def test_out_of_range(self):
-        opt = OptimizerConfig(total_steps=10)
         with pytest.raises(ValueError):
-            cosine_lr(11, opt)
+            cosine_lr(11, 0.03, 10)
         with pytest.raises(ValueError):
-            cosine_lr(-1, opt)
+            cosine_lr(-1, 0.03, 10)
