@@ -97,16 +97,12 @@ class TestConfigParsing:
             ("train.synth_count", 10),
             ("train.augmentation", None),
             ("dataset.class_means", None),
-            ("train.optimizer.total_steps", 5),
             ("dataset.mean_scale", 2.5),
             ("dataset.cov_scale", 1.0),
         ]:
             data = json.loads(json.dumps(TINY_CONFIG))
-            *sections, name = path.split(".")
-            section = data
-            for key in sections:
-                section = section.setdefault(key, {})
-            section[name] = value
+            *section, name = path.split(".")
+            (data[section[0]] if section else data)[name] = value
             with pytest.raises(ConfigError, match=f"^{path}: unknown field"):
                 parse_config(data)
 
@@ -126,14 +122,20 @@ class TestConfigParsing:
             ("hidden_dims", []),
             ("hidden_dims", [0]),
             ("checkpoint_every", -1),
+            ("optimizer", {"total_steps": 5}),  # the train config owns the step count
         ],
     )
     def test_cycle_parameters_validated(self, field, value):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["train"][field] = value
-        with pytest.raises(ConfigError, match=f"^train: {field}") as err:
+        if isinstance(value, dict):  # a nested key fails under its own dotted path
+            (key,) = value
+            fieldname, match = f"train.{field}.{key}", f"^train.{field}.{key}: unknown field"
+        else:
+            fieldname, match = "train", f"^train: {field}"
+        with pytest.raises(ConfigError, match=match) as err:
             parse_config(data)
-        assert err.value.fieldname == "train"
+        assert err.value.fieldname == fieldname
 
     @pytest.mark.parametrize(
         "field, value",
