@@ -25,7 +25,6 @@ from .datasets import (
     strong_view_batch,
     weak_view_batch,
 )
-from .losses import ClassPrior
 from .metrics import (
     PseudoLabelAudit,
     accuracy,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentationPolicy",
-    "ClassPrior",
     "ClassStats",
     "DatasetSpec",
     "LabeledPool",

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import UnlabeledView
-from .losses import ClassPrior
 
 
 @dataclass
@@ -247,12 +246,8 @@ def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) ->
     return grown
 
 
-def class_distribution(pool: LabeledPool) -> ClassPrior:
-    """Normalized census of the updated pool (the logit-adjustment prior)."""
+def class_distribution(pool: LabeledPool) -> np.ndarray:
+    """Normalized census of the updated pool (the logit-adjustment prior). Its
+    log is finite: ``LabeledPool`` rejects a base set that lacks a class."""
     phi = pool.phi
-    total = int(phi.sum())
-    if total <= 0:
-        raise ValueError("pool census is empty")
-    if not phi.all():
-        raise ValueError("a class with zero pool count has an undefined log prior")
-    return ClassPrior(phi / total)
+    return phi / phi.sum()

@@ -103,8 +103,9 @@ class UnlabeledView:
 class SplitBundle:
     """The three splits of one dataset. Checked once, here, so that no
     reader checks again: each role has one id, one feature row and one label
-    per sample, every role's features are 2-D with the labeled split's width,
-    and no id appears twice, within a role or across roles."""
+    per sample, every label is a class of ``spec``, every role's features are
+    2-D with the labeled split's width, and no id appears twice, within a
+    role or across roles."""
 
     spec: DatasetSpec
     labeled: LabeledSplit
@@ -124,6 +125,10 @@ class SplitBundle:
                 raise ValueError(
                     f"{role} split has {np.size(split.ids)} ids, {shape[0]} feature rows and {np.size(labels)} labels"
                 )
+            labels = np.asarray(labels)
+            outside = labels[(labels < 0) | (labels >= self.spec.num_classes)]
+            if outside.size:
+                raise ValueError(f"{role} label {outside[0]} outside [0, {self.spec.num_classes})")
         ids = np.concatenate([self.labeled.ids, self.unlabeled.ids, self.test.ids])
         order = np.argsort(ids, kind="stable")
         repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later positions of a repeated id

@@ -292,12 +292,16 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Five-row component matrix across unlabeled scenarios and seeds.
 
     Emits ``ablation.csv`` whose cells hold the mean final accuracy per
-    (component row, scenario), plus a row average column.
+    (component row, scenario), plus a row average column, and the per-seed
+    ``ablation.json``; an earlier ablation's two files are removed first.
     """
     if config.method != "cpg":
         raise ConfigError("method", "ablation requires the cpg method")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out_dir / "ablation.csv", out_dir / "ablation.json"
+    csv_path.unlink(missing_ok=True)
+    json_path.unlink(missing_ok=True)
     _write_resolved_config(config, out_dir)
 
     cells: dict[str, dict[str, float]] = {}
@@ -322,7 +326,6 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
             details[label][scenario] = [float(a) for a in accs]
         cells[label]["average"] = float(np.mean([cells[label][s] for s in config.scenarios]))
 
-    csv_path, json_path = out_dir / "ablation.csv", out_dir / "ablation.json"
     with atomic_open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", *config.scenarios, "average"])

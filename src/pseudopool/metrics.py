@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets
-from .losses import softmax, top_class
-from .network import ModelState, encode, head_logits
+from .network import ModelState, encode, head_logits, top_class
 
 
 def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -200,7 +199,7 @@ def threshold_assignments(
     """
     view = bundle.unlabeled_view()
     weak = datasets.weak_view_batch(view.features, policy, rng)
-    labels, confs = top_class(softmax(head_logits(state, "primary", encode(state, weak))))
+    labels, confs = top_class(state, encode(state, weak))
     return np.where(confs > tau, labels, -1)
 
 

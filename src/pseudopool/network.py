@@ -11,6 +11,11 @@ activation lists of its parts, builds the synthesized copies from those same
 representations (so they stay differentiable in the encoder parameters; the
 noise and radii are constants of the step), runs one encoder backward into
 the state's gradient vector, and ``sgd_step`` reads that vector.
+
+Every head loss is a softmax cross-entropy. The logit-adjusted one first adds
+the pool's log class prior to the logits (a part's ``log_prior``), so that its
+minimizer targets balanced error instead of plain accuracy. ``log_softmax``
+subtracts the row max first, so losses stay finite far beyond float64 exp range.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import row_norms, synthesize
-from .losses import log_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
@@ -215,6 +219,40 @@ def head_logits(state: ModelState, branch: str, h: np.ndarray) -> np.ndarray:
     return h @ w + state.params[b_key]
 
 
+# numpy sums fewer than this many terms in sequence, and more pairwise when
+# they lie along a contiguous axis
+_SEQUENTIAL_SUM_MAX = 7
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise stabilized log-softmax (works on 1-D or 2-D input).
+
+    numpy reduces along a short trailing axis slowly, so a 2-D input with at
+    most ``_SEQUENTIAL_SUM_MAX`` classes takes its max and sum over a
+    contiguous class-major copy. Both orders sum those few terms in sequence,
+    so the result is bit-identical to the row-wise reduction; wider inputs
+    keep the row-wise one, whose pairwise sum a class-major pass would not
+    reproduce. The result is C-contiguous either way.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] > _SEQUENTIAL_SUM_MAX:
+        shifted = z - np.max(z, axis=-1, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    zt = z.T.copy()  # always a copy (z.T may already be contiguous): written in place
+    zt -= zt.max(axis=0)
+    zt -= np.log(np.exp(zt).sum(axis=0))
+    return np.ascontiguousarray(zt.T)
+
+
+def top_class(state: ModelState, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax, max softmax) of the primary head per row of the 2-D ``h``; argmax
+    ties go to the lowest class index. The max is read at the argmax, which is
+    exact and skips a slow reduction along the short class axis."""
+    probs = np.exp(log_softmax(head_logits(state, "primary", h)))
+    labels = np.argmax(probs, axis=1)
+    return labels, probs[np.arange(probs.shape[0]), labels]
+
+
 def _backprop_encoder(
     state: ModelState, activations: list[np.ndarray], d_h: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
@@ -274,13 +312,10 @@ class BatchPart:
         return self.layers[0]
 
 
-def _xent_forward_backward(
-    logits: np.ndarray, labels: np.ndarray, log_prior: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row losses and d(loss_sum)/d(logits) for (adjusted) cross-entropy."""
-    adjusted = logits if log_prior is None else logits + log_prior
-    logp = log_softmax(adjusted)
-    rows = np.arange(adjusted.shape[0])
+def _xent_forward_backward(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and d(loss_sum)/d(logits) for softmax cross-entropy."""
+    logp = log_softmax(logits)
+    rows = np.arange(logits.shape[0])
     labels = np.asarray(labels, dtype=np.int64)
     losses = -logp[rows, labels]
     d_logits = np.exp(logp)
@@ -348,7 +383,7 @@ def loss_and_grads(state: ModelState, parts: list[BatchPart]) -> tuple[float, li
         labels.append(y)
     # the softmax works row by row, so one pass over the rows of every part
     # gives each row the bits that a pass over its own part would
-    losses, d_all = _xent_forward_backward(np.concatenate(logits), np.concatenate(labels), None)
+    losses, d_all = _xent_forward_backward(np.concatenate(logits), np.concatenate(labels))
     d_h = np.zeros_like(h)
     part_means = [0.0] * len(parts)
     row = 0

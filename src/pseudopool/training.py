@@ -42,7 +42,6 @@ from .datasets import (
     strong_view_batch,
     weak_view_batch,
 )
-from .losses import ClassPrior, softmax, top_class
 from .network import (
     BatchPart,
     ModelConfig,
@@ -56,6 +55,7 @@ from .network import (
     init,
     loss_and_grads,
     sgd_step,
+    top_class,
     validate_architecture,
 )
 from .records import atomic_open, from_mapping
@@ -210,7 +210,7 @@ def _epoch_report(
     labels: np.ndarray,
     losses: Losses,
     pool: LabeledPool,
-    prior: ClassPrior,
+    prior: np.ndarray,
     stats: ClassStats | None,
     started: float,
 ) -> EpochReport:
@@ -220,7 +220,7 @@ def _epoch_report(
         **metrics_mod.evaluate_epoch(state, splits, labels, previous),
         losses=losses,
         pool=PoolSize(int(splits.labeled.ids.size), pool.pseudo_size),
-        pi=[float(v) for v in prior.probabilities],
+        pi=prior.tolist(),
         class_stats=stats.rows() if stats is not None else None,
         wall_clock=time.perf_counter() - started,
     )
@@ -326,7 +326,7 @@ def _run(
                 if config.use_aux_branch:
                     aux_pseudo = np.argmax(head_logits(run.state, "auxiliary", h_u[:b_u]), axis=1)
                 if gated_consistency:
-                    weak_labels, weak_confs = top_class(softmax(head_logits(run.state, "primary", h_u[:b_u])))
+                    weak_labels, weak_confs = top_class(run.state, h_u[:b_u])
 
             if cycle_active:
                 fired = reliability_mask_batch(vpb, config.confidence_threshold)
@@ -421,7 +421,7 @@ def _grown(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView, adjuste
     minority classes."""
     pool = update_pool(pool, labels, source)
     prior = class_distribution(pool)
-    return pool, prior, prior.log if adjusted else None, minority_classes(pool.phi)
+    return pool, prior, np.log(prior) if adjusted else None, minority_classes(pool.phi)
 
 
 def _pin_heap_thresholds() -> None:
@@ -436,13 +436,9 @@ def _pin_heap_thresholds() -> None:
 
 
 def predict_views(state: ModelState, reps: np.ndarray) -> ViewPredictionBatch:
-    """(argmax, max softmax) of the primary head per row of the weak and the
-    strong view; argmax ties go to the lowest class index.
-
-    ``reps`` is the encoding of the stacked ``[weak; strong]`` block, one
-    forward for both views: its first half holds the weak rows.
-    """
-    labels, confs = top_class(softmax(head_logits(state, "primary", reps)))
+    """``network.top_class`` of the weak and the strong view. ``reps`` encodes
+    the stacked ``[weak; strong]`` block, one forward for both views."""
+    labels, confs = top_class(state, reps)
     n = reps.shape[0] // 2
     return ViewPredictionBatch(
         labels_weak=labels[:n], confs_weak=confs[:n], labels_strong=labels[n:], confs_strong=confs[n:]

@@ -15,8 +15,7 @@ import pytest
 
 from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
 from pseudopool.datasets import generate_splits
-from pseudopool.experiments import compare_runs, parse_config, run_experiment
-from pseudopool.losses import ClassPrior
+from pseudopool.experiments import ABLATION_ROWS, compare_runs, parse_config, run_experiment
 from pseudopool.metrics import welch_t_test
 from pseudopool.network import _xent_forward_backward, init
 from pseudopool.training import TrainConfig, run_baseline, train
@@ -68,15 +67,8 @@ def suite_runs():
 @pytest.fixture(scope="module")
 def ablation_cells():
     """Suite-average accuracy per component row (3 scenarios x 3 seeds)."""
-    rows = {
-        "none": (False, False, False),
-        "aux": (True, False, False),
-        "aux+synth": (True, False, True),
-        "aux+cycle": (True, True, False),
-        "full": (True, True, True),
-    }
     averages = {}
-    for label, (use_aux, use_cycle, use_synth) in rows.items():
+    for label, use_aux, use_cycle, use_synth in ABLATION_ROWS:
         accs = []
         for scenario in SCENARIOS:
             for seed in SEEDS:
@@ -124,8 +116,8 @@ class TestExactCriteria:
             c = int(rng.integers(2, 9))
             logits = rng.normal(scale=4.0, size=c)
             y = int(rng.integers(c))
-            adjusted, _ = _xent_forward_backward(logits[None], [y], ClassPrior(np.full(c, 1.0 / c)).log)
-            plain, _ = _xent_forward_backward(logits[None], [y], None)
+            adjusted, _ = _xent_forward_backward((logits + np.log(np.full(c, 1.0 / c)))[None], [y])
+            plain, _ = _xent_forward_backward(logits[None], [y])
             gap = abs(float(adjusted[0]) - float(plain[0]))
             worst = max(worst, gap)
         report(2, "uniform-prior reduction", worst < 1e-9, f"max gap {worst:.2e}")
@@ -159,7 +151,7 @@ class TestExactCriteria:
         for pool, prior in steps:
             scratch = pool.recount()
             pi_scratch = scratch / scratch.sum()
-            worst = max(worst, float(np.max(np.abs(prior.probabilities - pi_scratch))))
+            worst = max(worst, float(np.max(np.abs(prior - pi_scratch))))
             assert np.array_equal(scratch, pool.phi)
         report(4, "distribution bookkeeping", worst < 1e-12, f"max |pi gap| {worst:.2e}")
 

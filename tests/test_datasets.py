@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import tempfile
@@ -280,6 +281,17 @@ class TestSplitBundle:
         flat = LabeledSplit(np.array([5]), np.zeros(1), np.zeros(1, dtype=np.int64))
         with pytest.raises(ValueError, match=r"^test features of shape \(1,\)"):
             SplitBundle(bundle.spec, bundle.labeled, bundle.unlabeled, flat)
+
+    @pytest.mark.parametrize("role", ["labeled", "unlabeled", "test"])
+    def test_label_outside_classes_rejected(self, role):
+        bundle = generate_splits(tiny_spec(seed=4))  # C=3
+        split = getattr(bundle, role)
+        field = "hidden_labels" if role == "unlabeled" else "labels"
+        for label in (3, -1):
+            labels = getattr(split, field).copy()
+            labels[1] = label
+            with pytest.raises(ValueError, match=rf"^{role} label {label} outside \[0, 3\)"):
+                dataclasses.replace(bundle, **{role: dataclasses.replace(split, **{field: labels})})
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -510,6 +510,19 @@ class TestAblation:
         # csv cells carry 6 decimals
         assert float(rows[1][1]) == pytest.approx(la.final_metrics()["acc"], abs=1e-6)
 
+    def test_diverging_rerun_leaves_no_stale_results(self, tmp_path):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        data["scenarios"] = ["consistent"]
+        out = tmp_path / "abl"
+        run_ablation(parse_config(data), out)
+        assert (out / "ablation.csv").exists() and (out / "ablation.json").exists()
+        data["train"]["optimizer"] = {"base_lr": 1e14}
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+            run_ablation(parse_config(data), out)
+        assert json.loads((out / "resolved_config.json").read_text())["train"]["optimizer"]["base_lr"] == 1e14
+        assert not (out / "ablation.csv").exists() and not (out / "ablation.json").exists()
+
     def test_requires_cpg_method(self, tmp_path):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["method"] = "supervised_ce"

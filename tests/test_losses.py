@@ -5,25 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudopool.losses import ClassPrior, log_softmax
-from pseudopool.network import ModelConfig, _xent_forward_backward, init, loss_and_grads
+from pseudopool.network import ModelConfig, _xent_forward_backward, init, log_softmax, loss_and_grads, top_class
 
 from test_network import encoded_part
 
 
 def uniform_prior(c):
-    return ClassPrior(np.full(c, 1.0 / c))
+    return np.full(c, 1.0 / c)
 
 
 def la_loss(logits, y, prior):
-    """Adjusted cross-entropy of one logit vector, on the training loss path."""
-    losses, _ = _xent_forward_backward(np.atleast_2d(logits), [y], prior.log)
+    """Adjusted cross-entropy of one logit vector under the class distribution
+    ``prior``, on the training loss path."""
+    losses, _ = _xent_forward_backward(np.atleast_2d(logits) + np.log(prior), [y])
     return float(losses[0])
 
 
 def plain_ce(logits, y):
     """Plain cross-entropy (no prior) of one logit vector, on the training loss path."""
-    losses, _ = _xent_forward_backward(np.atleast_2d(logits), [y], None)
+    losses, _ = _xent_forward_backward(np.atleast_2d(logits), [y])
     return float(losses[0])
 
 
@@ -42,24 +42,14 @@ def brute_force_adjusted_xent(logits, y, probs):
     return -math.log(weights[y] / weights.sum())
 
 
-class TestClassPrior:
-    def test_rejects_zero_entry(self):
-        with pytest.raises(ValueError):
-            ClassPrior(np.array([1.0, 0.0]))
-
-    def test_rejects_non_simplex(self):
-        with pytest.raises(ValueError):
-            ClassPrior(np.array([0.6, 0.6]))
-
-
 class TestLaLoss:
     def test_uniform_everything(self):
-        prior = ClassPrior(np.array([0.5, 0.5]))
+        prior = np.array([0.5, 0.5])
         assert la_loss(np.zeros(2), 0, prior) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_equal_logits_recover_prior(self):
         # with flat logits the adjusted softmax equals the prior itself
-        prior = ClassPrior(np.array([0.9, 0.1]))
+        prior = np.array([0.9, 0.1])
         assert la_loss(np.zeros(2), 1, prior) == pytest.approx(-math.log(0.1), abs=1e-9)
 
     def test_uniform_prior_reduces_to_plain_ce(self):
@@ -79,9 +69,8 @@ class TestLaLoss:
             probs = rng.dirichlet(np.ones(c)) + 0.01
             probs /= probs.sum()
             y = int(rng.integers(c))
-            prior = ClassPrior(probs)
             expected = brute_force_adjusted_xent(logits, y, probs)
-            assert la_loss(logits, y, prior) == pytest.approx(expected, abs=1e-12)
+            assert la_loss(logits, y, probs) == pytest.approx(expected, abs=1e-12)
 
     def test_positive_unless_saturated(self):
         prior = uniform_prior(3)
@@ -97,15 +86,17 @@ class TestLaLoss:
         # the prior flips the adjusted argmax exactly when the log-prior gap
         # exceeds the logit margin
         logits = np.array([1.0, 0.0])
-        small_gap = ClassPrior(np.array([0.4, 0.6]))  # ln(0.6/0.4)=0.405 < 1
-        big_gap = ClassPrior(np.array([0.1, 0.9]))  # ln(0.9/0.1)=2.197 > 1
-        assert np.argmax(logits + small_gap.log) == np.argmax(logits) == 0
-        assert np.argmax(logits + big_gap.log) == 1
+        small_gap = np.array([0.4, 0.6])  # ln(0.6/0.4)=0.405 < 1
+        big_gap = np.array([0.1, 0.9])  # ln(0.9/0.1)=2.197 > 1
+        assert np.argmax(logits + np.log(small_gap)) == np.argmax(logits) == 0
+        assert np.argmax(logits + np.log(big_gap)) == 1
 
     def test_dimension_mismatch(self):
-        # the prior's length must broadcast against the class axis
+        # the log prior's length must broadcast against the class axis
+        state = init(ModelConfig(input_dim=3, num_classes=3, hidden_dims=(4,), init_seed=0))
+        part = encoded_part(state, "primary", np.ones((2, 3)), [0, 1], np.log(uniform_prior(2)))
         with pytest.raises(ValueError):
-            la_loss(np.zeros(3), 0, uniform_prior(2))
+            loss_and_grads(state, [part])
 
 
 class TestAuxLoss:
@@ -129,7 +120,7 @@ class TestAuxLoss:
 def random_batch(state, rng, n=6):
     d, c = state.config.input_dim, state.config.num_classes
     counts = np.arange(1, c + 1)
-    prior = ClassPrior(counts / counts.sum())
+    prior = counts / counts.sum()
     x = rng.normal(size=(n, d))
     y = rng.integers(c, size=n)
     return prior, x, y
@@ -145,7 +136,7 @@ class TestOverallLoss:
 
     def test_primary_only(self):
         prior, x, y = random_batch(self.state, self.rng)
-        total, means = loss_and_grads(self.state, [encoded_part(self.state, "primary", x, y, prior.log)])
+        total, means = loss_and_grads(self.state, [encoded_part(self.state, "primary", x, y, np.log(prior))])
         grads = self.state.grads
         assert total == means[0]
         assert not grads["head_auxiliary_w"].any() and not grads["head_auxiliary_b"].any()
@@ -153,14 +144,14 @@ class TestOverallLoss:
     def test_additivity_with_aux(self):
         prior, x, y = random_batch(self.state, self.rng)
         strong = self.rng.normal(size=x.shape)
-        parts = [encoded_part(self.state, "primary", x, y, prior.log), encoded_part(self.state, "auxiliary", strong, y)]
+        parts = [encoded_part(self.state, "primary", x, y, np.log(prior)), encoded_part(self.state, "auxiliary", strong, y)]
         total, means = loss_and_grads(self.state, parts)
         assert total == pytest.approx(means[0] + means[1], abs=1e-15)
         assert means[1] == pytest.approx(loss_and_grads(self.state, parts[1:])[0], abs=1e-15)
 
     def test_auxiliary_la_routes_to_auxiliary(self):
         prior, x, y = random_batch(self.state, self.rng)
-        loss_and_grads(self.state, [encoded_part(self.state, "auxiliary", x, y, prior.log)])
+        loss_and_grads(self.state, [encoded_part(self.state, "auxiliary", x, y, np.log(prior))])
         grads = self.state.grads
         assert not grads["head_primary_w"].any() and not grads["head_primary_b"].any()
         assert grads["head_auxiliary_w"].any()
@@ -172,9 +163,9 @@ class TestXentRows:
         logits = rng.normal(size=(5, 4))
         labels = rng.integers(4, size=5)
         prior = uniform_prior(4)
-        rows, _ = _xent_forward_backward(logits, labels, prior.log)
+        rows, _ = _xent_forward_backward(logits + np.log(prior), labels)
         for i in range(5):
-            expected = brute_force_adjusted_xent(logits[i], labels[i], prior.probabilities)
+            expected = brute_force_adjusted_xent(logits[i], labels[i], prior)
             assert rows[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -210,3 +201,42 @@ class TestLogSoftmax:
 
     def test_empty_batch(self):
         assert log_softmax(np.zeros((0, 5))).shape == (0, 5)
+
+
+class TestTopClass:
+    """``top_class``: the primary head's (argmax, max softmax) per row."""
+
+    @staticmethod
+    def state_with_logits(c, w):
+        """A state whose primary head maps a representation ``h`` to ``h @ w``."""
+        state = init(ModelConfig(input_dim=2, num_classes=c, hidden_dims=(w.shape[0],), init_seed=c))
+        state.params["head_primary_w"][...] = w
+        state.params["head_primary_b"][...] = 0.0
+        return state
+
+    @pytest.mark.parametrize("c", [3, 7, 8, 12])
+    def test_ties_go_to_the_lowest_class(self, c):
+        state = self.state_with_logits(c, np.eye(c))
+        h = np.zeros((3, c))
+        h[1, [c - 1, 1]] = 2.0  # classes 1 and c-1 tie for the top
+        h[2, [2, 0]] = -1.0  # every class but 0 and 2 ties at the top
+        labels, confs = top_class(state, h)
+        assert labels.tolist() == [0, 1, 1]
+        assert confs[0] == pytest.approx(1.0 / c, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classes=st.sampled_from([2, 5, 7, 8, 12]),
+        rows=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_confidence_is_the_row_max_of_a_reference_softmax(self, classes, rows, scale, seed):
+        rng = np.random.default_rng(seed)
+        state = self.state_with_logits(classes, rng.uniform(-scale, scale, size=(4, classes)))
+        h = rng.normal(size=(rows, 4))
+        labels, confs = top_class(state, h)
+        z = h @ state.params["head_primary_w"] + state.params["head_primary_b"]
+        reference = np.stack([np.exp(row_wise_log_softmax(row)) for row in z])  # exp(z - logsumexp(z)), one row at a time
+        assert labels.tolist() == np.argmax(reference, axis=1).tolist()
+        assert confs.tobytes() == reference.max(axis=1).tobytes()

@@ -6,7 +6,6 @@ from mpmath import mp
 
 from pseudopool import network
 from pseudopool.augment import synthesize
-from pseudopool.losses import ClassPrior
 from pseudopool.network import (
     BRANCHES,
     BatchPart,
@@ -164,7 +163,7 @@ def random_parts(state, rng, with_synth=False, with_aux=True):
     n = 8
     x = rng.normal(size=(n, cfg.input_dim))
     y = rng.integers(cfg.num_classes, size=n)
-    prior = ClassPrior(rng.dirichlet(np.ones(cfg.num_classes) * 5))
+    log_prior = np.log(rng.dirichlet(np.ones(cfg.num_classes) * 5))
     plan = None
     if with_synth:
         k = 6
@@ -182,9 +181,9 @@ def random_parts(state, rng, with_synth=False, with_aux=True):
         layers: list = []
         encode(state, x, layers)
         labeled = [a[:n] for a in layers]
-        parts = [BatchPart("primary", labeled, y, prior.log, synth=plan)]
+        parts = [BatchPart("primary", labeled, y, log_prior, synth=plan)]
         if with_aux:
-            parts.append(BatchPart("auxiliary", labeled, y, prior.log))
+            parts.append(BatchPart("auxiliary", labeled, y, log_prior))
             parts.append(BatchPart("auxiliary", [a[n:] for a in layers], ys, None))
         return parts
 
@@ -273,7 +272,10 @@ def per_block_reference(state, part):
     for x, y, synth in blocks:
         h0, cache = network._forward_encoder(state, x)
         h = h0 if synth is None else synthesize(h0, synth.radii, synth.noise)
-        losses, d_logits = network._xent_forward_backward(h @ head_w + state.params[b_key], y, part.log_prior)
+        logits = h @ head_w + state.params[b_key]
+        if part.log_prior is not None:
+            logits += part.log_prior
+        losses, d_logits = network._xent_forward_backward(logits, y)
         loss_sum += float(losses.sum())
         d_logits /= denom
         grads[w_key] += h.T @ d_logits
@@ -328,7 +330,7 @@ class TestFusedLoss:
         for branch, source, adjusted, k, normalizer in layout:
             layers = forwards[source]
             n = layers[0].shape[0]
-            prior = ClassPrior(rng.dirichlet(np.ones(3))).log if adjusted else None
+            prior = np.log(rng.dirichlet(np.ones(3))) if adjusted else None
             part = BatchPart(branch, layers, rng.integers(3, size=n), prior, normalizer=normalizer)
             if k and n:
                 part.synth = SynthPlan(
@@ -350,7 +352,7 @@ class TestFusedLoss:
         state = init(small_config(seed=3))
         x = rng.normal(size=(6, 3))
         y = rng.integers(3, size=6)
-        prior = ClassPrior(rng.dirichlet(np.ones(3))).log
+        prior = np.log(rng.dirichlet(np.ones(3)))
         plan = SynthPlan(np.array([0, 2, 2, 5]), rng.uniform(0.5, 2.0, size=4), rng.normal(size=(4, 4)))
 
         def parts(shared):
@@ -367,7 +369,7 @@ class TestFusedLoss:
             x = rng.normal(size=(7, 3)) + 1.0
             origin = np.array([6, 0, 0, 3, 6, 6])
             plan = SynthPlan(origin, rng.uniform(0.5, 2.0, size=6), rng.normal(size=(6, 4)))
-            part = encoded_part(state, "primary", x, rng.integers(3, size=7), ClassPrior(np.full(3, 1.0 / 3)).log, synth=plan)
+            part = encoded_part(state, "primary", x, rng.integers(3, size=7), np.log(np.full(3, 1.0 / 3)), synth=plan)
             total, means, grads = loss_with_grads(state, [part])
             ref_mean, ref_grads = per_block_reference(state, part)
             assert_same_loss((total, means, grads), (ref_mean, [ref_mean], ref_grads))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import pseudopool.augment
 import pseudopool.cycle
-import pseudopool.losses
 import pseudopool.metrics
 import pseudopool.network
 import pseudopool.training
@@ -218,7 +217,7 @@ class TestTrainingRun:
         for pool, prior in steps:
             scratch = pool.recount()
             checks.append(np.max(np.abs(scratch - pool.phi)))
-            assert np.max(np.abs(prior.probabilities - scratch / scratch.sum())) < 1e-12
+            assert np.max(np.abs(prior - scratch / scratch.sum())) < 1e-12
         assert len(checks) == 10 * fast_config().steps_per_epoch and max(checks) == 0
 
     def test_post_warmup_cpg_step_encodes_no_row_twice_and_makes_one_backward(self, tiny_splits, monkeypatch):
@@ -504,7 +503,6 @@ class TestHiddenLabelFirewall:
         pseudopool.training,
         pseudopool.cycle,
         pseudopool.network,
-        pseudopool.losses,
         pseudopool.augment,
     )
 
