@@ -27,10 +27,8 @@ from .datasets import (
 )
 from .metrics import (
     PseudoLabelAudit,
-    accuracy,
+    classification_scores,
     kl_divergence,
-    macro_f1,
-    per_class_accuracy,
     pseudo_audit,
     welch_t_test,
 )
@@ -61,8 +59,8 @@ __all__ = [
     "RunHistory",
     "SplitBundle",
     "TrainConfig",
-    "accuracy",
     "class_distribution",
+    "classification_scores",
     "cosine_lr",
     "encode",
     "generate_splits",
@@ -71,9 +69,7 @@ __all__ = [
     "kl_divergence",
     "load_csv",
     "long_tailed_counts",
-    "macro_f1",
     "minority_classes",
-    "per_class_accuracy",
     "plan_synthesis",
     "predict_views",
     "pseudo_audit",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,8 +22,6 @@ from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits
 from .metrics import welch_t_test
 from .records import ConfigError, atomic_open, from_mapping
 from .training import TrainConfig
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("cpg", "supervised_ce", "supervised_la", "consistency_ssl")
 OUTPUT_ROOT_ENV = "PSEUDOPOOL_OUTPUT_ROOT"
@@ -97,9 +94,6 @@ def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training
     splits = generate_splits(replace(config.dataset, seed=seed))
     if config.method == "cpg":
         return training.train(train_cfg, splits, checkpoint_dir=seed_dir)
-    if train_cfg.use_aux_branch or train_cfg.use_cycle or train_cfg.use_synthesis:
-        # run_baseline switches the toggles off itself
-        logger.warning("method %s ignores component toggles (aux/cycle/synthesis)", config.method)
     return training.run_baseline(config.method, train_cfg, splits)
 
 
@@ -178,17 +172,23 @@ def run_experiment(
     Per seed: ``seed_<s>/history.jsonl`` (one record per epoch) plus, for the
     full method, the registry snapshot, per-epoch class-stats CSV and any
     checkpoints. The run root gets ``resolved_config.json`` and ``summary.json``,
-    which is written last: an earlier run's summary is removed first.
+    which is written last. An earlier run's summary is removed first, and so
+    are its plot data when this run writes none, and a seed's optional files
+    before that seed trains.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.json").unlink(missing_ok=True)
+    for name in ("summary.json",) if emit_plot_data else ("summary.json", "plot_data.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     finals: dict[int, dict] = {}
     plot_records: dict[int, list[dict]] = {}
     paths = [_write_resolved_config(config, out_dir)]
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
+        stale = [seed_dir / "registry.json", seed_dir / "class_stats.csv", *seed_dir.glob("checkpoint_epoch*.npz")]
+        for path in stale:
+            path.unlink(missing_ok=True)
         history = _run_single(config, seed, seed_dir)
         records = history.to_records()
         _write_jsonl(seed_dir / "history.jsonl", records)

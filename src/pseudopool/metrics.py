@@ -16,48 +16,31 @@ from . import datasets
 from .network import ModelState, encode, head_logits, top_class
 
 
-def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.size == 0 or preds.shape != labels.shape:
-        raise ValueError("preds and labels must be equal-length and non-empty")
-    return float(np.mean(preds == labels))
-
-
-def per_class_accuracy(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Per-class recall; classes absent from ``labels`` score 0."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.size == 0 or preds.shape != labels.shape:
-        raise ValueError("preds and labels must be equal-length and non-empty")
-    hits, _, totals = _class_counts(preds, labels, num_classes)
-    return np.divide(hits, totals, out=np.zeros(num_classes), where=totals > 0)
-
-
-def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
-    """Unweighted mean of per-class F1; degenerate classes contribute 0."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.size == 0 or preds.shape != labels.shape:
-        raise ValueError("preds and labels must be equal-length and non-empty")
-    tp, predicted, actual = _class_counts(preds, labels, num_classes)
-    zeros = np.zeros(num_classes)
-    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
-    recall = np.divide(tp, actual, out=zeros.copy(), where=actual > 0)
-    both = precision + recall
-    f1s = np.divide(2 * precision * recall, both, out=zeros, where=both > 0)
-    return float(np.mean(f1s))
-
-
-def _class_counts(
+def classification_scores(
     preds: np.ndarray, labels: np.ndarray, num_classes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per class in ``[0, num_classes)``: correct predictions (true positives),
-    predictions, and true labels."""
+) -> tuple[float, np.ndarray, float]:
+    """Accuracy, per-class recall and macro-F1 of ``preds`` against ``labels``.
+
+    A class absent from ``labels`` has recall 0. Macro-F1 is the unweighted
+    mean of per-class F1, to which a class with no prediction or no label
+    contributes 0.
+    """
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    if preds.size == 0 or preds.shape != labels.shape:
+        raise ValueError("preds and labels must be equal-length and non-empty")
+    correct = preds == labels
+
     def count(values: np.ndarray) -> np.ndarray:
         return np.bincount(values, minlength=num_classes)[:num_classes]
 
-    return count(labels[preds == labels]), count(preds), count(labels)
+    hits, predicted, actual = count(labels[correct]), count(preds), count(labels)
+    zeros = np.zeros(num_classes)
+    precision = np.divide(hits, predicted, out=zeros.copy(), where=predicted > 0)
+    recall = np.divide(hits, actual, out=zeros.copy(), where=actual > 0)
+    both = precision + recall
+    f1s = np.divide(2 * precision * recall, both, out=zeros, where=both > 0)
+    return float(np.mean(correct)), recall, float(np.mean(f1s))
 
 
 @dataclass
@@ -217,15 +200,15 @@ def evaluate_epoch(state: ModelState, bundle: datasets.SplitBundle, labels: np.n
     """
     c = bundle.spec.num_classes
     preds = predict_batch(state, bundle.test.features)
-    per_class = per_class_accuracy(preds, bundle.test.labels, c)
+    acc, per_class, f1 = classification_scores(preds, bundle.test.labels, c)
     audit = pseudo_audit(labels, bundle.unlabeled.hidden_labels, c)
     kl = None
     if audit.m_hat > 0:
         kl = kl_divergence(audit.accepted_counts / audit.m_hat, audit.gt_counts / audit.m_total)
     balanced_error = float(1.0 - per_class.mean())
     return {
-        "acc": accuracy(preds, bundle.test.labels),
-        "macro_f1": macro_f1(preds, bundle.test.labels, c),
+        "acc": acc,
+        "macro_f1": f1,
         "per_class_acc": per_class.tolist(),
         "err_rate": audit.error_rate,
         "util_rate": audit.utilization_rate,

@@ -202,30 +202,6 @@ def _build_model(config: TrainConfig, splits: SplitBundle) -> ModelState:
     return init(ModelConfig(width, c, config.hidden_dims, config.activation, config.seed))
 
 
-def _epoch_report(
-    state: ModelState,
-    splits: SplitBundle,
-    previous: EpochReport | None,
-    epoch: int,
-    labels: np.ndarray,
-    losses: Losses,
-    pool: LabeledPool,
-    prior: np.ndarray,
-    stats: ClassStats | None,
-    started: float,
-) -> EpochReport:
-    """``previous`` is the report of the epoch before, None for the first."""
-    return EpochReport(
-        epoch=epoch,
-        **metrics_mod.evaluate_epoch(state, splits, labels, previous),
-        losses=losses,
-        pool=PoolSize(int(splits.labeled.ids.size), pool.pseudo_size),
-        pi=prior.tolist(),
-        class_stats=stats.rows() if stats is not None else None,
-        wall_clock=time.perf_counter() - started,
-    )
-
-
 def train(
     config: TrainConfig,
     splits: SplitBundle,
@@ -383,17 +359,14 @@ def _run(
                 run.state, splits, policy, config.confidence_threshold, run.rngs["audit"]
             )
         run.reports.append(
-            _epoch_report(
-                run.state,
-                splits,
-                run.reports[-1] if run.reports else None,
-                epoch,
-                labels,
-                Losses(primary_sum / config.steps_per_epoch, aux_sum / config.steps_per_epoch),
-                pool,
-                prior,
-                run.stats if config.use_synthesis else None,
-                started,
+            EpochReport(
+                epoch=epoch,
+                **metrics_mod.evaluate_epoch(run.state, splits, labels, run.reports[-1] if run.reports else None),
+                losses=Losses(primary_sum / config.steps_per_epoch, aux_sum / config.steps_per_epoch),
+                pool=PoolSize(int(splits.labeled.ids.size), pool.pseudo_size),
+                pi=prior.tolist(),
+                class_stats=run.stats.rows() if config.use_synthesis else None,
+                wall_clock=time.perf_counter() - started,
             )
         )
         run.epoch = epoch

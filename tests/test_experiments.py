@@ -310,9 +310,10 @@ class TestRunExperiment:
         config = parse_config(data)
         import logging
 
+        # the default toggles are on; run_baseline switches them off without a word
         with caplog.at_level(logging.WARNING):
             run_experiment(config, tmp_path / "ce")
-        assert "ignores component toggles" in caplog.text
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         history = json.loads(
             (tmp_path / "ce" / "seed_0" / "history.jsonl").read_text().splitlines()[-1]
         )
@@ -386,6 +387,20 @@ class TestRunExperiment:
             run_experiment(parse_config(data), tmp_path / "out")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_rerun_removes_the_earlier_runs_optional_files(self, tmp_path):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        data["train"]["checkpoint_every"] = 4
+        out = tmp_path / "out"
+        run_experiment(parse_config(data), out, emit_plot_data=True)
+        seed_dir = out / "seed_0"
+        assert (seed_dir / "checkpoint_epoch0004.npz").exists() and (out / "plot_data.csv").exists()
+        data["method"] = "supervised_ce"
+        data["train"]["checkpoint_every"] = 0
+        run_experiment(parse_config(data), out)
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["history.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json", "seed_0", "summary.json"]
+
     def test_failed_history_write_keeps_previous_file(self, tmp_path, monkeypatch):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
@@ -393,7 +408,7 @@ class TestRunExperiment:
         run_experiment(config, tmp_path / "out")
         seed_dir = tmp_path / "out" / "seed_0"
         before = (seed_dir / "history.jsonl").read_bytes()
-        names = sorted(p.name for p in seed_dir.iterdir())
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["class_stats.csv", "history.jsonl", "registry.json"]
         to_records = RunHistory.to_records
 
         def unserializable_second_record(self):
@@ -405,7 +420,8 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             run_experiment(config, tmp_path / "out")
         assert (seed_dir / "history.jsonl").read_bytes() == before
-        assert sorted(p.name for p in seed_dir.iterdir()) == names
+        # the seed's optional files went before it trained, and no temporary file is left
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["history.jsonl"]
 
     def test_failed_plot_data_write_keeps_previous_file(self, tmp_path, monkeypatch):
         data = json.loads(json.dumps(TINY_CONFIG))

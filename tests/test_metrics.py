@@ -10,11 +10,9 @@ from scipy import stats as scipy_stats
 from pseudopool.datasets import generate_splits
 
 from pseudopool.metrics import (
-    accuracy,
+    classification_scores,
     evaluate_epoch,
     kl_divergence,
-    macro_f1,
-    per_class_accuracy,
     pseudo_audit,
     risk_terms,
     welch_t_test,
@@ -61,35 +59,43 @@ def prediction_pairs(draw):
 
 
 class TestAccuracy:
+    """``classification_scores``: (accuracy, per-class recall, macro-F1)."""
+
     @settings(max_examples=200, deadline=None)
     @given(prediction_pairs())
     def test_counts_equal_per_class_loop(self, case):
         c, preds, labels = case
-        got = per_class_accuracy(preds, labels, c)
-        assert got.tobytes() == per_class_accuracy_loop(preds, labels, c).tobytes()
-        assert macro_f1(preds, labels, c) == macro_f1_loop(preds, labels, c)
+        acc, per_class, f1 = classification_scores(preds, labels, c)
+        assert per_class.tobytes() == per_class_accuracy_loop(preds, labels, c).tobytes()
+        assert f1 == macro_f1_loop(preds, labels, c)
+        assert acc == float(np.mean(preds == labels))
 
     def test_perfect_predictions(self):
         preds = np.array([0, 1, 2, 1])
-        assert accuracy(preds, preds) == 1.0
-        assert macro_f1(preds, preds, 3) == 1.0
+        acc, per_class, f1 = classification_scores(preds, preds, 3)
+        assert acc == 1.0
+        assert per_class.tolist() == [1.0, 1.0, 1.0]
+        assert f1 == 1.0
 
     def test_hand_computed_binary_case(self):
         preds = np.array([1, 1, 0, 0])
         labels = np.array([1, 0, 0, 0])
-        assert accuracy(preds, labels) == 0.75
+        acc, _, f1 = classification_scores(preds, labels, 2)
+        assert acc == 0.75
         # class 0: P=1, R=2/3, F1=0.8; class 1: P=0.5, R=1, F1=2/3
-        assert macro_f1(preds, labels, 2) == pytest.approx((0.8 + 2 / 3) / 2, abs=1e-12)
+        assert f1 == pytest.approx((0.8 + 2 / 3) / 2, abs=1e-12)
 
     def test_constant_predictor_on_balanced_labels(self):
         labels = np.repeat(np.arange(4), 25)
         preds = np.zeros_like(labels)
-        assert accuracy(preds, labels) == 0.25
+        acc, per_class, _ = classification_scores(preds, labels, 4)
+        assert acc == 0.25
+        assert per_class.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_per_class_accuracy(self):
         preds = np.array([0, 0, 1, 1, 2, 0])
         labels = np.array([0, 1, 1, 1, 2, 2])
-        out = per_class_accuracy(preds, labels, 3)
+        _, out, _ = classification_scores(preds, labels, 3)
         assert np.allclose(out, [1.0, 2 / 3, 0.5])
 
     def test_macro_f1_invariant_to_consistent_relabeling(self):
@@ -100,13 +106,15 @@ class TestAccuracy:
             preds = rng.integers(c, size=n)
             labels = rng.integers(c, size=n)
             perm = rng.permutation(c)
-            assert macro_f1(perm[preds], perm[labels], c) == pytest.approx(
-                macro_f1(preds, labels, c), abs=1e-12
+            assert classification_scores(perm[preds], perm[labels], c)[2] == pytest.approx(
+                classification_scores(preds, labels, c)[2], abs=1e-12
             )
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy(np.array([]), np.array([]))
+        # empty, labels shorter than preds, and preds of another shape
+        for preds, labels in (([], []), ([0, 1], [0]), ([[0, 1]], [0, 1])):
+            with pytest.raises(ValueError, match="equal-length and non-empty"):
+                classification_scores(np.array(preds), np.array(labels), 2)
 
 
 class TestPseudoAudit:
