@@ -18,7 +18,7 @@ from pseudopool.augment import (
 
 rng = np.random.default_rng(0)
 
-stats = ClassStats(num_classes=3, rep_dim=8)
+stats = ClassStats(num_classes=3, rep_dim=8, ema_decay=0.9)
 tight = rng.normal(loc=4.0, scale=0.2, size=(30, 8))
 medium = rng.normal(loc=2.0, scale=1.0, size=(30, 8))
 loose = rng.normal(loc=1.0, scale=2.5, size=(30, 8))

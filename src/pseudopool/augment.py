@@ -23,11 +23,12 @@ ALPHA_FLOOR = 0.1
 
 
 class ClassStats:
-    """Per-class EMA centroid, compactness, synthesis radius, running count."""
+    """Per-class EMA centroid (at decay ``ema_decay``), compactness, synthesis radius, running count."""
 
-    def __init__(self, num_classes: int, rep_dim: int):
+    def __init__(self, num_classes: int, rep_dim: int, ema_decay: float):
         self.num_classes = num_classes
         self.rep_dim = rep_dim
+        self.ema_decay = ema_decay
         self.centroids = np.zeros((num_classes, rep_dim))
         self.has_centroid = np.zeros(num_classes, dtype=bool)
         self.alpha = np.full(num_classes, np.nan)
@@ -49,22 +50,15 @@ class ClassStats:
         return out
 
 
-def update_class_stats(
-    stats: ClassStats,
-    reps: np.ndarray,
-    labels: np.ndarray,
-    ema_decay: float = 0.9,
-) -> None:
+def update_class_stats(stats: ClassStats, reps: np.ndarray, labels: np.ndarray) -> None:
     """Fold a batch of (representation, label) pairs into the running stats.
 
-    Centroids move by EMA toward the batch mean of each class present (a
-    fresh class adopts the batch mean outright). Compactness is the mean
-    cosine between the batch's class members and the updated centroid;
-    radius = 1 / max(alpha, 0.1). Zero-norm representations or centroids are
-    skipped with a warning (their cosine is undefined).
+    Centroids move by EMA, at ``stats.ema_decay``, toward the batch mean of
+    each class present (a fresh class adopts the batch mean outright).
+    Compactness is the mean cosine between the batch's class members and the
+    updated centroid; radius = 1 / max(alpha, 0.1). Zero-norm representations
+    or centroids are skipped with a warning (their cosine is undefined).
     """
-    if not 0.0 <= ema_decay < 1.0:
-        raise ValueError("ema_decay must lie in [0, 1)")
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     norms = row_norms(reps)
@@ -73,7 +67,7 @@ def update_class_stats(
             logger.warning("class %d: skipping %d zero-norm representation(s)", c, n)
         keep = norms > 0
         reps, labels, norms = reps[keep], labels[keep], norms[keep]
-    k, d = stats.num_classes, stats.rep_dim
+    k, d, ema_decay = stats.num_classes, stats.rep_dim, stats.ema_decay
     counts = np.bincount(labels, minlength=k)
     present = counts > 0
     # per-class sums of the rows: one bincount over (class, coordinate) cells
@@ -110,8 +104,6 @@ def update_class_stats(
 def minority_classes(phi: np.ndarray) -> np.ndarray:
     """Classes whose pool count is strictly below the (lower) median count."""
     phi = np.asarray(phi)
-    if phi.ndim != 1 or phi.size == 0 or np.any(phi < 0):
-        raise ValueError("phi must be a 1-D vector of non-negative counts")
     lower_median = np.sort(phi)[(phi.size - 1) // 2]
     return np.flatnonzero(phi < lower_median)
 

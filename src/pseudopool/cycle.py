@@ -11,15 +11,15 @@ prior fed to the logit-adjusted loss.
 The cycle's state is one position-indexed label vector, aligned with the
 rows of the unlabeled split (and of its ``UnlabeledView``): entry ``i`` holds
 the class assigned to row ``i``, or -1 while that row is not in the pool.
-``PseudoRegistry`` owns it as ``resolved``, beside the vote tallies it is
-resolved from; ``PseudoRegistry.resolve`` updates it in place (under the
-grow-only rule when the registry is built with ``grow_only``) and reports
-whether a row changed label. ``update_pool`` turns it into the pool's pseudo
-portion (the assigned rows' indices and labels; features are read through
-the indices when a batch is drawn, never copied), and
-``metrics.pseudo_audit`` tallies it against hidden ground truth. Neither the
-registry nor the pool checks ids: ``SplitBundle`` rejects a repeated id when
-it is built, so no pseudo row can share an id with a base row.
+``PseudoRegistry`` owns it as ``resolved``, beside the vote tallies and the
+rule (``min_votes``, ``majority_frac``, ``grow_only``) it is resolved by;
+``PseudoRegistry.resolve`` updates it in place and reports whether a row
+changed label. ``update_pool`` turns it into the pool's pseudo portion (the
+assigned rows' indices and labels; features are read through the indices
+when a batch is drawn, never copied), and ``metrics.pseudo_audit`` tallies
+it against hidden ground truth. Nothing here re-checks what an owner
+guarantees: ``TrainConfig.validate`` checks the rule and the threshold, and
+``SplitBundle`` the ids, so no pseudo row can share an id with a base row.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ class ViewPredictionBatch:
 def reliability_mask_batch(vpb: ViewPredictionBatch, tau: float) -> np.ndarray:
     """Per row: True iff both confidences strictly exceed tau and the view
     labels agree. tau = 1.0 is legal and selects nothing."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
     return (
         (vpb.confs_weak > tau)
         & (vpb.confs_strong > tau)
@@ -56,16 +54,20 @@ def reliability_mask_batch(vpb: ViewPredictionBatch, tau: float) -> np.ndarray:
 
 
 class PseudoRegistry:
-    """Cumulative per-sample vote tallies over the whole training run, and
-    the label vector they resolve to (``resolved``, aligned with ``ids``).
+    """Cumulative per-sample vote tallies, the label vector they resolve to
+    (``resolved``, aligned with ``ids``) and the rule they resolve by.
 
     With ``grow_only`` (the ``freeze_resolved`` variant) a row keeps the
     first label it resolves to, whatever its later votes say.
     """
 
-    def __init__(self, ids: np.ndarray, num_classes: int, grow_only: bool = False):
+    def __init__(
+        self, ids: np.ndarray, num_classes: int, min_votes: int, majority_frac: float, grow_only: bool = False
+    ):
         self.ids = np.asarray(ids, dtype=np.int64).copy()
         self.num_classes = num_classes
+        self.min_votes = min_votes
+        self.majority_frac = majority_frac
         self.grow_only = grow_only
         self.votes = np.zeros((self.ids.size, num_classes), dtype=np.int64)
         self.first_vote_epoch = np.full(self.ids.size, -1, dtype=np.int64)
@@ -77,17 +79,13 @@ class PseudoRegistry:
 
     def record_vote(self, row: int, label: int) -> None:
         """Count one reliable hit for (registry row, label); cumulative, never reset."""
-        if not 0 <= row < self.ids.size:
-            raise IndexError(f"row {row} outside [0, {self.ids.size})")
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} outside [0, {self.num_classes})")
         self.votes[row, label] += 1
         if self.first_vote_epoch[row] < 0:
             self.first_vote_epoch[row] = self.current_epoch
 
-    def resolve(self, min_votes: int, majority_frac: float, rows: np.ndarray | None = None) -> bool:
+    def resolve(self, rows: np.ndarray | None = None) -> bool:
         """Re-resolve ``rows`` (registry positions; all rows by default) of
-        ``resolved`` from their tallies; True iff one of them changed label.
+        ``resolved`` by the registry's rule; True iff one changed label.
 
         A sample is assigned iff its total votes reach ``min_votes`` and the
         modal class share strictly exceeds ``majority_frac``; modal ties stay
@@ -96,22 +94,17 @@ class PseudoRegistry:
         only an unassigned row takes a new resolution.
 
         The rows outside ``rows`` keep their last resolution. That is exact as
-        long as ``rows`` covers every row voted on since the last call with
-        the same ``min_votes`` and ``majority_frac``, because a row's
-        resolution depends on its own tallies (and, grow-only, its own label)
-        alone.
+        long as ``rows`` covers every row voted on since the last call,
+        because a row's resolution depends on its own tallies (and,
+        grow-only, its own label) alone.
         """
-        if min_votes < 1:
-            raise ValueError("min_votes must be >= 1")
-        if not 0.5 <= majority_frac <= 1.0:
-            raise ValueError("majority_frac must lie in [0.5, 1]")
         rows = slice(None) if rows is None else rows
         votes = self.votes[rows]
         totals = votes.sum(axis=1)
         modal = np.argmax(votes, axis=1)
         modal_count = votes[np.arange(votes.shape[0]), modal]
         tied = (votes == modal_count[:, None]).sum(axis=1) > 1
-        ok = (totals >= min_votes) & (modal_count > majority_frac * totals) & ~tied
+        ok = (totals >= self.min_votes) & (modal_count > self.majority_frac * totals) & ~tied
         before = self.resolved[rows]
         after = np.where(ok, modal, -1)
         if self.grow_only:
@@ -235,10 +228,6 @@ def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) ->
     features. ``pool`` itself is left unchanged.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != source.ids.shape:
-        raise ValueError(
-            f"label vector of shape {labels.shape} does not match {source.ids.size} unlabeled rows"
-        )
     rows = np.flatnonzero(labels >= 0)
     grown = copy.copy(pool)
     grown.source = source

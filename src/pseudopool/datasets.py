@@ -104,8 +104,8 @@ class SplitBundle:
     """The three splits of one dataset. Checked once, here, so that no
     reader checks again: each role has one id, one feature row and one label
     per sample, every label is a class of ``spec``, every role's features are
-    2-D with the labeled split's width, and no id appears twice, within a
-    role or across roles."""
+    finite and 2-D with the labeled split's width, and no id appears twice,
+    within a role or across roles."""
 
     spec: DatasetSpec
     labeled: LabeledSplit
@@ -129,6 +129,9 @@ class SplitBundle:
             outside = labels[(labels < 0) | (labels >= self.spec.num_classes)]
             if outside.size:
                 raise ValueError(f"{role} label {outside[0]} outside [0, {self.spec.num_classes})")
+            bad = np.flatnonzero(~np.isfinite(split.features).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{role} feature row {bad[0]} holds a non-finite value")
         ids = np.concatenate([self.labeled.ids, self.unlabeled.ids, self.test.ids])
         order = np.argsort(ids, kind="stable")
         repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later positions of a repeated id

@@ -171,14 +171,14 @@ def run_experiment(
 
     Per seed: ``seed_<s>/history.jsonl`` (one record per epoch) plus, for the
     full method, the registry snapshot, per-epoch class-stats CSV and any
-    checkpoints. The run root gets ``resolved_config.json`` and ``summary.json``,
-    which is written last. An earlier run's summary is removed first, and so
-    are its plot data when this run writes none, and a seed's optional files
-    before that seed trains.
+    checkpoints. The run root gets ``resolved_config.json``, the plot data
+    when asked for, and ``summary.json``, which is written last and so marks a
+    complete run. An earlier run's summary and plot data are removed first,
+    and a seed's optional files before that seed trains.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("summary.json",) if emit_plot_data else ("summary.json", "plot_data.csv"):
+    for name in ("summary.json", "plot_data.csv"):
         (out_dir / name).unlink(missing_ok=True)
     finals: dict[int, dict] = {}
     plot_records: dict[int, list[dict]] = {}
@@ -205,15 +205,13 @@ def run_experiment(
         if emit_plot_data:
             plot_records[seed] = records
 
+    if emit_plot_data:
+        _write_plot_data(out_dir / "plot_data.csv", plot_records)
+        paths.append(out_dir / "plot_data.csv")
     summary = asdict(_final_summary(config.method, finals))
     with atomic_open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True))
     paths.append(out_dir / "summary.json")
-
-    if emit_plot_data:
-        plot_path = out_dir / "plot_data.csv"
-        _write_plot_data(plot_path, plot_records)
-        paths.append(plot_path)
     summary["paths"] = [str(p) for p in paths]
     return summary
 

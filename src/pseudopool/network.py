@@ -181,8 +181,6 @@ def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list
     """Forward pass keeping every layer's activation, ``[input, layer 1, ...,
     representation]``; the backward needs no pre-activation, so none is kept."""
     a = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if a.shape[1] != state.config.input_dim:
-        raise ValueError(f"expected input dim {state.config.input_dim}, got {a.shape[1]}")
     params, kind = state.params, state.config.activation
     activations = [a]
     for w_key, b_key in state.encoder_keys:
@@ -208,15 +206,9 @@ def encode(state: ModelState, x: np.ndarray, layers: list | None = None) -> np.n
 
 
 def head_logits(state: ModelState, branch: str, h: np.ndarray) -> np.ndarray:
-    """Affine map of a representation by the selected head."""
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    h = np.asarray(h, dtype=np.float64)
+    """Affine map of a representation by the head ``branch`` (one of ``BRANCHES``)."""
     w_key, b_key = _HEAD_KEYS[branch]
-    w = state.params[w_key]
-    if h.shape[-1] != w.shape[0]:
-        raise ValueError(f"expected representation dim {w.shape[0]}, got {h.shape[-1]}")
-    return h @ w + state.params[b_key]
+    return np.asarray(h, dtype=np.float64) @ state.params[w_key] + state.params[b_key]
 
 
 # numpy sums fewer than this many terms in sequence, and more pairwise when
@@ -341,8 +333,6 @@ def loss_and_grads(state: ModelState, parts: list[BatchPart]) -> tuple[float, li
     spans: list[tuple[int, int] | None] = []
     n_rows = 0
     for part in parts:
-        if part.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}")
         if part.inputs.size == 0 or (part.normalizer is not None and part.normalizer <= 0):
             spans.append(None)
             continue
@@ -433,8 +423,6 @@ def sgd_step(state: ModelState, opt: OptimizerConfig, lr: float) -> ModelState:
     vectors and swapped in only once every new parameter is finite;
     otherwise it raises ``NonFiniteLossError`` and leaves ``state`` untouched.
     """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     g = state.grads.flat
     new_params, new_momentum = state._spare
     param, new, buf = state.params.flat, new_params.flat, new_momentum.flat
@@ -460,7 +448,6 @@ def sgd_step(state: ModelState, opt: OptimizerConfig, lr: float) -> ModelState:
 
 def cosine_lr(t: int, base_lr: float, total_steps: int) -> float:
     """Learning rate base_lr * cos(7*pi*t / (16*total_steps)); decreasing, and
-    positive for a positive ``base_lr``, on [0, total_steps]."""
-    if t < 0 or t > total_steps:
-        raise ValueError(f"step {t} outside [0, {total_steps}]")
+    positive for a positive ``base_lr``, on [0, total_steps], where the
+    caller keeps ``t``."""
     return base_lr * float(np.cos(7.0 * np.pi * t / (16.0 * total_steps)))

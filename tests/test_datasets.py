@@ -234,8 +234,8 @@ def hand_built(labeled_ids, unlabeled_ids, test_ids, unlabeled_rows=None):
 
 
 class TestSplitBundle:
-    """A bundle checks its ids and row counts once, when it is built, so the
-    pool and the registry need not."""
+    """A bundle checks its ids, row counts, labels and features once, when it
+    is built, so the pool, the registry and the training step need not."""
 
     def test_id_collision_with_base_rejected(self):
         with pytest.raises(ValueError, match="^id 2 appears more than once"):
@@ -292,6 +292,15 @@ class TestSplitBundle:
             labels[1] = label
             with pytest.raises(ValueError, match=rf"^{role} label {label} outside \[0, 3\)"):
                 dataclasses.replace(bundle, **{role: dataclasses.replace(split, **{field: labels})})
+
+    @pytest.mark.parametrize("role", ["labeled", "unlabeled", "test"])
+    def test_non_finite_feature_rejected(self, role):
+        bundle = generate_splits(tiny_spec(seed=4))
+        split = getattr(bundle, role)
+        features = split.features.copy()
+        features[5, 0], features[2, 1] = np.inf, np.nan  # the error names the first bad row
+        with pytest.raises(ValueError, match=rf"^{role} feature row 2 holds a non-finite value$"):
+            dataclasses.replace(bundle, **{role: dataclasses.replace(split, features=features)})
 
     @settings(max_examples=25, deadline=None)
     @given(

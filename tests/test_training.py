@@ -497,6 +497,24 @@ class TestRunCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {key} is missing or is not a "):
             resume_training(path, tiny_splits)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header.update(global_step=0),
+            lambda header: header.update(global_step=10**6),
+            lambda header: header["reports"].pop(),
+        ],
+        ids=["step-restarted", "step-past-the-schedule", "report-missing"],
+    )
+    def test_step_count_that_disagrees_with_epoch_rejected(self, tiny_splits, tmp_path, edit):
+        # every resumed step must lie in the schedule's [0, total_steps): the
+        # learning rate is positive there, and the step checks nothing itself
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(ValueError, match="^checkpoint global_step .* do not fit epoch 4$"):
+            resume_training(path, tiny_splits)
+
 
 class TestHiddenLabelFirewall:
     TRAINING_MODULES = (
@@ -540,7 +558,15 @@ class TestPresets:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
-        [("min_votes", 0), ("majority_frac", 0.2), ("majority_frac", 1.5), ("ema_decay", 1.5), ("ema_decay", -0.1)],
+        [
+            ("min_votes", 0),
+            ("majority_frac", 0.2),
+            ("majority_frac", 1.5),
+            ("ema_decay", 1.5),
+            ("ema_decay", -0.1),
+            ("confidence_threshold", 0.0),
+            ("confidence_threshold", 1.5),
+        ],
     )
     def test_cycle_parameters_rejected_before_epoch_one(self, tiny_splits, monkeypatch, field, value):
         steps = pool_and_prior_per_step(monkeypatch)
