@@ -8,7 +8,7 @@ exist only for evaluation and are invisible to training code.
 
 import numpy as np
 
-from pseudopool import DatasetSpec, generate_splits, long_tailed_counts
+from pseudopool.datasets import DatasetSpec, generate_splits, long_tailed_counts
 
 spec = DatasetSpec(
     num_classes=5,

@@ -8,7 +8,7 @@ splits and shows where the gain lands: the tail classes.
 
 import numpy as np
 
-from pseudopool import DatasetSpec, generate_splits
+from pseudopool.datasets import DatasetSpec, generate_splits
 from pseudopool.training import TrainConfig, run_baseline
 
 spec = DatasetSpec(

@@ -9,8 +9,9 @@ through the registry it left behind.
 
 import numpy as np
 
-from pseudopool import DatasetSpec, encode, generate_splits, strong_view_batch, weak_view_batch
 from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
+from pseudopool.datasets import DatasetSpec, generate_splits, strong_view_batch, weak_view_batch
+from pseudopool.network import encode
 from pseudopool.training import TrainConfig, predict_views, train
 
 print("the three-clause filter on hand-built view predictions (tau = 0.95):")

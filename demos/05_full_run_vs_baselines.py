@@ -10,7 +10,7 @@ Takes about half a minute on one core.
 
 import numpy as np
 
-from pseudopool import DatasetSpec, generate_splits
+from pseudopool.datasets import DatasetSpec, generate_splits
 from pseudopool.training import TrainConfig, run_baseline, train
 
 spec = DatasetSpec(

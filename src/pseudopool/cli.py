@@ -27,6 +27,8 @@ from .training import TrainingDiverged
 
 
 def _resolve_out(path_str: str) -> Path:
+    if not path_str:
+        raise ConfigError("out", "an empty path names no output")
     path = Path(path_str)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not path.is_absolute():
@@ -43,11 +45,12 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _load(args: argparse.Namespace) -> experiments.ExperimentConfig:
     config = experiments.load_config(args.config)
-    if getattr(args, "seeds", None):
+    # an option that is given wins, even when empty, and validate() judges it
+    if getattr(args, "seeds", None) is not None:
         config = replace(config, seeds=_parse_seeds(args.seeds))
-    if getattr(args, "method", None):
+    if getattr(args, "method", None) is not None:
         config = replace(config, method=args.method)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         config = replace(config, output_dir=args.out)
     config.validate()
     return config
@@ -63,10 +66,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    out = None if args.out is None else _resolve_out(args.out)
     report = experiments.compare_runs(args.dir_a, args.dir_b)
     print(experiments.format_comparison(report))
-    if args.out:
-        out = _resolve_out(args.out)
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         with atomic_open(out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True))
@@ -76,7 +79,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _load(args)
-    result = experiments.run_ablation(config, _resolve_out(args.out or config.output_dir))
+    result = experiments.run_ablation(config, _resolve_out(config.output_dir))
     print(result["csv"])
     print(result["json"])
     return 0
@@ -84,7 +87,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load(args)
-    out_dir = _resolve_out(args.out or config.output_dir)
+    out_dir = _resolve_out(config.output_dir)
     paths = save_splits(generate_splits(config.dataset), out_dir)
     for path in paths.values():
         print(path)

@@ -105,7 +105,8 @@ class SplitBundle:
     reader checks again: each role has one id, one feature row and one label
     per sample, every label is a class of ``spec``, every role's features are
     finite and 2-D with the labeled split's width, and no id appears twice,
-    within a role or across roles."""
+    within a role or across roles. The test split has at least one row; an
+    empty unlabeled split is allowed (the supervised baselines train on one)."""
 
     spec: DatasetSpec
     labeled: LabeledSplit
@@ -132,6 +133,8 @@ class SplitBundle:
             bad = np.flatnonzero(~np.isfinite(split.features).all(axis=1))
             if bad.size:
                 raise ValueError(f"{role} feature row {bad[0]} holds a non-finite value")
+        if not np.size(self.test.ids):
+            raise ValueError("test split has no rows to score")
         ids = np.concatenate([self.labeled.ids, self.unlabeled.ids, self.test.ids])
         order = np.argsort(ids, kind="stable")
         repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later positions of a repeated id

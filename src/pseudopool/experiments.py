@@ -54,6 +54,8 @@ class ExperimentConfig:
             raise ConfigError("method", f"must be one of {METHODS}")
         if not self.seeds or not all(type(s) is int and s >= 0 for s in self.seeds):
             raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
+        if not self.output_dir:
+            raise ConfigError("output_dir", "must not be empty")
         if not self.scenarios:
             raise ConfigError("scenarios", "at least one scenario is required")
         for scenario in self.scenarios:

@@ -261,6 +261,10 @@ def _run(
     m = uview.ids.size
     adjusted = method in ("cpg", "supervised_la")
     gated_consistency = method == "consistency_ssl"
+    if m == 0 and (
+        config.use_aux_branch or gated_consistency or (config.use_cycle and config.warmup_epochs < config.total_epochs)
+    ):
+        raise ValueError("the unlabeled split is empty, but this run draws unlabeled batches")
 
     c = splits.spec.num_classes
     if run is None:

@@ -276,6 +276,14 @@ class TestSplitBundle:
         with pytest.raises(ValueError, match=r"^test features of shape \(30, 3\) are not 2-D rows as wide"):
             load_splits(tmp_path)
 
+    def test_empty_test_csv_rejected_on_load(self, tmp_path):
+        # an empty test split used to train a whole epoch, then fail to score it
+        save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
+        path = tmp_path / "test.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ValueError, match="^test split has no rows to score$"):
+            load_splits(tmp_path)
+
     def test_one_dimensional_features_rejected(self):
         bundle = hand_built([0, 1], [100], [300])
         flat = LabeledSplit(np.array([5]), np.zeros(1), np.zeros(1, dtype=np.int64))

@@ -649,6 +649,31 @@ class TestCli:
         assert main([command, *dirs]) == 2
         assert f"config error: {path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, output_dir, message",
+        [
+            (["run", "--seeds", ""], "runs/tiny", "seeds: must be a non-empty list"),
+            (["run", "--out", ""], "runs/tiny", "output_dir: must not be empty"),
+            (["ablate", "--out", ""], "runs/tiny", "output_dir: must not be empty"),
+            (["gen-data", "--out", ""], "runs/tiny", "output_dir: must not be empty"),
+            (["compare", ".", ".", "--out", ""], None, "out: an empty path names no output"),
+            (["run"], "", "output_dir: must not be empty"),
+        ],
+        ids=["run-seeds", "run-out", "ablate-out", "gen-data-out", "compare-out", "config-output-dir"],
+    )
+    def test_empty_value_exits_2(self, tmp_path, capsys, monkeypatch, argv, output_dir, message):
+        # an empty override used to fall back to the config's value, and an
+        # empty output_dir wrote into the current directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "summary.json").write_text(json.dumps(SUMMARY))
+        if output_dir is not None:
+            data = {**json.loads(json.dumps(TINY_CONFIG)), "seeds": [0], "output_dir": output_dir}
+            argv = [*argv, "--config", str(write_config(tmp_path, data))]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_output_root_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PSEUDOPOOL_OUTPUT_ROOT", str(tmp_path / "root"))
         data = json.loads(json.dumps(TINY_CONFIG))

@@ -19,7 +19,7 @@ import pseudopool.cycle
 import pseudopool.metrics
 import pseudopool.network
 import pseudopool.training
-from pseudopool.datasets import generate_splits
+from pseudopool.datasets import UnlabeledSplit, generate_splits
 from pseudopool.metrics import predict_batch
 from pseudopool.network import ModelConfig, OptimizerConfig, init
 from pseudopool.records import ConfigError
@@ -304,6 +304,29 @@ class TestBaselines:
     def test_unknown_kind_rejected(self, tiny_splits):
         with pytest.raises(ValueError):
             run_baseline("mystery", fast_config(), tiny_splits)
+
+    @pytest.mark.parametrize(
+        "method, overrides, draws",
+        [
+            ("cpg", {}, True),
+            ("cpg", {"use_aux_branch": False}, True),  # draws once the cycle opens after warmup
+            ("consistency_ssl", {}, True),
+            ("supervised_la", {}, False),
+            ("cpg", {"use_aux_branch": False, "use_cycle": False, "use_synthesis": False}, False),
+        ],
+        ids=["cpg", "cpg-no-aux", "consistency_ssl", "supervised_la", "cpg-all-off"],
+    )
+    def test_empty_unlabeled_split(self, tiny_splits, method, overrides, draws):
+        d = tiny_splits.labeled.features.shape[1]
+        empty = UnlabeledSplit(np.zeros(0, dtype=np.int64), np.zeros((0, d)), np.zeros(0, dtype=np.int64))
+        splits = replace(tiny_splits, unlabeled=empty)
+        cfg = fast_config(total_epochs=8, warmup_epochs=2, **overrides)
+        run = (lambda: train(cfg, splits)) if method == "cpg" else (lambda: run_baseline(method, cfg, splits))
+        if draws:
+            with pytest.raises(ValueError, match="^the unlabeled split is empty, but this run draws unlabeled batches$"):
+                run()
+        else:
+            assert len(run().reports) == 8
 
 
 class TestCheckpointResume:
@@ -606,11 +629,20 @@ def run_python(code: str) -> dict:
 
 
 class TestLeanProcess:
+    def test_package_import_loads_no_module(self):
+        out = run_python(
+            "import json, sys\n"
+            "import pseudopool\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('pseudopool.', 'numpy')))))\n"
+        )
+        assert out == []
+
     def test_training_never_imports_scipy(self):
         out = run_python(
             "import json, sys\n"
-            "from pseudopool import DatasetSpec, TrainConfig, generate_splits, run_baseline, train\n"
-            "from pseudopool import welch_t_test\n"
+            "from pseudopool.datasets import DatasetSpec, generate_splits\n"
+            "from pseudopool.metrics import welch_t_test\n"
+            "from pseudopool.training import TrainConfig, run_baseline, train\n"
             "splits = generate_splits(DatasetSpec(num_classes=3, feature_dim=4, n_max=20, m_max=60,"
             " gamma_l=4.0, gamma_u=4.0, unlabeled_shape='arbitrary', test_per_class=10))\n"
             "cfg = TrainConfig(total_epochs=4, warmup_epochs=1, steps_per_epoch=3, labeled_batch=6,"
@@ -652,7 +684,8 @@ class TestLeanProcess:
         # under glibc's adaptive thresholds
         out = run_python(
             "import json, resource\n"
-            "from pseudopool import DatasetSpec, TrainConfig, generate_splits, run_baseline\n"
+            "from pseudopool.datasets import DatasetSpec, generate_splits\n"
+            "from pseudopool.training import TrainConfig, run_baseline\n"
             "splits = generate_splits(DatasetSpec(num_classes=5, feature_dim=16, n_max=100,"
             " m_max=900, gamma_l=10.0, gamma_u=10.0, unlabeled_shape='arbitrary'))\n"
             "cfg = TrainConfig(total_epochs=10, warmup_epochs=3)\n"
