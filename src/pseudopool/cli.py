@@ -45,14 +45,14 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _load(args: argparse.Namespace) -> experiments.ExperimentConfig:
     config = experiments.load_config(args.config)
-    # an option that is given wins, even when empty, and validate() judges it
+    # an option that is given wins, even when empty; the record that
+    # ``replace`` builds checks it, as loading checked the file's values
     if getattr(args, "seeds", None) is not None:
         config = replace(config, seeds=_parse_seeds(args.seeds))
     if getattr(args, "method", None) is not None:
         config = replace(config, method=args.method)
     if getattr(args, "out", None) is not None:
         config = replace(config, output_dir=args.out)
-    config.validate()
     return config
 
 

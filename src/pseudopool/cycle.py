@@ -18,8 +18,9 @@ changed label. ``update_pool`` turns it into the pool's pseudo portion (the
 assigned rows' indices and labels; features are read through the indices
 when a batch is drawn, never copied), and ``metrics.pseudo_audit`` tallies
 it against hidden ground truth. Nothing here re-checks what an owner
-guarantees: ``TrainConfig.validate`` checks the rule and the threshold, and
-``SplitBundle`` the ids, so no pseudo row can share an id with a base row.
+guarantees: a ``TrainConfig`` checks the rule and the threshold when it is
+built, and ``SplitBundle`` the ids, so no pseudo row can share an id with a
+base row.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ CSV_ROLES = ("labeled", "unlabeled", "test")
 MEAN_RADIUS = 2.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     """Recipe for one long-tailed labeled/unlabeled/test split family."""
 
@@ -44,14 +44,14 @@ class DatasetSpec:
     arbitrary_mode: str = "permutation"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
         if self.n_max < 1 or self.m_max < 1:
             raise ValueError("n_max and m_max must be positive")
-        if self.gamma_l < 1 or self.gamma_u < 1:
+        if not (self.gamma_l >= 1 and self.gamma_u >= 1):
             raise ValueError("imbalance ratios must be >= 1")
         if self.n_max // self.gamma_l < 1:
             raise ValueError("n_max / gamma_l < 1 would force an empty class")
@@ -65,6 +65,8 @@ class DatasetSpec:
             raise ValueError(f"arbitrary_mode must be one of {ARBITRARY_MODES}")
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -218,7 +220,6 @@ def circle_class_means(num_classes: int, feature_dim: int) -> np.ndarray:
 
 def generate_splits(spec: DatasetSpec) -> SplitBundle:
     """Draw labeled/unlabeled/test splits for a spec, bit-identical per seed."""
-    spec.validate()
     shape_ss, data_ss = np.random.SeedSequence(spec.seed).spawn(2)
     shape_rng = np.random.default_rng(shape_ss)
     data_rng = np.random.default_rng(data_ss)
@@ -264,7 +265,7 @@ def generate_splits(spec: DatasetSpec) -> SplitBundle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentationPolicy:
     """Weak/strong perturbation strengths for feature-vector views."""
 
@@ -272,8 +273,8 @@ class AugmentationPolicy:
     strong_noise_sigma: float
     strong_mask_rate: float = 0.3
 
-    def validate(self) -> None:
-        if self.weak_noise_sigma < 0 or self.strong_noise_sigma < 0:
+    def __post_init__(self) -> None:
+        if not (self.weak_noise_sigma >= 0 and self.strong_noise_sigma >= 0):
             raise ValueError("noise sigmas must be >= 0")
         if self.strong_noise_sigma < self.weak_noise_sigma:
             raise ValueError("strong view must perturb at least as hard as weak")
@@ -285,11 +286,7 @@ def policy_from_features(features: np.ndarray) -> AugmentationPolicy:
     """The training policy: weak and strong sigmas 0.05 and 0.15 of the mean
     per-feature std, and 30% of each strong view's coordinates masked."""
     base = float(np.mean(np.std(np.asarray(features, dtype=np.float64), axis=0)))
-    policy = AugmentationPolicy(
-        weak_noise_sigma=0.05 * base, strong_noise_sigma=0.15 * base, strong_mask_rate=0.3
-    )
-    policy.validate()
-    return policy
+    return AugmentationPolicy(weak_noise_sigma=0.05 * base, strong_noise_sigma=0.15 * base, strong_mask_rate=0.3)
 
 
 def weak_view_batch(

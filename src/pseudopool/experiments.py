@@ -21,9 +21,9 @@ from .cycle import RegistrySnapshot
 from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits
 from .metrics import welch_t_test
 from .records import ConfigError, atomic_open, from_mapping
-from .training import TrainConfig
+from .training import BASELINE_KINDS, TrainConfig
 
-METHODS = ("cpg", "supervised_ce", "supervised_la", "consistency_ssl")
+METHODS = ("cpg", *BASELINE_KINDS)
 OUTPUT_ROOT_ENV = "PSEUDOPOOL_OUTPUT_ROOT"
 
 SUMMARY_METRICS = ("acc", "macro_f1", "err_rate", "util_rate", "kl")
@@ -40,7 +40,7 @@ ABLATION_ROWS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     method: str
     dataset: DatasetSpec
@@ -49,7 +49,7 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
     scenarios: list[str] = field(default_factory=lambda: ["consistent", "inverse", "arbitrary"])
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError("method", f"must be one of {METHODS}")
         if not self.seeds or not all(type(s) is int and s >= 0 for s in self.seeds):
@@ -66,18 +66,6 @@ class ExperimentConfig:
                 raise ConfigError(name, f"repeats a value: {values}")
         if self.method != "cpg" and self.train.checkpoint_every:
             raise ConfigError("train.checkpoint_every", f"{self.method} cannot checkpoint")
-        for name, section in (("dataset", self.dataset), ("train", self.train)):
-            try:
-                section.validate()
-            except ValueError as exc:
-                raise ConfigError(name, str(exc)) from None
-
-
-def parse_config(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a raw mapping, naming bad fields."""
-    config = from_mapping(ExperimentConfig, data)
-    config.validate()
-    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -88,7 +76,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError("<config>", f"unparseable config: {exc}") from None
-    return parse_config(data)
+    return from_mapping(ExperimentConfig, data)
 
 
 def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training.RunHistory:

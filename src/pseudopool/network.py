@@ -44,7 +44,7 @@ def validate_architecture(hidden_dims: tuple[int, ...], activation: str) -> None
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     input_dim: int
     num_classes: int
@@ -53,7 +53,7 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("input_dim must be >= 1 and num_classes >= 2")
         validate_architecture(self.hidden_dims, self.activation)
@@ -63,19 +63,19 @@ class ModelConfig:
         return self.hidden_dims[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     base_lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 5e-4
 
     def __post_init__(self) -> None:
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
 
 
 class ParamVector(dict):

@@ -47,9 +47,10 @@ def from_mapping(cls, data, path: str = ""):
     Omitted fields take their defaults. An unknown field, a missing required
     one, a value of the wrong type or a ``ValueError`` from ``cls`` itself
     raises ``ConfigError`` named by its dotted path (``train.optimizer.base_lr``;
-    ``path`` prefixes it). A bool is not an int; an int passes for a float and
-    stays an int; a list (or a tuple, as ``asdict`` leaves it) fills a
-    ``list[...]`` or ``tuple[..., ...]``; a mapping fills a nested dataclass
+    ``path`` prefixes it); a ``ConfigError`` from ``cls`` names its own field
+    and passes through unchanged. A bool is not an int; an int passes for a
+    float and stays an int; a list (or a tuple, as ``asdict`` leaves it) fills
+    a ``list[...]`` or ``tuple[..., ...]``; a mapping fills a nested dataclass
     or a ``dict[str, ...]``, whose values are named ``path.key``; ``X | None``
     accepts null.
     """
@@ -66,6 +67,8 @@ def from_mapping(cls, data, path: str = ""):
     values = {key: _typed(hints[key], value, prefix + key) for key, value in data.items()}
     try:
         return cls(**values)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path or "<root>", str(exc)) from None
 

@@ -72,7 +72,7 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     total_epochs: int = 150
     warmup_epochs: int = 30
@@ -93,7 +93,7 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.total_epochs < 1 or self.steps_per_epoch < 1:
             raise ValueError("total_epochs and steps_per_epoch must be positive")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
@@ -111,6 +111,8 @@ class TrainConfig:
             raise ValueError("ema_decay must lie in [0, 1)")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         validate_architecture(self.hidden_dims, self.activation)
 
     @property
@@ -254,7 +256,6 @@ def _run(
 ) -> RunHistory:
     """The one training loop behind ``train`` ("cpg") and every baseline kind;
     it continues ``run`` when given one, else starts a fresh record."""
-    config.validate()
     _pin_heap_thresholds()
     policy = policy_from_features(np.concatenate([splits.labeled.features, splits.unlabeled.features]))
     uview = splits.unlabeled_view()
@@ -345,10 +346,10 @@ def _run(
 
             try:
                 _, part_means = loss_and_grads(run.state, parts)
+                lr = cosine_lr(run.global_step, config.optimizer.base_lr, config.total_steps)
+                sgd_step(run.state, config.optimizer, lr)
             except NonFiniteLossError as exc:
                 raise TrainingDiverged(epoch, step, str(exc)) from exc
-            lr = cosine_lr(run.global_step, config.optimizer.base_lr, config.total_steps)
-            sgd_step(run.state, config.optimizer, lr)
             run.global_step += 1
 
             primary_sum += part_means[0]

@@ -15,9 +15,10 @@ import pytest
 
 from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
 from pseudopool.datasets import generate_splits
-from pseudopool.experiments import ABLATION_ROWS, compare_runs, parse_config, run_experiment
+from pseudopool.experiments import ABLATION_ROWS, ExperimentConfig, compare_runs, run_experiment
 from pseudopool.metrics import welch_t_test
 from pseudopool.network import _xent_forward_backward, init
+from pseudopool.records import from_mapping
 from pseudopool.training import TrainConfig, run_baseline, train
 
 from conftest import desk_spec
@@ -249,7 +250,7 @@ class TestStatisticsAndDeterminism:
     def test_criterion_11_statistics(self, tmp_path):
         t, _, p = welch_t_test([1, 2, 3], [4, 5, 6])
         welch_ok = abs(t - (-3.674)) < 1e-3 and abs(p - 0.0213) < 1e-3
-        config = parse_config(json.loads(json.dumps(TINY)))
+        config = from_mapping(ExperimentConfig, json.loads(json.dumps(TINY)))
         run_experiment(config, tmp_path / "run")
         rep = compare_runs(tmp_path / "run", tmp_path / "run")
         ties = all(entry["verdict"] == "tie" for entry in rep["metrics"].values())
@@ -257,10 +258,10 @@ class TestStatisticsAndDeterminism:
                f"t={t:.4f}, p={p:.4f}; self-compare all ties={ties}")
 
     def test_criterion_12_determinism(self, tmp_path):
-        config = parse_config(json.loads(json.dumps(TINY)))
+        config = from_mapping(ExperimentConfig, json.loads(json.dumps(TINY)))
         run_experiment(config, tmp_path / "a")
         resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
-        run_experiment(parse_config(resolved), tmp_path / "b")
+        run_experiment(from_mapping(ExperimentConfig, resolved), tmp_path / "b")
         same = True
         for rel in ("summary.json", "resolved_config.json", "seed_0/history.jsonl",
                     "seed_1/history.jsonl", "seed_0/registry.json"):

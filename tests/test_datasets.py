@@ -207,9 +207,9 @@ class TestViews:
 
     def test_policy_invariant(self):
         with pytest.raises(ValueError):
-            AugmentationPolicy(0.5, 0.1, 0.0).validate()
+            AugmentationPolicy(0.5, 0.1, 0.0)
         with pytest.raises(ValueError):
-            AugmentationPolicy(0.1, 0.2, 1.5).validate()
+            AugmentationPolicy(0.1, 0.2, 1.5)
 
     def test_policy_from_features_scales_with_std(self):
         feats = np.random.default_rng(0).normal(scale=2.0, size=(500, 3))
@@ -405,6 +405,23 @@ class TestCsv:
         with pytest.raises(ConfigError, match="^dataset.mean_scale: unknown field") as err:
             load_splits(tmp_path)
         assert err.value.fieldname == "dataset.mean_scale"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_max": -4}, "n_max and m_max must be positive"),
+            ({"gamma_l": 0.5}, "imbalance ratios must be >= 1"),
+            ({"unlabeled_shape": "wavy"}, "unlabeled_shape must be one of"),
+        ],
+        ids=["n_max", "gamma_l", "unlabeled_shape"],
+    )
+    def test_sidecar_spec_is_checked(self, tmp_path, change, message):
+        save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+        with pytest.raises(ConfigError, match=f"^dataset: {message}") as err:
+            load_splits(tmp_path)
+        assert err.value.fieldname == "dataset"
 
     # cells a malformed row may carry: text of any kind (NUL, quotes,
     # newlines), non-finite or out-of-range numbers, and a field past the csv

@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,10 @@ from pseudopool.experiments import (
     compare_runs,
     inspect_registry,
     load_config,
-    parse_config,
     run_ablation,
     run_experiment,
 )
-from pseudopool.datasets import DatasetSpec, generate_splits
+from pseudopool.datasets import AugmentationPolicy, DatasetSpec, generate_splits
 from pseudopool.network import ModelConfig, OptimizerConfig
 from pseudopool.records import from_mapping
 from pseudopool.training import (
@@ -75,7 +74,7 @@ def write_config(tmp_path, data, name="config.yaml"):
 
 class TestConfigParsing:
     def test_minimal_config_fills_defaults(self):
-        config = parse_config(
+        config = from_mapping(ExperimentConfig, 
             {
                 "method": "supervised_ce",
                 "dataset": {"num_classes": 2, "feature_dim": 3, "n_max": 5, "m_max": 10},
@@ -87,7 +86,7 @@ class TestConfigParsing:
 
     def test_missing_required_field_names_it(self):
         with pytest.raises(ConfigError, match="dataset.num_classes"):
-            parse_config({"method": "cpg", "dataset": {"feature_dim": 3, "n_max": 5, "m_max": 9}})
+            from_mapping(ExperimentConfig, {"method": "cpg", "dataset": {"feature_dim": 3, "n_max": 5, "m_max": 9}})
 
     def test_unknown_field_names_it(self):
         # the removed settings are unknown fields too
@@ -104,13 +103,13 @@ class TestConfigParsing:
             *section, name = path.split(".")
             (data[section[0]] if section else data)[name] = value
             with pytest.raises(ConfigError, match=f"^{path}: unknown field"):
-                parse_config(data)
+                from_mapping(ExperimentConfig, data)
 
     def test_unknown_nested_field_names_path(self):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["train"]["optimizer"] = {"base_lr": 0.01, "warp": 9}
         with pytest.raises(ConfigError, match="train.optimizer.warp"):
-            parse_config(data)
+            from_mapping(ExperimentConfig, data)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -134,7 +133,7 @@ class TestConfigParsing:
         else:
             fieldname, match = "train", f"^train: {field}"
         with pytest.raises(ConfigError, match=match) as err:
-            parse_config(data)
+            from_mapping(ExperimentConfig, data)
         assert err.value.fieldname == fieldname
 
     @pytest.mark.parametrize(
@@ -151,7 +150,7 @@ class TestConfigParsing:
         data = json.loads(json.dumps(TINY_CONFIG))
         data[field] = value
         with pytest.raises(ConfigError) as err:
-            parse_config(data)
+            from_mapping(ExperimentConfig, data)
         assert err.value.fieldname == field
 
     @pytest.mark.parametrize(
@@ -176,14 +175,40 @@ class TestConfigParsing:
             section = section.setdefault(key, {})
         section[name] = value
         with pytest.raises(ConfigError, match=f"^{path}: expected ") as err:
-            parse_config(data)
+            from_mapping(ExperimentConfig, data)
         assert err.value.fieldname == path
+
+    @pytest.mark.parametrize(
+        "path, value, fieldname, message",
+        [
+            ("train.optimizer.base_lr", float("nan"), "train.optimizer", "base_lr must be positive and finite"),
+            ("train.optimizer.base_lr", float("inf"), "train.optimizer", "base_lr must be positive and finite"),
+            ("train.optimizer.weight_decay", float("nan"), "train.optimizer", "weight_decay must be finite"),
+            ("train.optimizer.weight_decay", float("inf"), "train.optimizer", "weight_decay must be finite"),
+            ("dataset.gamma_l", float("nan"), "dataset", "imbalance ratios must be >= 1"),
+            ("dataset.gamma_u", float("nan"), "dataset", "imbalance ratios must be >= 1"),
+            ("dataset.seed", -1, "dataset", "seed must be >= 0"),
+            ("train.seed", -1, "train", "seed must be >= 0"),
+        ],
+        ids=["base_lr-nan", "base_lr-inf", "weight_decay-nan", "weight_decay-inf", "gamma_l-nan", "gamma_u-nan",
+             "dataset.seed", "train.seed"],
+    )
+    def test_non_finite_and_negative_values_rejected(self, path, value, fieldname, message):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        *sections, name = path.split(".")
+        section = data
+        for key in sections:
+            section = section.setdefault(key, {})
+        section[name] = value
+        with pytest.raises(ConfigError, match=f"^{fieldname}: {message}") as err:
+            from_mapping(ExperimentConfig, data)
+        assert err.value.fieldname == fieldname
 
     def test_readme_config_block_parses_and_names_every_field(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
         data = yaml.safe_load(block)
-        parse_config(data)
+        from_mapping(ExperimentConfig, data)
 
         def names(prefix, section):
             return {f"{prefix}.{key}" for key in section}
@@ -199,7 +224,7 @@ class TestConfigParsing:
         data = json.loads(json.dumps(TINY_CONFIG))
         data["method"] = "alchemy"
         with pytest.raises(ConfigError, match="method"):
-            parse_config(data)
+            from_mapping(ExperimentConfig, data)
 
     def test_json_is_accepted_as_yaml_subset(self, tmp_path):
         path = tmp_path / "config.json"
@@ -209,9 +234,9 @@ class TestConfigParsing:
         assert config.dataset.num_classes == 3
 
     def test_resolved_dict_round_trips(self):
-        config = parse_config(json.loads(json.dumps(TINY_CONFIG)))
+        config = from_mapping(ExperimentConfig, json.loads(json.dumps(TINY_CONFIG)))
         resolved = asdict(config)
-        again = parse_config(resolved)
+        again = from_mapping(ExperimentConfig, resolved)
         assert asdict(again) == resolved
 
 
@@ -227,15 +252,16 @@ TRAIN = TrainConfig(
     use_aux_branch=False, use_cycle=False, use_synthesis=False, ema_decay=0.5,
     checkpoint_every=4, hidden_dims=(8, 2), activation="tanh", optimizer=OPTIMIZER, seed=3,
 )
+EXPERIMENT = ExperimentConfig(
+    method="cpg", dataset=SPEC, train=TRAIN, seeds=[4], output_dir="x", scenarios=["uniform"],
+)
+MODEL = ModelConfig(input_dim=3, num_classes=4, hidden_dims=(8, 2), activation="tanh", init_seed=5)
 RECORDS = [
     SPEC,
     OPTIMIZER,
     TRAIN,
-    ExperimentConfig(
-        method="supervised_la", dataset=SPEC, train=TRAIN, seeds=[4], output_dir="x",
-        scenarios=["uniform"],
-    ),
-    ModelConfig(input_dim=3, num_classes=4, hidden_dims=(8, 2), activation="tanh", init_seed=5),
+    EXPERIMENT,
+    MODEL,
     EpochReport(
         epoch=3, acc=0.5, macro_f1=0.4, per_class_acc=[0.5, 0.5], err_rate=0.25, util_rate=0.1,
         kl=None, O_t=14, eps_t=0.25, R_t=0.5, lambda_t=-0.1, cum_eps=0.75,
@@ -282,9 +308,32 @@ class TestFromMapping:
                 from_mapping(cls, data)
 
 
+AUGMENTATION = AugmentationPolicy(weak_noise_sigma=0.1, strong_noise_sigma=0.2, strong_mask_rate=0.5)
+
+
+# each config record, a field of it and a value that its check refuses
+FROZEN = [
+    (SPEC, "n_max", -4),
+    (OPTIMIZER, "base_lr", 0.0),
+    (TRAIN, "min_votes", 0),
+    (EXPERIMENT, "seeds", []),
+    (MODEL, "hidden_dims", ()),
+    (AUGMENTATION, "strong_mask_rate", 1.5),
+]
+
+
+class TestFrozenRecords:
+    @pytest.mark.parametrize("record, name, bad", FROZEN, ids=[type(r).__name__ for r, *_ in FROZEN])
+    def test_built_record_stays_valid(self, record, name, bad):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, bad)
+        with pytest.raises(ValueError):
+            replace(record, **{name: bad})
+
+
 class TestRunExperiment:
     def test_writes_all_artifacts(self, tmp_path):
-        config = parse_config(json.loads(json.dumps(TINY_CONFIG)))
+        config = from_mapping(ExperimentConfig, json.loads(json.dumps(TINY_CONFIG)))
         summary = run_experiment(config, tmp_path / "out")
         assert (tmp_path / "out" / "resolved_config.json").exists()
         assert (tmp_path / "out" / "summary.json").exists()
@@ -296,10 +345,10 @@ class TestRunExperiment:
         assert set(summary["metrics"]) == {"acc", "macro_f1", "err_rate", "util_rate", "kl"}
 
     def test_rerun_from_resolved_config_is_byte_identical(self, tmp_path):
-        config = parse_config(json.loads(json.dumps(TINY_CONFIG)))
+        config = from_mapping(ExperimentConfig, json.loads(json.dumps(TINY_CONFIG)))
         run_experiment(config, tmp_path / "a")
         resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
-        run_experiment(parse_config(resolved), tmp_path / "b")
+        run_experiment(from_mapping(ExperimentConfig, resolved), tmp_path / "b")
         for rel in ("summary.json", "seed_0/history.jsonl", "seed_1/history.jsonl"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
@@ -307,7 +356,7 @@ class TestRunExperiment:
         data = json.loads(json.dumps(TINY_CONFIG))
         data["method"] = "supervised_ce"
         data["seeds"] = [0]
-        config = parse_config(data)
+        config = from_mapping(ExperimentConfig, data)
         import logging
 
         # the default toggles are on; run_baseline switches them off without a word
@@ -323,7 +372,7 @@ class TestRunExperiment:
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
         data["train"]["checkpoint_every"] = 4
-        config = parse_config(data)
+        config = from_mapping(ExperimentConfig, data)
         run_experiment(config, tmp_path / "out")
         seed_dir = tmp_path / "out" / "seed_0"
         assert sorted(p.name for p in seed_dir.glob("checkpoint_*.npz")) == [
@@ -353,7 +402,7 @@ class TestRunExperiment:
             return histories[config.seed]
 
         monkeypatch.setattr(pseudopool.training, "train", kept)
-        run_experiment(parse_config(data), tmp_path / "out")
+        run_experiment(from_mapping(ExperimentConfig, data), tmp_path / "out")
         retallied = []
         for seed, history in histories.items():
             pool, registry = history.pool, history.registry
@@ -371,20 +420,20 @@ class TestRunExperiment:
         data = json.loads(json.dumps(TINY_CONFIG))
         data["train"]["checkpoint_every"] = 4
         with pytest.raises(ConfigError) as err:
-            parse_config({**data, "method": method})
+            from_mapping(ExperimentConfig, {**data, "method": method})
         assert err.value.fieldname == "train.checkpoint_every"
-        # a --method override on a cpg config is validated the same way
+        # a --method override on a cpg config is checked the same way
         with pytest.raises(ConfigError, match="train.checkpoint_every"):
-            replace(parse_config(data), method=method).validate()
+            replace(from_mapping(ExperimentConfig, data), method=method)
 
     def test_diverging_rerun_leaves_no_stale_summary(self, tmp_path):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
-        run_experiment(parse_config(data), tmp_path / "out")
+        run_experiment(from_mapping(ExperimentConfig, data), tmp_path / "out")
         assert (tmp_path / "out" / "summary.json").exists()
         data["train"]["optimizer"] = {"base_lr": 1e14}
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
-            run_experiment(parse_config(data), tmp_path / "out")
+            run_experiment(from_mapping(ExperimentConfig, data), tmp_path / "out")
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_rerun_removes_the_earlier_runs_optional_files(self, tmp_path):
@@ -392,19 +441,19 @@ class TestRunExperiment:
         data["seeds"] = [0]
         data["train"]["checkpoint_every"] = 4
         out = tmp_path / "out"
-        run_experiment(parse_config(data), out, emit_plot_data=True)
+        run_experiment(from_mapping(ExperimentConfig, data), out, emit_plot_data=True)
         seed_dir = out / "seed_0"
         assert (seed_dir / "checkpoint_epoch0004.npz").exists() and (out / "plot_data.csv").exists()
         data["method"] = "supervised_ce"
         data["train"]["checkpoint_every"] = 0
-        run_experiment(parse_config(data), out)
+        run_experiment(from_mapping(ExperimentConfig, data), out)
         assert sorted(p.name for p in seed_dir.iterdir()) == ["history.jsonl"]
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json", "seed_0", "summary.json"]
 
     def test_failed_history_write_keeps_previous_file(self, tmp_path, monkeypatch):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
-        config = parse_config(data)
+        config = from_mapping(ExperimentConfig, data)
         run_experiment(config, tmp_path / "out")
         seed_dir = tmp_path / "out" / "seed_0"
         before = (seed_dir / "history.jsonl").read_bytes()
@@ -429,7 +478,7 @@ class TestRunExperiment:
         # complete run, so nothing of the earlier run is left beside the new one
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
-        config = parse_config(data)
+        config = from_mapping(ExperimentConfig, data)
         run_experiment(config, tmp_path / "out", emit_plot_data=True)
         assert {"plot_data.csv", "summary.json"} <= {p.name for p in (tmp_path / "out").iterdir()}
         to_records = RunHistory.to_records
@@ -447,7 +496,7 @@ class TestRunExperiment:
     def test_emit_plot_data(self, tmp_path):
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
-        config = parse_config(data)
+        config = from_mapping(ExperimentConfig, data)
         run_experiment(config, tmp_path / "out", emit_plot_data=True)
         rows = list(csv.reader((tmp_path / "out" / "plot_data.csv").open()))
         assert rows[0] == ["seed", "epoch", "metric", "value"]
@@ -506,7 +555,7 @@ class TestAblation:
         data = json.loads(json.dumps(TINY_CONFIG))
         data["seeds"] = [0]
         data["scenarios"] = ["consistent", "inverse"]
-        config = parse_config(data)
+        config = from_mapping(ExperimentConfig, data)
         result = run_ablation(config, tmp_path / "abl")
         rows = list(csv.reader(open(result["csv"])))
         assert rows[0] == ["variant", "consistent", "inverse", "average"]
@@ -532,11 +581,11 @@ class TestAblation:
         data["seeds"] = [0]
         data["scenarios"] = ["consistent"]
         out = tmp_path / "abl"
-        run_ablation(parse_config(data), out)
+        run_ablation(from_mapping(ExperimentConfig, data), out)
         assert (out / "ablation.csv").exists() and (out / "ablation.json").exists()
         data["train"]["optimizer"] = {"base_lr": 1e14}
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
-            run_ablation(parse_config(data), out)
+            run_ablation(from_mapping(ExperimentConfig, data), out)
         assert json.loads((out / "resolved_config.json").read_text())["train"]["optimizer"]["base_lr"] == 1e14
         assert not (out / "ablation.csv").exists() and not (out / "ablation.json").exists()
 
@@ -544,7 +593,7 @@ class TestAblation:
         data = json.loads(json.dumps(TINY_CONFIG))
         data["method"] = "supervised_ce"
         with pytest.raises(ConfigError, match="method"):
-            run_ablation(parse_config(data), tmp_path / "abl")
+            run_ablation(from_mapping(ExperimentConfig, data), tmp_path / "abl")
 
 
 STATS = {"mean": 0.5, "std": 0.1, "values": [0.4, 0.6]}
@@ -682,6 +731,26 @@ class TestCli:
         path = write_config(tmp_path, data)
         assert main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "root" / "nested" / "run" / "summary.json").exists()
+
+    def test_divergent_update_exits_3(self, tmp_path, capsys):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["seeds"] = [0]
+        data["train"]["optimizer"] = {"base_lr": 1e10, "weight_decay": 1e300}
+        out = tmp_path / "d"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 3
+        assert "non-finite update in parameter enc0_w at epoch 1, step 1" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_nan_learning_rate_exits_2(self, tmp_path, capsys):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["train"]["optimizer"] = {"base_lr": float("nan")}
+        path = write_config(tmp_path, data)
+        assert ".nan" in path.read_text()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: train.optimizer: base_lr must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_divergent_run_exits_3(self, tmp_path, capsys, command):

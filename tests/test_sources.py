@@ -61,6 +61,29 @@ def test_package_import_is_caught():
     assert package_imports(source) == [".network", ".cycle", "pseudopool.training", "pseudopool"]
 
 
+def validate_uses(source: str) -> list[str]:
+    """Each method named ``validate`` that ``source`` defines and each call of
+    a ``.validate`` attribute, by line: a config record checks itself when it
+    is built, so there is no second check to define or to call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [f"def (line {f.lineno})" for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "validate"]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "validate":
+            found.append(f"call (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_record_defines_or_calls_validate(path):
+    assert validate_uses(path.read_text()) == []
+
+
+def test_validate_use_is_caught():
+    source = "class A:\n    def validate(self):\n        pass\ndef validate():\n    pass\nA().validate()\nvalidate()\n"
+    assert validate_uses(source) == ["def (line 2)", "call (line 6)"]
+
+
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     """``module._name`` for each module-level private function or class that
     no code in ``sources`` (module name -> source) references outside its own

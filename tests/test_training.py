@@ -254,6 +254,13 @@ class TestTrainingRun:
         assert err.value.epoch >= 1
         assert err.value.step >= 1
 
+    def test_divergent_update_raises_with_location(self, tiny_splits):
+        # the loss stays finite, and the first update overflows in sgd_step
+        cfg = fast_config(optimizer=OptimizerConfig(base_lr=1e10, weight_decay=1e300))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+            train(cfg, tiny_splits)
+        assert str(err.value) == "non-finite update in parameter enc0_w at epoch 1, step 1"
+
     def test_epoch_report_schema(self, tiny_splits):
         history = train(fast_config(total_epochs=8, warmup_epochs=2), tiny_splits)
         record = history.final_metrics()
@@ -593,9 +600,8 @@ class TestConfigValidation:
     )
     def test_cycle_parameters_rejected_before_epoch_one(self, tiny_splits, monkeypatch, field, value):
         steps = pool_and_prior_per_step(monkeypatch)
-        cfg = replace(fast_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
-            train(cfg, tiny_splits)
+            train(replace(fast_config(), **{field: value}), tiny_splits)
         assert steps == []
 
 
