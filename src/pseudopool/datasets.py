@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,6 +28,7 @@ UNLABELED_SHAPES = ("consistent", "inverse", "uniform", "arbitrary")
 ARBITRARY_MODES = ("permutation", "dirichlet")
 CSV_ROLES = ("labeled", "unlabeled", "test")
 MEAN_RADIUS = 2.5
+POLICY_BLOCK_ROWS = 1024  # rows per block of policy_from_features' column passes
 
 
 @dataclass(frozen=True)
@@ -239,13 +242,14 @@ def generate_splits(spec: DatasetSpec) -> SplitBundle:
     means = circle_class_means(spec.num_classes, spec.feature_dim)
 
     def draw(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        feats = []
-        labels = []
-        for c, count in enumerate(counts):
-            noise = data_rng.standard_normal((int(count), spec.feature_dim))
-            feats.append(means[c] + noise)
-            labels.append(np.full(int(count), c, dtype=np.int64))
-        return np.concatenate(feats, axis=0), np.concatenate(labels)
+        # each class's noise is drawn straight into its rows of the split,
+        # then shifted by its mean: no per-class copy and no concatenation
+        feats = np.empty((int(counts.sum()), spec.feature_dim))
+        for c, stop in enumerate(np.cumsum(counts).tolist()):
+            rows = feats[stop - int(counts[c]) : stop]
+            data_rng.standard_normal(out=rows)
+            rows += means[c]
+        return feats, np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts)
 
     lab_x, lab_y = draw(labeled_counts)
     unl_x, unl_y = draw(unlabeled_counts)
@@ -282,11 +286,48 @@ class AugmentationPolicy:
             raise ValueError("strong_mask_rate must lie in [0, 1]")
 
 
-def policy_from_features(features: np.ndarray) -> AugmentationPolicy:
+def policy_from_features(*features: np.ndarray) -> AugmentationPolicy:
     """The training policy: weak and strong sigmas 0.05 and 0.15 of the mean
-    per-feature std, and 30% of each strong view's coordinates masked."""
-    base = float(np.mean(np.std(np.asarray(features, dtype=np.float64), axis=0)))
+    per-feature std of the given row blocks stacked (in training, the labeled
+    and the unlabeled features), and 30% of each strong view's coordinates
+    masked.
+
+    The stack is never built: both of ``np.std``'s passes run over blocks of
+    ``POLICY_BLOCK_ROWS`` rows, and the std has the bits of
+    ``np.std(np.concatenate(features), axis=0)``.
+    """
+    parts = [np.asarray(x) for x in features]
+    n = sum(x.shape[0] for x in parts)
+    if parts[0].shape[1] == 1 or n == 0:
+        # numpy sums a lone contiguous column pairwise, not row after row, so
+        # that column is stacked; it is 1/d of a split's bytes
+        std = np.std(np.concatenate(parts).astype(np.float64, copy=False), axis=0)
+    else:
+        mean = _column_sum(parts) / n
+        std = np.sqrt(_column_sum(parts, mean) / n)
+    base = float(np.mean(std))
     return AugmentationPolicy(weak_noise_sigma=0.05 * base, strong_noise_sigma=0.15 * base, strong_mask_rate=0.3)
+
+
+def _column_sum(parts: list[np.ndarray], mean: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of the rows of ``parts`` stacked, or of their squared
+    deviations from ``mean`` when it is given. numpy sums a C-contiguous
+    stack of two or more columns down axis 0 one row after another, so each
+    block is summed with the running sum as its first row to add in the same
+    order. The running sum starts at zero: 0.0 + x is x for every x but
+    -0.0, and the sign of a zero sum changes no std."""
+    buf = np.zeros((POLICY_BLOCK_ROWS + 1, parts[0].shape[1]))
+    for part in parts:
+        for lo in range(0, part.shape[0], POLICY_BLOCK_ROWS):
+            rows = part[lo : lo + POLICY_BLOCK_ROWS]
+            block = buf[: rows.shape[0] + 1]
+            if mean is None:
+                block[1:] = rows
+            else:
+                np.subtract(rows, mean, out=block[1:])
+                np.square(block[1:], out=block[1:])
+            buf[0] = block.sum(axis=0)
+    return buf[0].copy()
 
 
 def weak_view_batch(
@@ -351,7 +392,9 @@ def load_csv(
         feature_dim = len(header) - 1
         if header != _expected_header(feature_dim):
             raise ValueError(f"{path}: header must be f0,...,f{{d-1}},label")
-        features, labels = [], []
+        # one float64 and one int64 buffer grow row by row, with no Python
+        # float kept per value
+        features, labels = array("d"), array("q")
         for row_num, row in rows:
             if len(row) != feature_dim + 1:
                 raise ValueError(
@@ -363,7 +406,7 @@ def load_csv(
                 raise ValueError(
                     f"{path}: row {row_num}: non-numeric feature value"
                 ) from None
-            if not np.all(np.isfinite(feats)):
+            if not all(map(math.isfinite, feats)):
                 raise ValueError(f"{path}: row {row_num}: non-finite feature value")
             try:
                 label = int(row[-1])
@@ -375,13 +418,13 @@ def load_csv(
                 raise ValueError(
                     f"{path}: row {row_num}: label {label} outside [0, {num_classes})"
                 )
-            features.append(feats)
+            features.extend(feats)
             labels.append(label)
     split = UnlabeledSplit if role == "unlabeled" else LabeledSplit
     return split(
         np.arange(id_start, id_start + len(labels), dtype=np.int64),
-        np.array(features, dtype=np.float64).reshape(len(labels), feature_dim),
-        np.array(labels, dtype=np.int64),
+        np.frombuffer(features, dtype=np.float64).reshape(len(labels), feature_dim),
+        np.frombuffer(labels, dtype=np.int64),
     )
 
 

@@ -20,7 +20,7 @@ from . import training
 from .cycle import RegistrySnapshot
 from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits
 from .metrics import welch_t_test
-from .records import ConfigError, atomic_open, from_mapping
+from .records import ConfigError, as_tuples, atomic_open, from_mapping
 from .training import BASELINE_KINDS, TrainConfig
 
 METHODS = ("cpg", *BASELINE_KINDS)
@@ -45,11 +45,12 @@ class ExperimentConfig:
     method: str
     dataset: DatasetSpec
     train: TrainConfig = field(default_factory=TrainConfig)
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+    seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = "runs/experiment"
-    scenarios: list[str] = field(default_factory=lambda: ["consistent", "inverse", "arbitrary"])
+    scenarios: tuple[str, ...] = ("consistent", "inverse", "arbitrary")
 
     def __post_init__(self) -> None:
+        as_tuples(self, "seeds", "scenarios")
         if self.method not in METHODS:
             raise ConfigError("method", f"must be one of {METHODS}")
         if not self.seeds or not all(type(s) is int and s >= 0 for s in self.seeds):
@@ -63,7 +64,7 @@ class ExperimentConfig:
                 raise ConfigError("scenarios", f"{scenario!r} is not an unlabeled shape")
         for name, values in (("seeds", self.seeds), ("scenarios", self.scenarios)):
             if len(set(values)) != len(values):
-                raise ConfigError(name, f"repeats a value: {values}")
+                raise ConfigError(name, f"repeats a value: {list(values)}")
         if self.method != "cpg" and self.train.checkpoint_every:
             raise ConfigError("train.checkpoint_every", f"{self.method} cannot checkpoint")
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import row_norms, synthesize
+from .records import as_tuples
 
 ACTIVATIONS = ("relu", "tanh")
 BRANCHES = ("primary", "auxiliary")
@@ -53,7 +54,7 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        as_tuples(self, "hidden_dims")
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("input_dim must be >= 1 and num_classes >= 2")
         validate_architecture(self.hidden_dims, self.activation)
@@ -84,7 +85,8 @@ class ParamVector(dict):
     The parameters, the momentum buffers and the gradient of a ``ModelState``
     take this form, so the optimizer updates each of them as one vector.
     Write into a view in place; rebinding a name to another array would
-    leave it out of ``flat``.
+    leave it out of ``flat``. A pickled or deep-copied vector is rebuilt from
+    a copy of ``flat`` and the layout, so its views write into its own copy.
     """
 
     def __init__(self, flat: np.ndarray, layout: list[tuple[str, int, int, tuple[int, ...]]]):
@@ -92,6 +94,10 @@ class ParamVector(dict):
             (name, flat[start:stop].reshape(shape)) for name, start, stop, shape in layout
         )
         self.flat = flat
+        self.layout = layout
+
+    def __reduce__(self):
+        return type(self), (self.flat, self.layout)
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         # ``grads[name] += g`` adds in place and stores the same view back

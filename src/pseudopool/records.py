@@ -34,6 +34,15 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         raise
 
 
+def as_tuples(record, *names: str) -> None:
+    """Store each named sequence field of the frozen dataclass ``record`` as a
+    tuple: the one coercion rule of the config records, so that a field given
+    as a list equals the same tuple and cannot change after the record's
+    check. ``asdict`` writes a tuple as the same JSON list."""
+    for name in names:
+        object.__setattr__(record, name, tuple(getattr(record, name)))
+
+
 class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"{fieldname}: {message}")

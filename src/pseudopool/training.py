@@ -58,7 +58,7 @@ from .network import (
     top_class,
     validate_architecture,
 )
-from .records import atomic_open, from_mapping
+from .records import as_tuples, atomic_open, from_mapping
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
 STREAM_NAMES = ("labeled", "unlabeled", "views", "synth", "audit")
@@ -94,6 +94,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        as_tuples(self, "hidden_dims")
         if self.total_epochs < 1 or self.steps_per_epoch < 1:
             raise ValueError("total_epochs and steps_per_epoch must be positive")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
@@ -257,7 +258,7 @@ def _run(
     """The one training loop behind ``train`` ("cpg") and every baseline kind;
     it continues ``run`` when given one, else starts a fresh record."""
     _pin_heap_thresholds()
-    policy = policy_from_features(np.concatenate([splits.labeled.features, splits.unlabeled.features]))
+    policy = policy_from_features(splits.labeled.features, splits.unlabeled.features)
     uview = splits.unlabeled_view()
     m = uview.ids.size
     adjusted = method in ("cpg", "supervised_la")

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from pseudopool.datasets import (
+    POLICY_BLOCK_ROWS,
     AugmentationPolicy,
     DatasetSpec,
     LabeledSplit,
     SplitBundle,
     UnlabeledSplit,
+    circle_class_means,
     generate_splits,
     load_csv,
     load_splits,
@@ -40,6 +43,52 @@ def highprec_counts(n_max, gamma, num_classes):
         raw = mp.mpf(n_max) * mp.power(mp.mpf(gamma), -mp.mpf(c) / (num_classes - 1))
         out.append(max(1, int(mp.floor(raw))))
     return np.array(out)
+
+
+def per_class_concatenate_splits(spec):
+    """Features and labels of each role as ``generate_splits`` once drew them:
+    one ``means[c] + noise`` copy per class, then one concatenation."""
+    shape_ss, data_ss = np.random.SeedSequence(spec.seed).spawn(2)
+    shape_rng, data_rng = np.random.default_rng(shape_ss), np.random.default_rng(data_ss)
+    labeled_counts = long_tailed_counts(spec.n_max, spec.gamma_l, spec.num_classes)
+    if spec.labeled_shape == "arbitrary":
+        labeled_counts = shape_counts(labeled_counts, "arbitrary", shape_rng, spec.arbitrary_mode)
+    unlabeled_counts = shape_counts(
+        long_tailed_counts(spec.m_max, spec.gamma_u, spec.num_classes),
+        spec.unlabeled_shape, shape_rng, spec.arbitrary_mode,
+    )
+    means = circle_class_means(spec.num_classes, spec.feature_dim)
+    out = []
+    for counts in (labeled_counts, unlabeled_counts, np.full(spec.num_classes, spec.test_per_class)):
+        feats, labels = [], []
+        for c, count in enumerate(counts):
+            feats.append(means[c] + data_rng.standard_normal((int(count), spec.feature_dim)))
+            labels.append(np.full(int(count), c, dtype=np.int64))
+        out.append((np.concatenate(feats, axis=0), np.concatenate(labels)))
+    return out
+
+
+def stacked_std_policy(*features):
+    """The policy from ``np.std`` of the stacked features, the bits that
+    ``policy_from_features`` must give without building the stack."""
+    base = float(np.mean(np.std(np.asarray(np.concatenate(features), dtype=np.float64), axis=0)))
+    return AugmentationPolicy(0.05 * base, 0.15 * base, 0.3)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes tracemalloc sees it allocate,
+    its result included. A first call outside the trace makes whatever
+    imports ``fn`` makes on first use."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the unlabeled split of the wide benchmark workload: 19,407 rows of 16 features
+WIDE_SPEC = DatasetSpec(num_classes=5, feature_dim=16, n_max=100, m_max=9000, gamma_l=10.0, gamma_u=10.0)
 
 
 class TestLongTailedCounts:
@@ -162,6 +211,23 @@ class TestGenerateSplits:
         with pytest.raises(ValueError):
             generate_splits(tiny_spec(gamma_l=0.5))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tiny_spec(),
+            tiny_spec(feature_dim=1, labeled_shape="arbitrary", arbitrary_mode="dirichlet", seed=7),
+            WIDE_SPEC,
+        ],
+        ids=["tiny", "one-feature", "wide"],
+    )
+    def test_draws_equal_per_class_concatenate(self, spec):
+        bundle = generate_splits(spec)
+        roles = ((bundle.labeled, bundle.labeled.labels), (bundle.unlabeled, bundle.unlabeled.hidden_labels),
+                 (bundle.test, bundle.test.labels))
+        for (split, labels), (feats, expected) in zip(roles, per_class_concatenate_splits(spec)):
+            assert split.features.tobytes() == feats.tobytes() and split.features.shape == feats.shape
+            assert labels.dtype == expected.dtype and labels.tobytes() == expected.tobytes()
+
     def test_view_projection_has_no_ground_truth(self):
         bundle = generate_splits(tiny_spec())
         view = bundle.unlabeled_view()
@@ -216,6 +282,52 @@ class TestViews:
         policy = policy_from_features(feats)
         assert policy.strong_noise_sigma == pytest.approx(3 * policy.weak_noise_sigma)
         assert policy.weak_noise_sigma == pytest.approx(0.05 * 2.0, rel=0.1)
+
+
+class TestStreamedPolicy:
+    """``policy_from_features`` reads its row blocks in ``POLICY_BLOCK_ROWS``
+    pieces, never stacked, and still gives the stacked ``np.std``'s bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize(
+        "m", [0, 1, POLICY_BLOCK_ROWS - 1, POLICY_BLOCK_ROWS, POLICY_BLOCK_ROWS + 1, 19_407]
+    )
+    def test_equals_stacked_std_bit_for_bit(self, d, m):
+        rng = np.random.default_rng(100 * d + m % 97)
+        labeled = rng.normal(3.0, 2.0, size=(240, d))
+        unlabeled = rng.normal(-1.0, 5.0, size=(m, d))
+        policy = policy_from_features(labeled, unlabeled)
+        expected = stacked_std_policy(labeled, unlabeled)
+        bits = lambda p: [p.weak_noise_sigma.hex(), p.strong_noise_sigma.hex(), p.strong_mask_rate]
+        assert bits(policy) == bits(expected)
+
+    def test_layout_of_the_parts_does_not_matter(self):
+        rng = np.random.default_rng(3)
+        labeled = np.asfortranarray(rng.normal(size=(300, 7)))
+        unlabeled = rng.normal(size=(2 * POLICY_BLOCK_ROWS + 5, 14))[:, ::2]
+        assert policy_from_features(labeled, unlabeled) == stacked_std_policy(labeled, unlabeled)
+        assert policy_from_features(unlabeled) == stacked_std_policy(unlabeled)
+
+
+class TestPeakMemory:
+    """A whole-split pass allocates no whole-split copy beyond its result."""
+
+    def test_policy_peak_is_blocks_not_the_split(self):
+        bundle = generate_splits(WIDE_SPEC)
+        parts = (bundle.labeled.features, bundle.unlabeled.features)
+        _, peak = traced_peak(policy_from_features, *parts)
+        assert peak < 0.2 * sum(x.nbytes for x in parts)
+
+    def test_generate_splits_peak(self):
+        bundle, peak = traced_peak(generate_splits, WIDE_SPEC)
+        held = sum(a.nbytes for split in (bundle.labeled, bundle.unlabeled, bundle.test) for a in vars(split).values())
+        assert peak < 1.5 * held
+
+    def test_load_csv_peak(self, tmp_path):
+        save_splits(generate_splits(WIDE_SPEC), tmp_path)
+        split, peak = traced_peak(load_csv, tmp_path / "unlabeled.csv", "unlabeled", 5)
+        assert split.features.shape == (19_407, 16)
+        assert peak < 1.5 * sum(a.nbytes for a in vars(split).values())
 
 
 def hand_built(labeled_ids, unlabeled_ids, test_ids, unlabeled_rows=None):

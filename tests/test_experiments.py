@@ -80,7 +80,7 @@ class TestConfigParsing:
                 "dataset": {"num_classes": 2, "feature_dim": 3, "n_max": 5, "m_max": 10},
             }
         )
-        assert config.seeds == [0, 1, 2]
+        assert config.seeds == (0, 1, 2)
         assert config.train.confidence_threshold == 0.95
         assert config.train.optimizer.base_lr == 0.03
 
@@ -329,6 +329,38 @@ class TestFrozenRecords:
             setattr(record, name, bad)
         with pytest.raises(ValueError):
             replace(record, **{name: bad})
+
+
+class TestSequenceFields:
+    """Sequence fields are tuples, whatever sequence built them, so a record
+    cannot change past its check and compares by value."""
+
+    @pytest.mark.parametrize(
+        "cls, args, name, given",
+        [
+            (TrainConfig, {}, "hidden_dims", [16, 16]),
+            (ModelConfig, {"input_dim": 3, "num_classes": 4}, "hidden_dims", [8, 2]),
+            (ExperimentConfig, {"method": "cpg", "dataset": SPEC}, "seeds", [4, 0]),
+            (ExperimentConfig, {"method": "cpg", "dataset": SPEC}, "scenarios", ["uniform", "inverse"]),
+        ],
+        ids=["TrainConfig.hidden_dims", "ModelConfig.hidden_dims", "ExperimentConfig.seeds",
+             "ExperimentConfig.scenarios"],
+    )
+    def test_list_given_is_stored_as_tuple(self, cls, args, name, given):
+        from_list = cls(**args, **{name: given})
+        assert getattr(from_list, name) == tuple(given)
+        assert from_list == cls(**args, **{name: tuple(given)})
+        with pytest.raises(AttributeError):
+            getattr(from_list, name).append(given[0])
+        assert json.loads(json.dumps(asdict(from_list)))[name] == given
+
+    def test_checked_config_cannot_grow_a_repeat(self):
+        config = replace(EXPERIMENT, seeds=[0, 1], scenarios=["uniform"])
+        with pytest.raises(AttributeError):
+            config.seeds.append(0)
+        with pytest.raises(AttributeError):
+            config.scenarios.append("wavy")
+        assert (config.seeds, config.scenarios) == ((0, 1), ("uniform",))
 
 
 class TestRunExperiment:

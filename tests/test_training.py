@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -271,6 +273,31 @@ class TestTrainingRun:
         assert set(record) == expected_keys
         assert record["O_t"] == record["pool"]["n"] + record["pool"]["m_hat"]
         assert abs(sum(record["pi"]) - 1.0) < 1e-9
+
+
+class TestRunHistoryCopy:
+    """A trained history can cross a process boundary: pickle and deepcopy
+    rebuild each parameter view over the copy's own flat vector."""
+
+    @pytest.mark.parametrize(
+        "clone", [lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trip_keeps_bytes_and_views(self, tiny_splits, clone):
+        history = train(fast_config(total_epochs=8, warmup_epochs=2), tiny_splits)
+        twin = clone(history)
+        assert pickle.dumps(twin) == pickle.dumps(history)
+        assert twin.to_records() == history.to_records()
+        x = tiny_splits.test.features
+        assert predict_batch(twin.state, x).tobytes() == predict_batch(history.state, x).tobytes()
+        for name in ("params", "momentum", "grads"):
+            ours, theirs = getattr(twin.state, name), getattr(history.state, name)
+            assert ours.flat.tobytes() == theirs.flat.tobytes()
+            assert not np.shares_memory(ours.flat, theirs.flat)
+        start = {name: start for name, start, *_ in twin.state.layout}["enc0_w"]
+        before = history.state.params.flat[start]
+        twin.state.params["enc0_w"][0, 0] += 1.0
+        assert twin.state.params.flat[start] == before + 1.0
+        assert history.state.params.flat[start] == before
 
 
 class TestBaselines:
