@@ -28,7 +28,7 @@ UNLABELED_SHAPES = ("consistent", "inverse", "uniform", "arbitrary")
 ARBITRARY_MODES = ("permutation", "dirichlet")
 CSV_ROLES = ("labeled", "unlabeled", "test")
 MEAN_RADIUS = 2.5
-POLICY_BLOCK_ROWS = 1024  # rows per block of policy_from_features' column passes
+BLOCK_ROWS = 256  # rows per block of a streamed pass over a split (the policy's, the audit's)
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def policy_from_features(*features: np.ndarray) -> AugmentationPolicy:
     masked.
 
     The stack is never built: both of ``np.std``'s passes run over blocks of
-    ``POLICY_BLOCK_ROWS`` rows, and the std has the bits of
+    ``BLOCK_ROWS`` rows, and the std has the bits of
     ``np.std(np.concatenate(features), axis=0)``.
     """
     parts = [np.asarray(x) for x in features]
@@ -316,10 +316,10 @@ def _column_sum(parts: list[np.ndarray], mean: np.ndarray | None = None) -> np.n
     block is summed with the running sum as its first row to add in the same
     order. The running sum starts at zero: 0.0 + x is x for every x but
     -0.0, and the sign of a zero sum changes no std."""
-    buf = np.zeros((POLICY_BLOCK_ROWS + 1, parts[0].shape[1]))
+    buf = np.zeros((BLOCK_ROWS + 1, parts[0].shape[1]))
     for part in parts:
-        for lo in range(0, part.shape[0], POLICY_BLOCK_ROWS):
-            rows = part[lo : lo + POLICY_BLOCK_ROWS]
+        for lo in range(0, part.shape[0], BLOCK_ROWS):
+            rows = part[lo : lo + BLOCK_ROWS]
             block = buf[: rows.shape[0] + 1]
             if mean is None:
                 block[1:] = rows

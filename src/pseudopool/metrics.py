@@ -179,11 +179,29 @@ def threshold_assignments(
     gate). This mirrors what a threshold-consistency learner is implicitly
     training on, so its pseudo-label quality can be audited like the voting
     cycle's.
+
+    It streams: the views are drawn, encoded and gated in blocks of
+    ``datasets.BLOCK_ROWS`` rows, so a call holds one block's view and
+    activations, never the split's. Consecutive draws on one generator give
+    the numbers of one draw, so ``rng`` ends where a one-pass audit leaves
+    it, and the labels are a one-pass audit's wherever the BLAS gives a row
+    the same bits at any row count. A trailing one-row block joins the one
+    before it, since numpy sends a one-row product to another BLAS routine.
+    (OpenBLAS also changes kernel above 10^6 multiply-adds per product; at
+    some layer widths, 17 or 33, a confidence then differs from a one-pass
+    audit's in its last bits.)
     """
-    view = bundle.unlabeled_view()
-    weak = datasets.weak_view_batch(view.features, policy, rng)
-    labels, confs = top_class(state, encode(state, weak))
-    return np.where(confs > tau, labels, -1)
+    features = bundle.unlabeled_view().features
+    m = features.shape[0]
+    starts = list(range(0, m, datasets.BLOCK_ROWS))
+    if m > 1 and m % datasets.BLOCK_ROWS == 1:
+        starts.pop()
+    out = np.empty(m, dtype=np.int64)
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        weak = datasets.weak_view_batch(features[lo:hi], policy, rng)
+        labels, confs = top_class(state, encode(state, weak))
+        out[lo:hi] = np.where(confs > tau, labels, -1)
+    return out
 
 
 def evaluate_epoch(state: ModelState, bundle: datasets.SplitBundle, labels: np.ndarray, previous) -> dict:

@@ -20,10 +20,14 @@ from pathlib import Path
 def atomic_open(path: str | Path, mode: str = "w", **kwargs):
     """A file written beside ``path`` and renamed over it once the block ends:
     a write that fails leaves the previous ``path`` as it was and no temporary
-    file behind. ``kwargs`` go to ``open`` (``encoding``, ``newline``)."""
+    file behind. ``kwargs`` go to ``open`` (``encoding``, ``newline``). The
+    file gets the mode that ``open`` would give it, not ``mkstemp``'s 0600."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh
             fh.flush()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pseudopool.datasets import DatasetSpec, generate_splits
@@ -42,3 +44,18 @@ def desk_spec(unlabeled_shape: str = "arbitrary", seed: int = 0) -> DatasetSpec:
 def rel_err(analytic: float, numeric: float, floor: float = 1e-8) -> float:
     return abs(analytic - numeric) / max(floor, abs(analytic), abs(numeric))
 
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes tracemalloc sees it allocate,
+    its result included. A first call outside the trace makes whatever
+    imports ``fn`` makes on first use."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the unlabeled split of the wide benchmark workload: 19,407 rows of 16 features
+WIDE_SPEC = DatasetSpec(num_classes=5, feature_dim=16, n_max=100, m_max=9000, gamma_l=10.0, gamma_u=10.0)

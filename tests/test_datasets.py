@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import json
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from pseudopool.datasets import (
-    POLICY_BLOCK_ROWS,
+    BLOCK_ROWS,
     AugmentationPolicy,
     DatasetSpec,
     LabeledSplit,
@@ -32,7 +31,7 @@ from pseudopool.datasets import (
 )
 from pseudopool.records import ConfigError
 
-from conftest import tiny_spec
+from conftest import WIDE_SPEC, tiny_spec, traced_peak
 
 
 def highprec_counts(n_max, gamma, num_classes):
@@ -73,22 +72,6 @@ def stacked_std_policy(*features):
     ``policy_from_features`` must give without building the stack."""
     base = float(np.mean(np.std(np.asarray(np.concatenate(features), dtype=np.float64), axis=0)))
     return AugmentationPolicy(0.05 * base, 0.15 * base, 0.3)
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the bytes tracemalloc sees it allocate,
-    its result included. A first call outside the trace makes whatever
-    imports ``fn`` makes on first use."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-# the unlabeled split of the wide benchmark workload: 19,407 rows of 16 features
-WIDE_SPEC = DatasetSpec(num_classes=5, feature_dim=16, n_max=100, m_max=9000, gamma_l=10.0, gamma_u=10.0)
 
 
 class TestLongTailedCounts:
@@ -285,12 +268,14 @@ class TestViews:
 
 
 class TestStreamedPolicy:
-    """``policy_from_features`` reads its row blocks in ``POLICY_BLOCK_ROWS``
-    pieces, never stacked, and still gives the stacked ``np.std``'s bits."""
+    """``policy_from_features`` reads its row blocks in ``BLOCK_ROWS`` pieces,
+    never stacked, and still gives the stacked ``np.std``'s bits."""
 
     @pytest.mark.parametrize("d", [1, 2, 16])
     @pytest.mark.parametrize(
-        "m", [0, 1, POLICY_BLOCK_ROWS - 1, POLICY_BLOCK_ROWS, POLICY_BLOCK_ROWS + 1, 19_407]
+        "m",
+        [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+        + [4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1, 19_407],
     )
     def test_equals_stacked_std_bit_for_bit(self, d, m):
         rng = np.random.default_rng(100 * d + m % 97)
@@ -304,7 +289,7 @@ class TestStreamedPolicy:
     def test_layout_of_the_parts_does_not_matter(self):
         rng = np.random.default_rng(3)
         labeled = np.asfortranarray(rng.normal(size=(300, 7)))
-        unlabeled = rng.normal(size=(2 * POLICY_BLOCK_ROWS + 5, 14))[:, ::2]
+        unlabeled = rng.normal(size=(2 * BLOCK_ROWS + 5, 14))[:, ::2]
         assert policy_from_features(labeled, unlabeled) == stacked_std_policy(labeled, unlabeled)
         assert policy_from_features(unlabeled) == stacked_std_policy(unlabeled)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 from dataclasses import MISSING, FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from pseudopool.experiments import (
 )
 from pseudopool.datasets import AugmentationPolicy, DatasetSpec, generate_splits
 from pseudopool.network import ModelConfig, OptimizerConfig
-from pseudopool.records import from_mapping
+from pseudopool.records import atomic_open, from_mapping
 from pseudopool.training import (
     EpochReport,
     Losses,
@@ -306,6 +307,21 @@ class TestFromMapping:
         ]:
             with pytest.raises(ConfigError, match=message):
                 from_mapping(cls, data)
+
+
+class TestAtomicOpen:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x")
+            with atomic_open(tmp_path / "atomic.txt") as fh:
+                fh.write("x")
+        finally:
+            os.umask(previous)
+        modes = [(tmp_path / name).stat().st_mode for name in ("plain.txt", "atomic.txt")]
+        assert modes[0] == modes[1] == 0o100666 & ~umask
 
 
 AUGMENTATION = AugmentationPolicy(weak_noise_sigma=0.1, strong_noise_sigma=0.2, strong_mask_rate=0.5)

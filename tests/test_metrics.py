@@ -7,18 +7,29 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats as scipy_stats
 
-from pseudopool.datasets import generate_splits
+from pseudopool.datasets import (
+    BLOCK_ROWS,
+    LabeledSplit,
+    SplitBundle,
+    UnlabeledSplit,
+    generate_splits,
+    policy_from_features,
+    weak_view_batch,
+)
 
+from pseudopool import metrics
 from pseudopool.metrics import (
     classification_scores,
     evaluate_epoch,
     kl_divergence,
     pseudo_audit,
     risk_terms,
+    threshold_assignments,
     welch_t_test,
 )
+from pseudopool.network import ModelConfig, encode, init, top_class
 
-from conftest import tiny_spec
+from conftest import WIDE_SPEC, tiny_spec, traced_peak
 
 
 def per_class_accuracy_loop(preds, labels, num_classes):
@@ -154,6 +165,97 @@ class TestPseudoAudit:
             assert audit.accepted_counts.sum() == len(assignments)
             assert audit.error_rate == pytest.approx(fp.sum() / max(1, len(assignments)))
             assert 0.0 <= audit.utilization_rate <= 1.0
+
+
+def one_pass_assignments(state, bundle, policy, tau, rng):
+    """Reference: the audit as one pass over the whole unlabeled split, the
+    body that the streamed version replaced."""
+    weak = weak_view_batch(bundle.unlabeled_view().features, policy, rng)
+    labels, confs = top_class(state, encode(state, weak))
+    return np.where(confs > tau, labels, -1)
+
+
+def audit_case(m, hidden_dims, seed=0):
+    """A bundle with ``m`` unlabeled rows of 16 features over 5 classes, a
+    freshly initialised model of the given widths, and the policy of its
+    features."""
+    rng = np.random.default_rng(seed)
+
+    def rows(n, first_id):
+        return np.arange(first_id, first_id + n), rng.normal(size=(n, 16)), np.arange(n) % 5
+
+    bundle = SplitBundle(
+        tiny_spec(num_classes=5, feature_dim=16),
+        LabeledSplit(*rows(5, 0)),
+        UnlabeledSplit(*rows(m, 5)),
+        LabeledSplit(*rows(5, 5 + m)),
+    )
+    state = init(ModelConfig(input_dim=16, num_classes=5, hidden_dims=hidden_dims, init_seed=seed))
+    return bundle, state, policy_from_features(bundle.labeled.features, bundle.unlabeled.features)
+
+
+class TestThresholdAssignments:
+    """The audit streams the split in row blocks and still gives the labels
+    and the audit-stream state of one pass over the whole split."""
+
+    @pytest.mark.parametrize("hidden_dims", [(64, 64), (17, 17)], ids=["64x64", "17x17"])
+    @pytest.mark.parametrize(
+        "m", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 1_940, 19_407]
+    )
+    def test_equals_one_pass(self, m, hidden_dims):
+        bundle, state, policy = audit_case(m, hidden_dims, seed=m % 89)
+        tau = 0.22  # near the median confidence of these fresh models: both sides of the gate fill
+        streamed, one_pass = np.random.default_rng(5), np.random.default_rng(5)
+        labels = threshold_assignments(state, bundle, policy, tau, streamed)
+        expected = one_pass_assignments(state, bundle, policy, tau, one_pass)
+        assert labels.dtype == np.int64 and labels.shape == (m,)
+        assert np.array_equal(labels, expected)
+        assert streamed.bit_generator.state == one_pass.bit_generator.state
+
+    @pytest.mark.parametrize("m", [2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 19_407])
+    def test_blocks_encode_to_one_pass_bits(self, m, monkeypatch):
+        # the (64, 64) encoder gives a row the same bits in any product of two
+        # or more rows, and other bits in a one-row product
+        bundle, state, policy = audit_case(m, (64, 64), seed=m % 89)
+        blocks = []
+
+        def recording_encode(state, x):
+            blocks.append(encode(state, x))
+            return blocks[-1]
+
+        monkeypatch.setattr(metrics, "encode", recording_encode)
+        threshold_assignments(state, bundle, policy, 0.22, np.random.default_rng(5))
+        weak = weak_view_batch(bundle.unlabeled.features, policy, np.random.default_rng(5))
+        assert all(2 <= len(h) <= BLOCK_ROWS + 1 for h in blocks)
+        assert np.array_equal(np.concatenate(blocks), encode(state, weak))
+
+    def test_confidence_equal_to_tau_is_gated_out(self):
+        bundle, state, policy = audit_case(3, (8,))
+        weak = weak_view_batch(bundle.unlabeled.features, policy, np.random.default_rng(1))
+        labels, confs = top_class(state, encode(state, weak))
+        for row in range(3):
+            gated = threshold_assignments(state, bundle, policy, confs[row], np.random.default_rng(1))
+            assert gated[row] == -1
+            assert np.array_equal(gated, np.where(confs > confs[row], labels, -1))
+
+    def test_tau_one_assigns_nothing(self):
+        bundle, state, policy = audit_case(BLOCK_ROWS + 3, (8,))
+        state.params["head_primary_w"] *= 1e4  # saturated softmax: many confidences are exactly 1.0
+        weak = weak_view_batch(bundle.unlabeled.features, policy, np.random.default_rng(2))
+        assert np.any(top_class(state, encode(state, weak))[1] == 1.0)
+        gated = threshold_assignments(state, bundle, policy, 1.0, np.random.default_rng(2))
+        assert np.all(gated == -1)
+
+
+class TestPeakMemory:
+    def test_audit_peak_is_blocks_not_the_split(self):
+        bundle = generate_splits(WIDE_SPEC)
+        state = init(ModelConfig(input_dim=16, num_classes=5))
+        policy = policy_from_features(bundle.labeled.features, bundle.unlabeled.features)
+        rng = np.random.default_rng(0)
+        labels, peak = traced_peak(threshold_assignments, state, bundle, policy, 0.5, rng)
+        assert labels.shape == (19_407,)
+        assert peak < 0.25 * bundle.unlabeled.features.nbytes
 
 
 class TestKlDivergence:
