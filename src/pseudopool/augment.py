@@ -59,7 +59,9 @@ def update_class_stats(stats: ClassStats, reps: np.ndarray, labels: np.ndarray) 
     updated centroid; radius = 1 / max(alpha, 0.1). Zero-norm representations
     or centroids are skipped with a warning (their cosine is undefined).
     """
-    reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+    reps = np.asarray(reps, dtype=np.float64)
+    if reps.ndim != 2:
+        reps = np.atleast_2d(reps)
     labels = np.asarray(labels, dtype=np.int64)
     norms = row_norms(reps)
     if not norms.all():
@@ -68,34 +70,40 @@ def update_class_stats(stats: ClassStats, reps: np.ndarray, labels: np.ndarray) 
         keep = norms > 0
         reps, labels, norms = reps[keep], labels[keep], norms[keep]
     k, d, ema_decay = stats.num_classes, stats.rep_dim, stats.ema_decay
+    centroids = stats.centroids
     counts = np.bincount(labels, minlength=k)
     present = counts > 0
+    # the present classes, as a slice when that is every class: the same
+    # values as the mask selects, with no gather or scatter
+    at = slice(None) if present.all() else present
     # per-class sums of the rows: one bincount over (class, coordinate) cells
     # adds each cell's terms from zero in row order, as np.add.at would
     cells = (labels[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(cells, weights=reps.ravel(), minlength=k * d).reshape(k, d)
-    batch_mean = sums[present] / counts[present, None]
-    stats.centroids[present] = np.where(
-        stats.has_centroid[present, None],
-        ema_decay * stats.centroids[present] + (1.0 - ema_decay) * batch_mean,
-        batch_mean,
-    )
-    stats.has_centroid |= present
-    centroid_norms = row_norms(stats.centroids)
-    if not centroid_norms.all():
-        for c in np.flatnonzero(present & (centroid_norms == 0)):
+    batch_mean = sums[at] / counts[at, None]
+    ema = ema_decay * centroids[at] + (1.0 - ema_decay) * batch_mean
+    if stats.has_centroid.all():
+        centroids[at] = ema
+    else:
+        centroids[at] = np.where(stats.has_centroid[at, None], ema, batch_mean)
+        stats.has_centroid |= present
+    centroid_norms = row_norms(centroids)
+    if centroid_norms.all():
+        # the common case: every present class is updated, so every row is a
+        # member; the copy is the one the selection below would make
+        updated, members, member_reps, member_norms = at, labels, np.ascontiguousarray(reps), norms
+    else:
+        for c in (present & (centroid_norms == 0)).nonzero()[0]:
             logger.warning("class %d: zero-norm centroid, compactness left unchanged", c)
-    updated = present & (centroid_norms > 0)
-    rows = updated[labels]
-    members = labels[rows]
-    cosines = np.einsum("ij,ij->i", reps[rows], stats.centroids[members]) / (
-        norms[rows] * centroid_norms[members]
+        updated = present & (centroid_norms > 0)
+        rows = updated[labels]
+        members, member_reps, member_norms = labels[rows], reps[rows], norms[rows]
+    cosines = np.einsum("ij,ij->i", member_reps, centroids[members]) / (
+        member_norms * centroid_norms[members]
     )
-    alpha = np.clip(
-        np.bincount(members, weights=cosines, minlength=k)[updated] / counts[updated],
-        -1.0,
-        1.0,
-    )
+    # clipped to [-1, 1]: np.clip's bits, without its dispatch
+    mean_cosine = np.bincount(members, weights=cosines, minlength=k)[updated] / counts[updated]
+    alpha = np.minimum(np.maximum(mean_cosine, -1.0), 1.0)
     stats.alpha[updated] = alpha
     stats.radius[updated] = 1.0 / np.maximum(alpha, ALPHA_FLOOR)
     stats.count_seen[updated] += counts[updated]
@@ -105,7 +113,7 @@ def minority_classes(phi: np.ndarray) -> np.ndarray:
     """Classes whose pool count is strictly below the (lower) median count."""
     phi = np.asarray(phi)
     lower_median = np.sort(phi)[(phi.size - 1) // 2]
-    return np.flatnonzero(phi < lower_median)
+    return (phi < lower_median).nonzero()[0]
 
 
 def plan_synthesis(
@@ -126,10 +134,10 @@ def plan_synthesis(
     wanted = np.zeros(stats.num_classes, dtype=bool)
     wanted[minority] = True
     wanted &= np.isfinite(stats.radius)
-    rows = np.flatnonzero(wanted[labels])
+    rows = wanted[labels].nonzero()[0]
     if not rows.size:
         return None
-    origin = np.repeat(rows, count)
+    origin = rows.repeat(count)
     radii = stats.radius[labels[origin]]
     noise = rng.standard_normal((origin.size, stats.rep_dim))
     return origin, radii, noise
@@ -142,17 +150,26 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def synthesize(
-    h: np.ndarray, radii: np.ndarray, noise: np.ndarray, norms: np.ndarray | None = None
+    h: np.ndarray,
+    radii: np.ndarray,
+    noise: np.ndarray,
+    norms: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Synthesized copies h' = h + (h/||h||) * (radius * noise), one per row.
 
     ``h`` holds the representation of each copy's origin row, ``radii`` one
     radius per copy and ``noise`` one standard-normal row per copy (the
     output of ``plan_synthesis``, gathered by origin). ``norms``, the column
-    ``row_norms(h)[:, None]``, may be passed by a caller that needs it too.
+    ``row_norms(h)[:, None]``, may be passed by a caller that needs it too;
+    ``out``, an array shaped like ``h``, receives the copies.
     """
     if norms is None:
         norms = row_norms(h)[:, None]
     if not norms.all():
         raise ValueError("zero-norm representation cannot be synthesized from")
-    return h + (h / norms) * (radii[:, None] * noise)
+    # each product and sum of the formula, in its order, written into ``out``
+    out = np.divide(h, norms, out=out)
+    out *= radii[:, None] * noise
+    out += h
+    return out

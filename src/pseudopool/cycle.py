@@ -101,11 +101,13 @@ class PseudoRegistry:
         """
         rows = slice(None) if rows is None else rows
         votes = self.votes[rows]
-        totals = votes.sum(axis=1)
-        modal = np.argmax(votes, axis=1)
-        modal_count = votes[np.arange(votes.shape[0]), modal]
-        tied = (votes == modal_count[:, None]).sum(axis=1) > 1
-        ok = (totals >= self.min_votes) & (modal_count > self.majority_frac * totals) & ~tied
+        totals = np.add.reduce(votes, axis=1)
+        modal = votes.argmax(axis=1)
+        modal_count = np.maximum.reduce(votes, axis=1)
+        # a modal count above majority_frac >= 0.5 of the total is held by one
+        # class alone (a tie would need twice the count), so the test also
+        # leaves every modal tie unassigned
+        ok = (totals >= self.min_votes) & (modal_count > self.majority_frac * totals)
         before = self.resolved[rows]
         after = np.where(ok, modal, -1)
         if self.grow_only:
@@ -160,6 +162,11 @@ class LabeledPool:
     through those indices, never copied into the pool. Pool row ``i`` is base
     row ``i`` below ``len(base_labels)`` and pseudo row ``i - len(base_labels)``
     from there on.
+
+    The census is built with the pool: ``n`` counts the base labels per
+    class, ``m`` the pseudo labels and ``phi`` both. A pool is never changed
+    once built (``update_pool`` builds a new one), so they stay exact;
+    ``recount`` recomputes the census from the labels.
     """
 
     def __init__(self, base_features: np.ndarray, base_labels: np.ndarray, num_classes: int):
@@ -172,18 +179,12 @@ class LabeledPool:
         self.source: UnlabeledView | None = None
         self.pseudo_rows = np.zeros(0, dtype=np.int64)
         self.pseudo_labels = np.zeros(0, dtype=np.int64)
+        self.m = np.zeros(num_classes, dtype=np.int64)
+        self.phi = self.n + self.m
 
     @classmethod
     def from_split(cls, split, num_classes: int) -> "LabeledPool":
         return cls(split.features, split.labels, num_classes)
-
-    @property
-    def m(self) -> np.ndarray:
-        return np.bincount(self.pseudo_labels, minlength=self.num_classes)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.n + self.m
 
     @property
     def size(self) -> int:
@@ -225,14 +226,17 @@ def update_pool(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView) ->
     ``labels`` is the cycle's label vector, aligned with ``source`` rows (-1
     means unassigned). The new pool keeps the assigned rows' indices, in
     ``source`` row order (id order for every split this library builds), and
-    their labels; it shares the base arrays with ``pool`` and copies no
-    features. ``pool`` itself is left unchanged.
+    their labels, and counts them once into its census; it shares the base
+    arrays with ``pool`` and copies no features. ``pool`` itself is left
+    unchanged.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    rows = np.flatnonzero(labels >= 0)
+    rows = (labels >= 0).nonzero()[0]
     grown = copy.copy(pool)
     grown.source = source
     grown.pseudo_rows, grown.pseudo_labels = rows, labels[rows]
+    grown.m = np.bincount(grown.pseudo_labels, minlength=pool.num_classes)
+    grown.phi = grown.n + grown.m
     return grown
 
 
@@ -240,4 +244,4 @@ def class_distribution(pool: LabeledPool) -> np.ndarray:
     """Normalized census of the updated pool (the logit-adjustment prior). Its
     log is finite: ``LabeledPool`` rejects a base set that lacks a class."""
     phi = pool.phi
-    return phi / phi.sum()
+    return phi / np.add.reduce(phi)

@@ -172,27 +172,19 @@ def init(config: ModelConfig) -> ModelState:
     return ModelState(config, params)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """The activation, computed in place over the pre-activation ``z``."""
-    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
-
-
-def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # relu: a > 0 exactly where the pre-activation is; its subgradient at 0 is
-    # 0. The boolean mask multiplies as 1.0 / 0.0, with no float copy of it
-    return a > 0 if kind == "relu" else 1.0 - a * a
-
-
 def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass keeping every layer's activation, ``[input, layer 1, ...,
-    representation]``; the backward needs no pre-activation, so none is kept."""
-    a = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    params, kind = state.params, state.config.activation
+    representation]``; the backward needs no pre-activation, so none is kept.
+    Each activation is computed in place over its pre-activation."""
+    a = np.asarray(X, dtype=np.float64)
+    if a.ndim != 2:
+        a = np.atleast_2d(a)
+    params, relu = state.params, state.config.activation == "relu"
     activations = [a]
     for w_key, b_key in state.encoder_keys:
         z = a @ params[w_key]
         z += params[b_key]
-        a = _activate(z, kind)
+        a = np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
         activations.append(a)
     return a, activations
 
@@ -207,7 +199,7 @@ def encode(state: ModelState, x: np.ndarray, layers: list | None = None) -> np.n
     x = np.asarray(x, dtype=np.float64)
     h, activations = _forward_encoder(state, x)
     if layers is not None:
-        layers.extend(activations)
+        layers += activations
     return h[0] if x.ndim == 1 else h
 
 
@@ -237,8 +229,8 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
         shifted = z - np.max(z, axis=-1, keepdims=True)
         return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     zt = z.T.copy()  # always a copy (z.T may already be contiguous): written in place
-    zt -= zt.max(axis=0)
-    zt -= np.log(np.exp(zt).sum(axis=0))
+    zt -= np.maximum.reduce(zt, axis=0)
+    zt -= np.log(np.add.reduce(np.exp(zt), axis=0))
     return np.ascontiguousarray(zt.T)
 
 
@@ -247,7 +239,7 @@ def top_class(state: ModelState, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ties go to the lowest class index. The max is read at the argmax, which is
     exact and skips a slow reduction along the short class axis."""
     probs = np.exp(log_softmax(head_logits(state, "primary", h)))
-    labels = np.argmax(probs, axis=1)
+    labels = probs.argmax(axis=1)
     return labels, probs[np.arange(probs.shape[0]), labels]
 
 
@@ -256,13 +248,18 @@ def _backprop_encoder(
 ) -> None:
     """Add the encoder's parameter gradients for output gradient ``d_h`` into
     ``grads``; ``d_h`` is overwritten."""
-    kind = state.config.activation
+    relu = state.config.activation == "relu"
     delta = d_h
     for i in reversed(range(len(state.encoder_keys))):
         w_key, b_key = state.encoder_keys[i]
-        delta *= _activate_grad(activations[i + 1], kind)
-        grads[w_key] += activations[i].T @ delta
-        grads[b_key] += delta.sum(axis=0)
+        a = activations[i + 1]
+        # relu: a > 0 exactly where the pre-activation is; its subgradient at 0
+        # is 0. The boolean mask multiplies as 1.0 / 0.0, with no float copy of it
+        delta *= a > 0 if relu else 1.0 - a * a
+        # in-place adds into the views: ``grads[key] += g`` would store each back
+        g_w, g_b = grads[w_key], grads[b_key]
+        g_w += activations[i].T @ delta
+        g_b += np.add.reduce(delta, axis=0)
         if i:  # the input needs no gradient
             delta = delta @ state.params[w_key].T
 
@@ -313,11 +310,11 @@ class BatchPart:
 def _xent_forward_backward(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row losses and d(loss_sum)/d(logits) for softmax cross-entropy."""
     logp = log_softmax(logits)
-    rows = np.arange(logits.shape[0])
-    labels = np.asarray(labels, dtype=np.int64)
-    losses = -logp[rows, labels]
+    # each row's label cell, as an index into the flat rows
+    cells = np.arange(0, logp.size, logp.shape[1]) + np.asarray(labels, dtype=np.int64)
+    losses = -logp.take(cells)
     d_logits = np.exp(logp)
-    d_logits[rows, labels] -= 1.0
+    d_logits.reshape(-1)[cells] -= 1.0
     return losses, d_logits
 
 
@@ -328,92 +325,107 @@ def loss_and_grads(state: ModelState, parts: list[BatchPart]) -> tuple[float, li
     The distinct ``layers`` lists of ``parts`` are stacked in the order they
     first appear, so the one encoder backward runs over every row once. Every
     part reads its rows (and its synthesized copies' origins) from that block
-    and adds its representation gradient into it. ``state.grads`` is zeroed
-    and then covers every parameter; entries for heads no part touches stay
-    exactly zero. Returns (total loss, per-part means).
+    and adds its representation gradient into it. The parts' logits and
+    labels fill one buffer each, part after part; a part with synthesized
+    copies gets one head-input block, its own rows and then its copies, so
+    each head product runs over the rows it did when every part was stacked
+    by concatenation. ``state.grads`` is zeroed and then covers every
+    parameter; entries for heads no part touches stay exactly zero. Returns
+    (total loss, per-part means).
     """
-    grads = state.grads
+    grads, params = state.grads, state.params
     grads.flat.fill(0.0)
-    offsets: dict[int, int] = {}
-    blocks: list[list[np.ndarray]] = []
-    spans: list[tuple[int, int] | None] = []
-    n_rows = 0
-    for part in parts:
-        if part.inputs.size == 0 or (part.normalizer is not None and part.normalizer <= 0):
-            spans.append(None)
+    # per evaluated part: (index, part, first row of its forward in the
+    # stack, its rows, its synthesized copies, first row of its logits, the
+    # denominator of its mean)
+    starts: dict[int, int] = {}
+    blocks, terms = [], []
+    n_rows = n_logits = 0
+    for i, part in enumerate(parts):
+        x = part.layers[0]
+        if x.size == 0 or (part.normalizer is not None and part.normalizer <= 0):
             continue
-        n = part.inputs.shape[0]
-        if id(part.layers) not in offsets:
-            offsets[id(part.layers)] = n_rows
+        n = x.shape[0]
+        start = starts.setdefault(id(part.layers), n_rows)
+        if start == n_rows:
             blocks.append(part.layers)
             n_rows += n
-        spans.append((offsets[id(part.layers)], n))
-    if not blocks:
-        return 0.0, [0.0] * len(parts)
+        k = 0 if part.synth is None else part.synth.origin.shape[0]
+        terms.append((i, part, start, n, k, n_logits, n + k if part.normalizer is None else part.normalizer))
+        n_logits += n + k
+    part_means = [0.0] * len(parts)
+    if not terms:
+        return 0.0, part_means
 
     layers = blocks[0] if len(blocks) == 1 else [np.concatenate(rows) for rows in zip(*blocks)]
     h = layers[-1]
-    terms = []  # per part evaluated: (index, span of its rows, representations, synthesis)
-    logits, labels = [], []
-    for i, (part, span) in enumerate(zip(parts, spans)):
-        if span is None:
-            continue
-        start, n_plain = span
-        h_rows = h[start : start + n_plain]
-        y = np.asarray(part.labels, dtype=np.int64)
+    logits = np.empty((n_logits, state.config.num_classes))
+    labels = np.empty(n_logits, dtype=np.int64)
+    denoms = np.empty((n_logits, 1))
+    heads = []  # per term: its head-input rows and its synthesis (plan, origin rows, their norms)
+    for i, part, start, n, k, row, denom in terms:
+        w_key, b_key = _HEAD_KEYS[part.branch]
+        h_rows = h[start : start + n]
+        y = labels[row : row + n + k]
+        y[:n] = part.labels
         synth = None
-        if part.synth is not None and len(part.synth):
+        if k:
             plan = part.synth
             h0 = h_rows[plan.origin]
             norms = row_norms(h0)[:, None]
-            h_rows = np.concatenate([h_rows, synthesize(h0, plan.radii, plan.noise, norms)])
-            y = np.concatenate([y, y[plan.origin]])
-            synth = (plan, h0, norms)
-        w_key, b_key = _HEAD_KEYS[part.branch]
-        z = h_rows @ state.params[w_key]
-        z += state.params[b_key]
+            block = np.empty((n + k, h.shape[1]))
+            block[:n] = h_rows
+            synthesize(h0, plan.radii, plan.noise, norms, block[n:])
+            y[n:] = y[plan.origin]
+            h_rows, synth = block, (plan, h0, norms)
+        z = logits[row : row + n + k]
+        np.matmul(h_rows, params[w_key], out=z)
+        z += params[b_key]
         if part.log_prior is not None:
             z += part.log_prior
-        terms.append((i, span, h_rows, synth))
-        logits.append(z)
-        labels.append(y)
+        denoms[row : row + n + k] = denom
+        heads.append((h_rows, synth))
     # the softmax works row by row, so one pass over the rows of every part
     # gives each row the bits that a pass over its own part would
-    losses, d_all = _xent_forward_backward(np.concatenate(logits), np.concatenate(labels))
-    d_h = np.zeros_like(h)
-    part_means = [0.0] * len(parts)
-    row = 0
-    for i, (start, n_plain), h_rows, synth in terms:
-        n = h_rows.shape[0]
-        denom = parts[i].normalizer if parts[i].normalizer is not None else n
-        mean = float(losses[row : row + n].sum()) / denom
+    losses, d_all = _xent_forward_backward(logits, labels)
+    for i, part, start, n, k, row, denom in terms:
+        mean = float(np.add.reduce(losses[row : row + n + k])) / denom
         if not math.isfinite(mean):
             raise NonFiniteLossError("loss is not finite")
         part_means[i] = mean
-        d_logits = d_all[row : row + n]
-        row += n
-        d_logits /= denom
-        w_key, b_key = _HEAD_KEYS[parts[i].branch]
-        head_w = state.params[w_key]
-        grads[w_key] += h_rows.T @ d_logits
-        grads[b_key] += d_logits.sum(axis=0)
-        d_out = d_logits @ head_w.T
-        d_rows = d_h[start : start + n_plain]
-        d_rows += d_out[:n_plain]
+    d_all /= denoms
+
+    d_h = np.zeros(h.shape)
+    for (i, part, start, n, k, row, denom), (h_rows, synth) in zip(terms, heads):
+        w_key, b_key = _HEAD_KEYS[part.branch]
+        d_logits = d_all[row : row + n + k]
+        # in-place adds into the views: ``grads[key] += g`` would store each back
+        g_w, g_b = grads[w_key], grads[b_key]
+        g_w += h_rows.T @ d_logits
+        g_b += np.add.reduce(d_logits, axis=0)
+        d_out = d_logits @ params[w_key].T
+        d_rows = d_h[start : start + n]
+        d_rows += d_out[:n]
         if synth is not None:
             # Jacobian of h' = h + (h/||h||) * (r * noise) w.r.t. h:
             #   d_h = d_hp + r*(noise . d_hp)/||h|| - h * (h . (r*noise . d_hp)) / ||h||^3
+            # each product and sum in that order, written over two buffers
             plan, h0, norms = synth
-            d_hp = d_out[n_plain:]
+            d_hp = d_out[n:]
             u = plan.noise * d_hp
-            r = plan.radii[:, None]
             inner = np.add.reduce(h0 * u, axis=1, keepdims=True)
-            d_h0 = d_hp + r * u / norms - h0 * (r * inner / norms**3)
+            r = plan.radii[:, None]
+            u *= r
+            u /= norms
+            u += d_hp
+            inner *= r
+            inner /= norms**3
+            u -= h0 * inner
             # scatter-add by origin over the flat rows: the same additions in
-            # the same order as np.add.at(d_rows, plan.origin, d_h0), faster
-            width = d_h0.shape[1]
+            # the same order as np.add.at(d_rows, plan.origin, u), faster
+            width = h.shape[1]
             cells = (plan.origin[:, None] * width + np.arange(width)).ravel()
-            np.add.at(d_rows.reshape(-1), cells, d_h0.reshape(-1))
+            np.add.at(d_rows.reshape(-1), cells, u.reshape(-1))
     _backprop_encoder(state, layers, d_h, grads)
     return sum(part_means), part_means
 

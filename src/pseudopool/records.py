@@ -8,7 +8,6 @@ imports no other module of the package, so every module may import it.
 from __future__ import annotations
 
 import os
-import tempfile
 import types
 import typing
 from contextlib import contextmanager
@@ -23,11 +22,16 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
     file behind. ``kwargs`` go to ``open`` (``encoding``, ``newline``). The
     file gets the mode that ``open`` would give it, not ``mkstemp``'s 0600."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # O_EXCL on a fresh random name, as mkstemp does; the kernel applies the
+    # process umask to 0o666, with no write to the umask itself
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh
             fh.flush()

@@ -306,7 +306,7 @@ def _run(
                 if cycle_active:
                     vpb = predict_views(run.state, h_u)
                 if config.use_aux_branch:
-                    aux_pseudo = np.argmax(head_logits(run.state, "auxiliary", h_u[:b_u]), axis=1)
+                    aux_pseudo = head_logits(run.state, "auxiliary", h_u[:b_u]).argmax(axis=1)
                 if gated_consistency:
                     weak_labels, weak_confs = top_class(run.state, h_u[:b_u])
 
@@ -403,7 +403,7 @@ def _cycle_owners(config: TrainConfig, ids: np.ndarray, c: int, rep_dim: int) ->
 def _grown(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView, adjusted: bool) -> tuple:
     """The pool whose pseudo portion is ``labels`` and what follows from it
     alone: its prior, the loss's log prior (None unless ``adjusted``) and its
-    minority classes."""
+    minority classes, all read from the census the new pool is built with."""
     pool = update_pool(pool, labels, source)
     prior = class_distribution(pool)
     return pool, prior, np.log(prior) if adjusted else None, minority_classes(pool.phi)

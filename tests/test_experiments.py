@@ -323,6 +323,18 @@ class TestAtomicOpen:
         modes = [(tmp_path / name).stat().st_mode for name in ("plain.txt", "atomic.txt")]
         assert modes[0] == modes[1] == 0o100666 & ~umask
 
+    def test_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # reading the umask means setting it, for the whole process: a file
+        # another thread creates meanwhile would get the value set
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        with atomic_open(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
+        assert (tmp_path / "atomic.txt").read_text() == "x"
+        assert [p.name for p in tmp_path.iterdir()] == ["atomic.txt"]
+
 
 AUGMENTATION = AugmentationPolicy(weak_noise_sigma=0.1, strong_noise_sigma=0.2, strong_mask_rate=0.5)
 

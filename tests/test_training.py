@@ -37,6 +37,7 @@ from pseudopool.training import (
 )
 
 from conftest import tiny_spec
+from step_reference import reference_loss_and_grads, reference_update_class_stats
 from test_cycle import brute_resolve
 
 
@@ -273,6 +274,41 @@ class TestTrainingRun:
         assert set(record) == expected_keys
         assert record["O_t"] == record["pool"]["n"] + record["pool"]["m_hat"]
         assert abs(sum(record["pi"]) - 1.0) < 1e-9
+
+
+class TestReferenceStep:
+    """A whole run with the step's kept reference bodies swapped in
+    (``tests/step_reference.py``) gives the shipped run's bits, on whatever
+    BLAS build the tests run on."""
+
+    @pytest.mark.parametrize(
+        "method, overrides",
+        [("cpg", {}), ("cpg", {"freeze_resolved": True})] + [(kind, {}) for kind in BASELINE_KINDS],
+        ids=["cpg", "cpg-freeze", *BASELINE_KINDS],
+    )
+    def test_run_equals_reference_bodies(self, tiny_splits, monkeypatch, method, overrides):
+        cfg = fast_config(**overrides)
+
+        def run():
+            return train(cfg, tiny_splits) if method == "cpg" else run_baseline(method, cfg, tiny_splits)
+
+        synth_rows = []
+        plan_synthesis = pseudopool.training.plan_synthesis
+
+        def counted_plan(*args):
+            plan = plan_synthesis(*args)
+            synth_rows.append(0 if plan is None else plan[0].size)
+            return plan
+
+        monkeypatch.setattr(pseudopool.training, "plan_synthesis", counted_plan)
+        shipped = run()
+        monkeypatch.setattr(pseudopool.training, "loss_and_grads", reference_loss_and_grads)
+        monkeypatch.setattr(pseudopool.training, "update_class_stats", reference_update_class_stats)
+        kept = run()
+        assert json.dumps(shipped.to_records()) == json.dumps(kept.to_records())
+        assert shipped.state.params.flat.tobytes() == kept.state.params.flat.tobytes()
+        # the cpg runs reach the synthesized rows the rewrite touches most
+        assert (sum(synth_rows) > 0) == (method == "cpg")
 
 
 class TestRunHistoryCopy:
