@@ -11,8 +11,8 @@ import numpy as np
 
 from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
 from pseudopool.datasets import DatasetSpec, generate_splits, strong_view_batch, weak_view_batch
-from pseudopool.network import encode
-from pseudopool.training import TrainConfig, predict_views, train
+from pseudopool.network import encode, top_class
+from pseudopool.training import TrainConfig, train
 
 print("the three-clause filter on hand-built view predictions (tau = 0.95):")
 cases = [
@@ -55,13 +55,14 @@ for lo, hi in [(0.5, 0.8), (0.8, 0.95), (0.95, 1.0)]:
 print(f"  unanimous (share = 1.0):   {int(np.sum(nonzero & (shares == 1.0)))}")
 
 # the filter on the trained model, as a training step runs it: both views of
-# a batch go through one encoder forward, and predict_views splits the heads'
-# predictions back into the weak and the strong half
+# a batch go through one encoder forward, and the primary head's top class of
+# that block splits back into the weak and the strong half
 rng = np.random.default_rng(1)
 batch = splits.unlabeled.features[rng.integers(0, registry.ids.size, size=112)]
 weak = weak_view_batch(batch, history.policy, rng)
 strong = strong_view_batch(batch, history.policy, rng)
-views = predict_views(history.state, encode(history.state, np.concatenate([weak, strong])))
+labels, confs = top_class(history.state, encode(history.state, np.concatenate([weak, strong])))
+views = ViewPredictionBatch(labels[:112], confs[:112], labels[112:], confs[112:])
 fired = reliability_mask_batch(views, 0.95)
 print(f"\none batch of {batch.shape[0]} unlabeled samples under the trained model:")
 print(f"  reliable (would vote): {int(fired.sum())}")

@@ -41,7 +41,7 @@ for rep in copies:
 
 batch_reps = np.vstack([tight[:2], medium[:2], loose[:3]])
 batch_labels = np.array([0, 0, 1, 1, 2, 2, 2])
-origin, radii, noise = plan_synthesis(batch_labels, minority_classes(phi), stats, rng)
+origin, radii, noise = plan_synthesis(batch_labels, batch_reps, minority_classes(phi), stats, rng)
 synth = synthesize(batch_reps[origin], radii, noise)
 out_labels = np.concatenate([batch_labels, batch_labels[origin]])
 print(f"\nbatch of {len(batch_labels)} -> {len(out_labels)} after expanding "

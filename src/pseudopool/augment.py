@@ -118,6 +118,7 @@ def minority_classes(phi: np.ndarray) -> np.ndarray:
 
 def plan_synthesis(
     labels: np.ndarray,
+    reps: np.ndarray,
     minority: np.ndarray,
     stats: ClassStats,
     rng: np.random.Generator,
@@ -127,14 +128,16 @@ def plan_synthesis(
 
     Returns (origin row indices repeated ``count`` times, per-copy radii,
     per-copy noise) or None when the batch holds no minority-class sample
-    with an initialized radius. Drawing the noise here keeps the training
-    step's synthesis a deterministic function of (state, plan).
+    with an initialized radius and a representation in ``reps`` of nonzero
+    norm (``synthesize`` has no direction to expand a zero one along).
+    Drawing the noise here keeps the training step's synthesis a
+    deterministic function of (state, plan).
     """
     labels = np.asarray(labels, dtype=np.int64)
     wanted = np.zeros(stats.num_classes, dtype=bool)
     wanted[minority] = True
     wanted &= np.isfinite(stats.radius)
-    rows = wanted[labels].nonzero()[0]
+    rows = (wanted[labels] & (row_norms(reps) > 0)).nonzero()[0]
     if not rows.size:
         return None
     origin = rows.repeat(count)

@@ -36,7 +36,7 @@ from .datasets import UnlabeledView
 @dataclass
 class ViewPredictionBatch:
     """Pseudo-label and confidence per row under the weak and the strong view
-    (made by ``training.predict_views``)."""
+    (``network.top_class`` of the two halves of one ``[weak; strong]`` forward)."""
 
     labels_weak: np.ndarray
     confs_weak: np.ndarray
@@ -181,10 +181,6 @@ class LabeledPool:
         self.pseudo_labels = np.zeros(0, dtype=np.int64)
         self.m = np.zeros(num_classes, dtype=np.int64)
         self.phi = self.n + self.m
-
-    @classmethod
-    def from_split(cls, split, num_classes: int) -> "LabeledPool":
-        return cls(split.features, split.labels, num_classes)
 
     @property
     def size(self) -> int:

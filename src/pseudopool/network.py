@@ -172,13 +172,16 @@ def init(config: ModelConfig) -> ModelState:
     return ModelState(config, params)
 
 
-def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass keeping every layer's activation, ``[input, layer 1, ...,
-    representation]``; the backward needs no pre-activation, so none is kept.
-    Each activation is computed in place over its pre-activation."""
-    a = np.asarray(X, dtype=np.float64)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
+def encode(state: ModelState, x: np.ndarray, layers: list | None = None) -> np.ndarray:
+    """Deterministic encoder forward; output length = last hidden dim.
+
+    ``layers``, when given a list, receives the forward's per-layer
+    activations (2-D, input first, output last): the rows a ``BatchPart``
+    hands to ``loss_and_grads``. The backward needs no pre-activation, so
+    none is kept; each activation is computed in place over its pre-activation.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = x if x.ndim == 2 else np.atleast_2d(x)
     params, relu = state.params, state.config.activation == "relu"
     activations = [a]
     for w_key, b_key in state.encoder_keys:
@@ -186,21 +189,9 @@ def _forward_encoder(state: ModelState, X: np.ndarray) -> tuple[np.ndarray, list
         z += params[b_key]
         a = np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
         activations.append(a)
-    return a, activations
-
-
-def encode(state: ModelState, x: np.ndarray, layers: list | None = None) -> np.ndarray:
-    """Deterministic encoder forward; output length = last hidden dim.
-
-    ``layers``, when given a list, receives the forward's per-layer
-    activations (2-D, input first, output last): the rows a ``BatchPart``
-    hands to ``loss_and_grads``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    h, activations = _forward_encoder(state, x)
     if layers is not None:
         layers += activations
-    return h[0] if x.ndim == 1 else h
+    return a[0] if x.ndim == 1 else a
 
 
 def head_logits(state: ModelState, branch: str, h: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import ctypes
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,10 +260,9 @@ def _run(
     _pin_heap_thresholds()
     policy = policy_from_features(splits.labeled.features, splits.unlabeled.features)
     uview = splits.unlabeled_view()
-    m = uview.ids.size
     adjusted = method in ("cpg", "supervised_la")
     gated_consistency = method == "consistency_ssl"
-    if m == 0 and (
+    if uview.ids.size == 0 and (
         config.use_aux_branch or gated_consistency or (config.use_cycle and config.warmup_epochs < config.total_epochs)
     ):
         raise ValueError("the unlabeled split is empty, but this run draws unlabeled batches")
@@ -275,12 +274,8 @@ def _run(
         run = _RunState(state, _streams(config.seed), registry, stats)
     elif not np.array_equal(run.registry.ids, uview.ids):
         raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
-    pool, prior, log_pi, minority = _grown(
-        LabeledPool.from_split(splits.labeled, c), run.registry.resolved, uview, adjusted
-    )
-
-    b_l = config.labeled_batch
-    b_u = config.unlabeled_batch
+    pool = LabeledPool(splits.labeled.features, splits.labeled.labels, c)
+    call = _Call(config, policy, uview, adjusted, gated_consistency, pool, run.registry.resolved)
 
     for epoch in range(run.epoch + 1, config.total_epochs + 1):
         started = time.perf_counter()
@@ -288,76 +283,9 @@ def _run(
         primary_sum = 0.0
         aux_sum = 0.0
         for step in range(1, config.steps_per_epoch + 1):
-            cycle_active = config.use_cycle and epoch > config.warmup_epochs
-            synth_active = config.use_synthesis and epoch > config.warmup_epochs
-            need_unlabeled = config.use_aux_branch or cycle_active or gated_consistency
-
-            if need_unlabeled:
-                u_rows = run.rngs["unlabeled"].integers(0, m, size=b_u)
-                x_u = uview.features[u_rows]
-                weak_u = weak_view_batch(x_u, policy, run.rngs["views"])
-                strong_u = strong_view_batch(x_u, policy, run.rngs["views"])
-                # one forward of [weak; strong] serves every reader of the batch:
-                # the filter reads both views, the pseudo-labels the weak one,
-                # and the loss's strong-view parts the strong rows' layers
-                layers: list[np.ndarray] = []
-                h_u = encode(run.state, np.concatenate([weak_u, strong_u]), layers)
-                strong_layers = [a[b_u:] for a in layers]
-                if cycle_active:
-                    vpb = predict_views(run.state, h_u)
-                if config.use_aux_branch:
-                    aux_pseudo = head_logits(run.state, "auxiliary", h_u[:b_u]).argmax(axis=1)
-                if gated_consistency:
-                    weak_labels, weak_confs = top_class(run.state, h_u[:b_u])
-
-            if cycle_active:
-                fired = reliability_mask_batch(vpb, config.confidence_threshold)
-                voted = u_rows[fired]
-                for row, label in zip(voted.tolist(), vpb.labels_weak[fired].tolist()):
-                    run.registry.record_vote(row, label)
-                # only the rows voted on this step can change their resolution,
-                # and a step that changed no label keeps the pool and all that
-                # follows from it
-                if run.registry.resolve(rows=voted):
-                    pool, prior, log_pi, minority = _grown(pool, run.registry.resolved, uview, adjusted)
-
-            rows = run.rngs["labeled"].integers(0, pool.size, size=b_l)
-            x_b, y_b = pool.take(rows)
-
-            # one forward of x_b serves the class stats and the loss's x_b parts
-            b_layers: list[np.ndarray] = []
-            reps = encode(run.state, x_b, b_layers)
-            primary = BatchPart("primary", b_layers, y_b, log_pi)
-            if synth_active:
-                update_class_stats(run.stats, reps, y_b)
-                plan = plan_synthesis(y_b, minority, run.stats, run.rngs["synth"])
-                if plan is not None:
-                    primary.synth = SynthPlan(*plan)
-            parts = [primary]
-
-            if config.use_aux_branch:
-                parts.append(BatchPart("auxiliary", b_layers, y_b, log_pi))
-                parts.append(BatchPart("auxiliary", strong_layers, aux_pseudo, None))
-
-            if gated_consistency:
-                keep = weak_confs > config.confidence_threshold
-                if keep.any():
-                    kept = [a[keep] for a in strong_layers]
-                    parts.append(BatchPart("primary", kept, weak_labels[keep], None, normalizer=b_u))
-
-            try:
-                _, part_means = loss_and_grads(run.state, parts)
-                lr = cosine_lr(run.global_step, config.optimizer.base_lr, config.total_steps)
-                sgd_step(run.state, config.optimizer, lr)
-            except NonFiniteLossError as exc:
-                raise TrainingDiverged(epoch, step, str(exc)) from exc
-            run.global_step += 1
-
-            primary_sum += part_means[0]
-            aux_sum += sum(part_means[1:])
-            # release this step's activations before the next step's forward
-            # allocates its own; holding both raised peak RSS by about 0.5%
-            parts = primary = layers = strong_layers = b_layers = reps = h_u = None
+            primary_mean, aux_mean = _step(run, call, epoch, step)
+            primary_sum += primary_mean
+            aux_sum += aux_mean
 
         labels = run.registry.resolved
         if gated_consistency:
@@ -369,8 +297,8 @@ def _run(
                 epoch=epoch,
                 **metrics_mod.evaluate_epoch(run.state, splits, labels, run.reports[-1] if run.reports else None),
                 losses=Losses(primary_sum / config.steps_per_epoch, aux_sum / config.steps_per_epoch),
-                pool=PoolSize(int(splits.labeled.ids.size), pool.pseudo_size),
-                pi=prior.tolist(),
+                pool=PoolSize(int(splits.labeled.ids.size), call.pool.pseudo_size),
+                pi=call.prior.tolist(),
                 class_stats=run.stats.rows() if config.use_synthesis else None,
                 wall_clock=time.perf_counter() - started,
             )
@@ -389,24 +317,114 @@ def _run(
         reports=run.reports,
         state=run.state,
         registry=run.registry if method == "cpg" else None,
-        pool=pool,
+        pool=call.pool,
         policy=policy,
     )
+
+
+@dataclass
+class _Call:
+    """What the steps of one training call share: the config, the policy, the
+    unlabeled view and the method's two switches, which no step changes, and
+    the grown pool with what follows from it, which only ``grow`` changes."""
+
+    config: TrainConfig
+    policy: AugmentationPolicy
+    uview: UnlabeledView
+    adjusted: bool  # the loss adds the log prior
+    gated_consistency: bool
+    pool: LabeledPool
+    labels: InitVar[np.ndarray]
+    prior: np.ndarray = field(init=False)
+    log_pi: np.ndarray | None = field(init=False)
+    minority: np.ndarray = field(init=False)
+
+    def grow(self, labels: np.ndarray) -> None:
+        """The pool whose pseudo portion is ``labels`` and what follows from it
+        alone: its prior, the loss's log prior (None unless ``adjusted``) and its
+        minority classes, all read from the census the new pool is built with."""
+        self.pool = update_pool(self.pool, labels, self.uview)
+        self.prior = class_distribution(self.pool)
+        self.log_pi = np.log(self.prior) if self.adjusted else None
+        self.minority = minority_classes(self.pool.phi)
+
+    __post_init__ = grow  # the record is built grown to ``labels``
+
+
+def _step(run: _RunState, call: _Call, epoch: int, step: int) -> tuple[float, float]:
+    """One SGD step of ``run`` at 1-based ``epoch`` and ``step``: the filter
+    and its votes, the pool they grow, the losses and the update. Returns the
+    primary head's batch-mean loss and the sum of the auxiliary terms'."""
+    config, uview = call.config, call.uview
+    cycle_active = config.use_cycle and epoch > config.warmup_epochs
+    b_u = config.unlabeled_batch
+
+    if config.use_aux_branch or cycle_active or call.gated_consistency:
+        u_rows = run.rngs["unlabeled"].integers(0, uview.ids.size, size=b_u)
+        x_u = uview.features[u_rows]
+        weak_u = weak_view_batch(x_u, call.policy, run.rngs["views"])
+        strong_u = strong_view_batch(x_u, call.policy, run.rngs["views"])
+        # one forward of [weak; strong] serves every reader of the batch:
+        # the filter reads both views, the pseudo-labels the weak one,
+        # and the loss's strong-view parts the strong rows' layers
+        layers: list[np.ndarray] = []
+        h_u = encode(run.state, np.concatenate([weak_u, strong_u]), layers)
+        strong_layers = [a[b_u:] for a in layers]
+        if cycle_active:
+            view_labels, view_confs = top_class(run.state, h_u)
+            vpb = ViewPredictionBatch(view_labels[:b_u], view_confs[:b_u], view_labels[b_u:], view_confs[b_u:])
+            fired = reliability_mask_batch(vpb, config.confidence_threshold)
+            voted = u_rows[fired]
+            for row, label in zip(voted.tolist(), vpb.labels_weak[fired].tolist()):
+                run.registry.record_vote(row, label)
+            # only the rows voted on this step can change their resolution,
+            # and a step that changed no label keeps the pool and all that
+            # follows from it
+            if run.registry.resolve(rows=voted):
+                call.grow(run.registry.resolved)
+        if config.use_aux_branch:
+            aux_pseudo = head_logits(run.state, "auxiliary", h_u[:b_u]).argmax(axis=1)
+        if call.gated_consistency:
+            weak_labels, weak_confs = top_class(run.state, h_u[:b_u])
+
+    rows = run.rngs["labeled"].integers(0, call.pool.size, size=config.labeled_batch)
+    x_b, y_b = call.pool.take(rows)
+
+    # one forward of x_b serves the class stats and the loss's x_b parts
+    b_layers: list[np.ndarray] = []
+    reps = encode(run.state, x_b, b_layers)
+    primary = BatchPart("primary", b_layers, y_b, call.log_pi)
+    if config.use_synthesis and epoch > config.warmup_epochs:
+        update_class_stats(run.stats, reps, y_b)
+        plan = plan_synthesis(y_b, reps, call.minority, run.stats, run.rngs["synth"])
+        if plan is not None:
+            primary.synth = SynthPlan(*plan)
+    parts = [primary]
+
+    if config.use_aux_branch:
+        parts.append(BatchPart("auxiliary", b_layers, y_b, call.log_pi))
+        parts.append(BatchPart("auxiliary", strong_layers, aux_pseudo, None))
+
+    if call.gated_consistency:
+        keep = weak_confs > config.confidence_threshold
+        if keep.any():
+            kept = [a[keep] for a in strong_layers]
+            parts.append(BatchPart("primary", kept, weak_labels[keep], None, normalizer=b_u))
+
+    try:
+        _, part_means = loss_and_grads(run.state, parts)
+        lr = cosine_lr(run.global_step, config.optimizer.base_lr, config.total_steps)
+        sgd_step(run.state, config.optimizer, lr)
+    except NonFiniteLossError as exc:
+        raise TrainingDiverged(epoch, step, str(exc)) from exc
+    run.global_step += 1
+    return part_means[0], sum(part_means[1:])
 
 
 def _cycle_owners(config: TrainConfig, ids: np.ndarray, c: int, rep_dim: int) -> tuple[PseudoRegistry, ClassStats]:
     """The vote registry and the class stats, each holding its rule from ``config``."""
     registry = PseudoRegistry(ids, c, config.min_votes, config.majority_frac, config.freeze_resolved)
     return registry, ClassStats(c, rep_dim, config.ema_decay)
-
-
-def _grown(pool: LabeledPool, labels: np.ndarray, source: UnlabeledView, adjusted: bool) -> tuple:
-    """The pool whose pseudo portion is ``labels`` and what follows from it
-    alone: its prior, the loss's log prior (None unless ``adjusted``) and its
-    minority classes, all read from the census the new pool is built with."""
-    pool = update_pool(pool, labels, source)
-    prior = class_distribution(pool)
-    return pool, prior, np.log(prior) if adjusted else None, minority_classes(pool.phi)
 
 
 def _pin_heap_thresholds() -> None:
@@ -418,16 +436,6 @@ def _pin_heap_thresholds() -> None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's adaptive rule
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
-def predict_views(state: ModelState, reps: np.ndarray) -> ViewPredictionBatch:
-    """``network.top_class`` of the weak and the strong view. ``reps`` encodes
-    the stacked ``[weak; strong]`` block, one forward for both views."""
-    labels, confs = top_class(state, reps)
-    n = reps.shape[0] // 2
-    return ViewPredictionBatch(
-        labels_weak=labels[:n], confs_weak=confs[:n], labels_strong=labels[n:], confs_strong=confs[n:]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from pseudopool.cycle import ViewPredictionBatch, reliability_mask_batch
 from pseudopool.datasets import generate_splits
-from pseudopool.experiments import ABLATION_ROWS, ExperimentConfig, compare_runs, run_experiment
+from pseudopool.experiments import ExperimentConfig, compare_runs, run_ablation, run_experiment
 from pseudopool.metrics import welch_t_test
 from pseudopool.network import _xent_forward_backward, init
 from pseudopool.records import from_mapping
@@ -66,23 +66,12 @@ def suite_runs():
 
 
 @pytest.fixture(scope="module")
-def ablation_cells():
-    """Suite-average accuracy per component row (3 scenarios x 3 seeds)."""
-    averages = {}
-    for label, use_aux, use_cycle, use_synth in ABLATION_ROWS:
-        accs = []
-        for scenario in SCENARIOS:
-            for seed in SEEDS:
-                cfg = replace(
-                    desk_config(seed),
-                    use_aux_branch=use_aux,
-                    use_cycle=use_cycle,
-                    use_synthesis=use_synth,
-                )
-                history = train(cfg, generate_splits(desk_spec(scenario, seed)))
-                accs.append(history.final_metrics()["acc"])
-        averages[label] = float(np.mean(accs))
-    return averages
+def ablation_cells(tmp_path_factory):
+    """Per component row, the shipped harness's average: the mean over the 3
+    scenarios of each scenario's mean final accuracy over the 3 seeds."""
+    config = ExperimentConfig(method="cpg", dataset=desk_spec(), seeds=SEEDS, scenarios=SCENARIOS)
+    cells = run_ablation(config, tmp_path_factory.mktemp("ablation"))["cells"]
+    return {label: row["average"] for label, row in cells.items()}
 
 
 class TestExactCriteria:

@@ -44,11 +44,14 @@ def loop_update_class_stats(stats, reps, labels, ema_decay):
         stats.count_seen[c] += members.shape[0]
 
 
-def loop_plan_synthesis(labels, minority, stats, rng, count=10):
-    """Reference: the per-row loop plan_synthesis used to pick its rows."""
+def loop_plan_synthesis(labels, reps, minority, stats, rng, count=10):
+    """Reference: the per-row loop plan_synthesis used to pick its rows,
+    skipping the rows whose representation has zero norm."""
     minority_set = set(int(c) for c in minority)
     rows = [
-        i for i, lab in enumerate(labels) if int(lab) in minority_set and np.isfinite(stats.radius[lab])
+        i
+        for i, lab in enumerate(labels)
+        if int(lab) in minority_set and np.isfinite(stats.radius[lab]) and np.linalg.norm(reps[i]) > 0
     ]
     if not rows:
         return None
@@ -174,14 +177,16 @@ class TestSynthesize:
 
     def test_default_count_is_ten(self):
         stats = prepared_stats()
-        origin, radii, noise = plan_synthesis(np.array([2]), np.array([2]), stats, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        origin, radii, noise = plan_synthesis(np.array([2]), np.ones((1, 4)), np.array([2]), stats, rng)
         assert origin.size == radii.size == noise.shape[0] == 10
 
     def test_labels_and_origin_carried(self):
         # every copy points back at its origin row, whose label it takes
         stats = prepared_stats()
         labels = np.array([0, 2, 1, 2])
-        origin, radii, _ = plan_synthesis(labels, np.array([2]), stats, np.random.default_rng(0), count=2)
+        rng = np.random.default_rng(0)
+        origin, radii, _ = plan_synthesis(labels, np.ones((4, 4)), np.array([2]), stats, rng, count=2)
         assert list(origin) == [1, 1, 3, 3]
         assert set(labels[origin]) == {2}
         assert np.all(radii == stats.radius[2])
@@ -200,8 +205,10 @@ class TestSynthesize:
         stats.radius[initialized] = rng.uniform(1.0, 10.0, size=int(initialized.sum()))
         minority = np.flatnonzero(rng.random(c) < 0.5)
         labels = rng.integers(c, size=n)
-        got = plan_synthesis(labels, minority, stats, np.random.default_rng(seed), count)
-        expected = loop_plan_synthesis(labels, minority, stats, np.random.default_rng(seed), count)
+        reps = rng.normal(size=(n, 3))
+        reps[rng.random(n) < 0.2] = 0.0  # some zero-norm rows
+        got = plan_synthesis(labels, reps, minority, stats, np.random.default_rng(seed), count)
+        expected = loop_plan_synthesis(labels, reps, minority, stats, np.random.default_rng(seed), count)
         if expected is None:
             assert got is None
         else:
@@ -250,7 +257,7 @@ def prepared_stats(num_classes=3, rep_dim=4):
 def expand(reps, labels, stats, phi, rng, count=10):
     """The training step's batch expansion: plan copies of the minority rows,
     then synthesize them from their origin representations."""
-    plan = plan_synthesis(labels, minority_classes(phi), stats, rng, count)
+    plan = plan_synthesis(labels, reps, minority_classes(phi), stats, rng, count)
     if plan is None:
         return reps, labels
     origin, radii, noise = plan
@@ -264,7 +271,7 @@ class TestAugmentBatch:
         phi = np.array([10, 10, 2])  # minority is class 2
         reps = np.ones((4, 4))
         labels = np.array([0, 0, 1, 1])
-        assert plan_synthesis(labels, minority_classes(phi), stats, np.random.default_rng(5)) is None
+        assert plan_synthesis(labels, reps, minority_classes(phi), stats, np.random.default_rng(5)) is None
         out_reps, out_labels = expand(reps, labels, stats, phi, np.random.default_rng(5))
         assert out_reps.shape == (4, 4)
         assert np.array_equal(out_labels, labels)
@@ -307,13 +314,25 @@ class TestAugmentBatch:
     def test_plan_and_apply_round_trip(self):
         stats = prepared_stats()
         labels = np.array([0, 2, 2])
-        plan = plan_synthesis(labels, np.array([2]), stats, np.random.default_rng(10), count=5)
+        reps = np.random.default_rng(11).normal(size=(3, 4)) + 2.0
+        plan = plan_synthesis(labels, reps, np.array([2]), stats, np.random.default_rng(10), count=5)
         origin, radii, noise = plan
         assert origin.size == 10  # two minority rows, five copies each
-        reps = np.random.default_rng(11).normal(size=(3, 4)) + 2.0
         synth = synthesize(reps[origin], radii, noise)
         assert synth.shape == (10, 4)
 
     def test_plan_none_when_no_candidates(self):
         stats = ClassStats(num_classes=2, rep_dim=3, ema_decay=0.9)  # no radii initialized
-        assert plan_synthesis(np.array([0, 1]), np.array([1]), stats, np.random.default_rng(0)) is None
+        rng = np.random.default_rng(0)
+        assert plan_synthesis(np.array([0, 1]), np.ones((2, 3)), np.array([1]), stats, rng) is None
+
+    def test_zero_norm_rows_not_picked(self):
+        # synthesize cannot expand a zero representation, so the plan leaves
+        # it out, and a batch whose only minority row is zero gets no plan
+        stats = prepared_stats()
+        labels = np.array([2, 0, 2])
+        reps = np.ones((3, 4))
+        reps[0] = 0.0
+        origin, _, _ = plan_synthesis(labels, reps, np.array([2]), stats, np.random.default_rng(0), count=2)
+        assert list(origin) == [2, 2]
+        assert plan_synthesis(labels[:2], reps[:2], np.array([2]), stats, np.random.default_rng(0)) is None

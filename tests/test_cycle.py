@@ -20,8 +20,7 @@ from pseudopool.datasets import (
     strong_view_batch,
     weak_view_batch,
 )
-from pseudopool.network import ModelConfig, encode, init
-from pseudopool.training import predict_views
+from pseudopool.network import ModelConfig, encode, init, top_class
 
 from conftest import tiny_spec
 
@@ -51,7 +50,9 @@ def views_of(state, X, policy, rng):
     X = np.atleast_2d(X)
     weak = weak_view_batch(X, policy, rng)
     strong = strong_view_batch(X, policy, rng)
-    return predict_views(state, encode(state, np.concatenate([weak, strong])))
+    labels, confs = top_class(state, encode(state, np.concatenate([weak, strong])))
+    n = X.shape[0]
+    return ViewPredictionBatch(labels[:n], confs[:n], labels[n:], confs[n:])
 
 
 def one_view(label_weak, conf_weak, label_strong, conf_strong):
@@ -374,7 +375,7 @@ class TestClassDistribution:
 class TestIntegrationWithSplits:
     def test_pool_from_generated_splits(self):
         bundle = generate_splits(tiny_spec())
-        pool = LabeledPool.from_split(bundle.labeled, 3)
+        pool = LabeledPool(bundle.labeled.features, bundle.labeled.labels, 3)
         assert pool.size == bundle.labeled.ids.size
         assert np.array_equal(pool.phi, bundle.labeled.class_counts(3))
 

@@ -270,7 +270,8 @@ def per_block_reference(state, part):
     denom = part.normalizer or sum(x.shape[0] for x, _, _ in blocks)
     loss_sum = 0.0
     for x, y, synth in blocks:
-        h0, cache = network._forward_encoder(state, x)
+        cache: list = []
+        h0 = encode(state, x, cache)
         h = h0 if synth is None else synthesize(h0, synth.radii, synth.noise)
         logits = h @ head_w + state.params[b_key]
         if part.log_prior is not None:
@@ -395,7 +396,11 @@ class TestFusedLoss:
 
             return wrapper
 
-        monkeypatch.setattr(network, "_forward_encoder", counted("forward", network._forward_encoder))
+        # the names encode's callers look it up under: this module's, which
+        # builds the parts, and network's, where the loss would find it
+        forward = counted("forward", encode)
+        monkeypatch.setitem(globals(), "encode", forward)
+        monkeypatch.setattr(network, "encode", forward)
         monkeypatch.setattr(network, "_backprop_encoder", counted("backward", network._backprop_encoder))
         state = init(small_config(seed=4))
         build = random_parts(state, np.random.default_rng(23), with_synth=True, with_aux=True)

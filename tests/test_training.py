@@ -21,7 +21,8 @@ import pseudopool.cycle
 import pseudopool.metrics
 import pseudopool.network
 import pseudopool.training
-from pseudopool.datasets import UnlabeledSplit, generate_splits
+from pseudopool.cycle import LabeledPool
+from pseudopool.datasets import UnlabeledSplit, generate_splits, policy_from_features
 from pseudopool.metrics import predict_batch
 from pseudopool.network import ModelConfig, OptimizerConfig, init
 from pseudopool.records import ConfigError
@@ -105,45 +106,31 @@ class TestPredict:
 
 
 def pool_and_prior_per_step(monkeypatch) -> list[tuple]:
-    """Per training step, delimited by its ``sgd_step`` call: the pool the
-    loop holds, which the last ``update_pool`` call returned, and the prior
-    of the last ``class_distribution`` call."""
-    held, steps = {}, []
-    update_pool = pseudopool.training.update_pool
-    class_distribution = pseudopool.training.class_distribution
-    sgd_step = pseudopool.training.sgd_step
+    """Per training step, one ``training._step`` call: the pool and the
+    prior that the call's record holds when the step returns."""
+    steps = []
+    step = pseudopool.training._step
 
-    def grown(*args):
-        held["pool"] = update_pool(*args)
-        return held["pool"]
+    def recorded(run, call, epoch, index):
+        means = step(run, call, epoch, index)
+        steps.append((call.pool, call.prior))
+        return means
 
-    def prior(pool):
-        held["prior"] = class_distribution(pool)
-        return held["prior"]
-
-    def step(*args):
-        steps.append((held["pool"], held["prior"]))
-        return sgd_step(*args)
-
-    monkeypatch.setattr(pseudopool.training, "update_pool", grown)
-    monkeypatch.setattr(pseudopool.training, "class_distribution", prior)
-    monkeypatch.setattr(pseudopool.training, "sgd_step", step)
+    monkeypatch.setattr(pseudopool.training, "_step", recorded)
     return steps
 
 
 def encoder_calls_per_step(monkeypatch, method: str, cfg: TrainConfig, splits) -> list[Counter]:
-    """Per training step, delimited by its ``sgd_step`` call: the rows the
-    encoder forward sees (``rows``), the forwards run inside
-    ``loss_and_grads`` (``loss_forwards``), the encoder backwards and the
-    synthesis calls. The epoch-end evaluation's forwards are not counted."""
+    """Per training step, one ``training._step`` call: the rows the encoder
+    forward sees (``rows``), the forwards run inside ``loss_and_grads``
+    (``loss_forwards``), the encoder backwards and the synthesis calls."""
     calls, steps, scope = Counter(), [], ["step"]
-    forward, sgd_step = pseudopool.network._forward_encoder, pseudopool.training.sgd_step
+    encode, step = pseudopool.network.encode, pseudopool.training._step
 
-    def counted_forward(state, x):
-        if scope[-1] != "eval":
-            calls["rows"] += np.atleast_2d(x).shape[0]
-            calls["loss_forwards"] += scope[-1] == "loss"
-        return forward(state, x)
+    def counted_encode(state, x, layers=None):
+        calls["rows"] += np.atleast_2d(x).shape[0]
+        calls["loss_forwards"] += scope[-1] == "loss"
+        return encode(state, x, layers)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -162,18 +149,19 @@ def encoder_calls_per_step(monkeypatch, method: str, cfg: TrainConfig, splits) -
 
         return wrapper
 
-    def step_end(*args):
-        steps.append(calls.copy())
+    def counted_step(*args):
         calls.clear()
-        return sgd_step(*args)
+        means = step(*args)
+        steps.append(calls.copy())
+        return means
 
-    monkeypatch.setattr(pseudopool.network, "_forward_encoder", counted_forward)
+    # encode under the names its callers look it up by: the step's and the loss's
+    for owner in (pseudopool.training, pseudopool.network):
+        monkeypatch.setattr(owner, "encode", counted_encode)
     for name in ("_backprop_encoder", "synthesize"):
         monkeypatch.setattr(pseudopool.network, name, counted(name, getattr(pseudopool.network, name)))
     monkeypatch.setattr(pseudopool.training, "loss_and_grads", scoped("loss", pseudopool.training.loss_and_grads))
-    for name in ("evaluate_epoch", "threshold_assignments"):
-        monkeypatch.setattr(pseudopool.metrics, name, scoped("eval", getattr(pseudopool.metrics, name)))
-    monkeypatch.setattr(pseudopool.training, "sgd_step", step_end)
+    monkeypatch.setattr(pseudopool.training, "_step", counted_step)
     if method == "cpg":
         train(cfg, splits)
     else:
@@ -264,6 +252,21 @@ class TestTrainingRun:
             train(cfg, tiny_splits)
         assert str(err.value) == "non-finite update in parameter enc0_w at epoch 1, step 1"
 
+    def test_relu_run_survives_a_zero_norm_minority_row(self, caplog):
+        # a one-unit relu encoder maps some rows to exactly zero; the class
+        # stats skip them, and the synthesis plan must skip them too, since
+        # synthesize has no direction to expand a zero representation along
+        cfg = TrainConfig(
+            total_epochs=3, warmup_epochs=0, steps_per_epoch=2, labeled_batch=4, unlabeled_ratio=2,
+            confidence_threshold=0.01, min_votes=2, majority_frac=0.5, use_aux_branch=False,
+            hidden_dims=(2,), seed=71,
+        )
+        spec = tiny_spec(n_max=9, m_max=11, gamma_l=1.0, gamma_u=1.0, unlabeled_shape="consistent",
+                         test_per_class=3, seed=71)
+        history = train(cfg, generate_splits(spec))
+        assert len(history.reports) == 3
+        assert "zero-norm representation" in caplog.text
+
     def test_epoch_report_schema(self, tiny_splits):
         history = train(fast_config(total_epochs=8, warmup_epochs=2), tiny_splits)
         record = history.final_metrics()
@@ -274,6 +277,66 @@ class TestTrainingRun:
         assert set(record) == expected_keys
         assert record["O_t"] == record["pool"]["n"] + record["pool"]["m_hat"]
         assert abs(sum(record["pi"]) - 1.0) < 1e-9
+
+
+def fresh_cpg_call(config: TrainConfig, splits) -> tuple:
+    """A fresh run record and the call record of a "cpg" run, built as
+    ``training._run`` builds them."""
+    uview = splits.unlabeled_view()
+    c = splits.spec.num_classes
+    state = pseudopool.training._build_model(config, splits)
+    registry, stats = pseudopool.training._cycle_owners(config, uview.ids, c, state.config.rep_dim)
+    run = pseudopool.training._RunState(state, pseudopool.training._streams(config.seed), registry, stats)
+    policy = policy_from_features(splits.labeled.features, splits.unlabeled.features)
+    pool = LabeledPool(splits.labeled.features, splits.labeled.labels, c)
+    call = pseudopool.training._Call(
+        config, policy, uview, adjusted=True, gated_consistency=False, pool=pool, labels=registry.resolved
+    )
+    return run, call
+
+
+def step_fields(config, run) -> dict:
+    """``run_fields`` without what only ``_run`` writes: the epoch's report
+    and the count of completed epochs."""
+    fields = run_fields(config, run)
+    del fields["reports"]
+    fields["counters"] = run.global_step
+    return fields
+
+
+class TestStepSeam:
+    """``training._step`` runs one step on its own: from a fresh run state it
+    leaves what a one-step ``_run`` leaves."""
+
+    def test_one_step_equals_a_one_step_run(self, tiny_splits, monkeypatch):
+        cfg = fast_config(
+            total_epochs=1, warmup_epochs=0, steps_per_epoch=1, min_votes=1, confidence_threshold=0.3, seed=2
+        )
+        runs, plans = [], []
+        step, plan_synthesis = pseudopool.training._step, pseudopool.training.plan_synthesis
+
+        def kept(run, *args):
+            runs.append(run)
+            return step(run, *args)
+
+        def planned(*args):
+            plans.append(plan_synthesis(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(pseudopool.training, "_step", kept)
+        monkeypatch.setattr(pseudopool.training, "plan_synthesis", planned)
+        history = train(cfg, tiny_splits)
+        run, call = fresh_cpg_call(cfg, tiny_splits)
+        run.registry.begin_epoch(1)
+        means = step(run, call, 1, 1)
+        assert len(runs) == 1 and runs[0] is not run
+        assert step_fields(cfg, run) == step_fields(cfg, runs[0])
+        assert means == (history.reports[0].losses.primary, history.reports[0].losses.auxiliary)
+        assert np.array_equal(call.pool.pseudo_rows, history.pool.pseudo_rows)
+        assert call.prior.tolist() == history.reports[0].pi
+        # the step voted, grew the pool and synthesized, both times
+        assert run.registry.votes.sum() > 0 and call.pool.pseudo_size > 0
+        assert len(plans) == 2 and all(plan is not None for plan in plans)
 
 
 class TestReferenceStep:
