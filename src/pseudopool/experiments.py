@@ -80,7 +80,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return from_mapping(ExperimentConfig, data)
 
 
-def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path) -> training.RunHistory:
+def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path | None) -> training.RunHistory:
+    """One seed of ``config``; a cpg run checkpoints into ``seed_dir`` unless it is None."""
     train_cfg = replace(config.train, seed=seed)
     splits = generate_splits(replace(config.dataset, seed=seed))
     if config.method == "cpg":
@@ -299,18 +300,12 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
         cells[label] = {}
         details[label] = {}
         for scenario in config.scenarios:
-            accs = []
-            for seed in config.seeds:
-                dataset = replace(config.dataset, unlabeled_shape=scenario, seed=seed)
-                train_cfg = replace(
-                    config.train,
-                    use_aux_branch=use_aux,
-                    use_cycle=use_cycle,
-                    use_synthesis=use_synth,
-                    seed=seed,
-                )
-                history = training.train(train_cfg, generate_splits(dataset))
-                accs.append(history.final_metrics()["acc"])
+            cell = replace(
+                config,
+                dataset=replace(config.dataset, unlabeled_shape=scenario),
+                train=replace(config.train, use_aux_branch=use_aux, use_cycle=use_cycle, use_synthesis=use_synth),
+            )
+            accs = [_run_single(cell, seed, None).final_metrics()["acc"] for seed in config.seeds]
             cells[label][scenario] = float(np.mean(accs))
             details[label][scenario] = [float(a) for a in accs]
         cells[label]["average"] = float(np.mean([cells[label][s] for s in config.scenarios]))

@@ -62,7 +62,7 @@ from .records import as_tuples, atomic_open, from_mapping
 
 BASELINE_KINDS = ("supervised_ce", "supervised_la", "consistency_ssl")
 STREAM_NAMES = ("labeled", "unlabeled", "views", "synth", "audit")
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 class TrainingDiverged(RuntimeError):
@@ -195,16 +195,6 @@ class RunHistory:
         return [r.to_record() for r in self.reports]
 
 
-def _streams(seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-    return {name: np.random.default_rng(child) for name, child in zip(STREAM_NAMES, children)}
-
-
-def _build_model(config: TrainConfig, splits: SplitBundle) -> ModelState:
-    width, c = splits.labeled.features.shape[1], splits.spec.num_classes
-    return init(ModelConfig(width, c, config.hidden_dims, config.activation, config.seed))
-
-
 def train(
     config: TrainConfig,
     splits: SplitBundle,
@@ -237,15 +227,25 @@ def run_baseline(kind: str, config: TrainConfig, splits: SplitBundle) -> RunHist
 
 @dataclass
 class _RunState:
-    """Everything one epoch hands the next; a run checkpoint is this record."""
+    """Everything one epoch hands the next; a run checkpoint is this record.
+    ``len(reports)`` is the count of completed epochs."""
 
     state: ModelState
     rngs: dict[str, np.random.Generator]
     registry: PseudoRegistry  # holds the cycle's label vector
     stats: ClassStats
     reports: list[EpochReport] = field(default_factory=list)
-    global_step: int = 0
-    epoch: int = 0  # the last completed epoch
+
+
+def _fresh_run(config: TrainConfig, splits: SplitBundle) -> _RunState:
+    """The run record before its first epoch: the model, the config's RNG
+    streams, and the vote registry and class stats, each holding its rule."""
+    width, c = splits.labeled.features.shape[1], splits.spec.num_classes
+    state = init(ModelConfig(width, c, config.hidden_dims, config.activation, config.seed))
+    children = np.random.SeedSequence(config.seed).spawn(len(STREAM_NAMES))
+    rngs = {name: np.random.default_rng(child) for name, child in zip(STREAM_NAMES, children)}
+    registry = PseudoRegistry(splits.unlabeled.ids, c, config.min_votes, config.majority_frac, config.freeze_resolved)
+    return _RunState(state, rngs, registry, ClassStats(c, state.config.rep_dim, config.ema_decay))
 
 
 def _run(
@@ -258,26 +258,11 @@ def _run(
     """The one training loop behind ``train`` ("cpg") and every baseline kind;
     it continues ``run`` when given one, else starts a fresh record."""
     _pin_heap_thresholds()
-    policy = policy_from_features(splits.labeled.features, splits.unlabeled.features)
-    uview = splits.unlabeled_view()
-    adjusted = method in ("cpg", "supervised_la")
-    gated_consistency = method == "consistency_ssl"
-    if uview.ids.size == 0 and (
-        config.use_aux_branch or gated_consistency or (config.use_cycle and config.warmup_epochs < config.total_epochs)
-    ):
-        raise ValueError("the unlabeled split is empty, but this run draws unlabeled batches")
-
-    c = splits.spec.num_classes
     if run is None:
-        state = _build_model(config, splits)
-        registry, stats = _cycle_owners(config, uview.ids, c, state.config.rep_dim)
-        run = _RunState(state, _streams(config.seed), registry, stats)
-    elif not np.array_equal(run.registry.ids, uview.ids):
-        raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
-    pool = LabeledPool(splits.labeled.features, splits.labeled.labels, c)
-    call = _Call(config, policy, uview, adjusted, gated_consistency, pool, run.registry.resolved)
+        run = _fresh_run(config, splits)
+    call = _Call.start(method, config, splits, run.registry.resolved)
 
-    for epoch in range(run.epoch + 1, config.total_epochs + 1):
+    for epoch in range(len(run.reports) + 1, config.total_epochs + 1):
         started = time.perf_counter()
         run.registry.begin_epoch(epoch)
         primary_sum = 0.0
@@ -288,9 +273,9 @@ def _run(
             aux_sum += aux_mean
 
         labels = run.registry.resolved
-        if gated_consistency:
+        if call.gated_consistency:
             labels = metrics_mod.threshold_assignments(
-                run.state, splits, policy, config.confidence_threshold, run.rngs["audit"]
+                run.state, splits, call.policy, config.confidence_threshold, run.rngs["audit"]
             )
         run.reports.append(
             EpochReport(
@@ -303,7 +288,6 @@ def _run(
                 wall_clock=time.perf_counter() - started,
             )
         )
-        run.epoch = epoch
         if (
             checkpoint_dir is not None
             and config.checkpoint_every > 0
@@ -318,7 +302,7 @@ def _run(
         state=run.state,
         registry=run.registry if method == "cpg" else None,
         pool=call.pool,
-        policy=policy,
+        policy=call.policy,
     )
 
 
@@ -338,6 +322,18 @@ class _Call:
     prior: np.ndarray = field(init=False)
     log_pi: np.ndarray | None = field(init=False)
     minority: np.ndarray = field(init=False)
+
+    @classmethod
+    def start(cls, method: str, config: TrainConfig, splits: SplitBundle, labels: np.ndarray) -> _Call:
+        """The record of one ``method`` call on ``splits``, grown to ``labels``."""
+        uview = splits.unlabeled_view()
+        gated_consistency = method == "consistency_ssl"
+        cycle_draws = config.use_cycle and config.warmup_epochs < config.total_epochs
+        if uview.ids.size == 0 and (config.use_aux_branch or gated_consistency or cycle_draws):
+            raise ValueError("the unlabeled split is empty, but this run draws unlabeled batches")
+        policy = policy_from_features(splits.labeled.features, splits.unlabeled.features)
+        pool = LabeledPool(splits.labeled.features, splits.labeled.labels, splits.spec.num_classes)
+        return cls(config, policy, uview, method in ("cpg", "supervised_la"), gated_consistency, pool, labels)
 
     def grow(self, labels: np.ndarray) -> None:
         """The pool whose pseudo portion is ``labels`` and what follows from it
@@ -413,18 +409,11 @@ def _step(run: _RunState, call: _Call, epoch: int, step: int) -> tuple[float, fl
 
     try:
         _, part_means = loss_and_grads(run.state, parts)
-        lr = cosine_lr(run.global_step, config.optimizer.base_lr, config.total_steps)
+        lr = cosine_lr((epoch - 1) * config.steps_per_epoch + step - 1, config.optimizer.base_lr, config.total_steps)
         sgd_step(run.state, config.optimizer, lr)
     except NonFiniteLossError as exc:
         raise TrainingDiverged(epoch, step, str(exc)) from exc
-    run.global_step += 1
     return part_means[0], sum(part_means[1:])
-
-
-def _cycle_owners(config: TrainConfig, ids: np.ndarray, c: int, rep_dim: int) -> tuple[PseudoRegistry, ClassStats]:
-    """The vote registry and the class stats, each holding its rule from ``config``."""
-    registry = PseudoRegistry(ids, c, config.min_votes, config.majority_frac, config.freeze_resolved)
-    return registry, ClassStats(c, rep_dim, config.ema_decay)
 
 
 def _pin_heap_thresholds() -> None:
@@ -446,32 +435,34 @@ def _pin_heap_thresholds() -> None:
 @dataclass
 class _CheckpointHeader:
     """What a run checkpoint holds besides arrays. The model and the optimizer
-    follow from ``config`` and the split, so only their vectors are stored."""
+    follow from ``config`` and the split, so only their vectors are stored.
+    ``epoch`` is the count of completed epochs, one per report."""
 
     config: TrainConfig
     epoch: int
-    global_step: int
     rng_states: dict[str, dict]
     reports: list[EpochReport]
+
+
+def _arrays(run: _RunState) -> dict[str, np.ndarray]:
+    """A run's checkpoint arrays: the parameter and momentum vectors, and every
+    ndarray attribute of the registry and the class stats, as ``<owner>.<attribute>``."""
+    arrays = {"params": run.state.params.flat, "momentum": run.state.momentum.flat}
+    for owner in ("registry", "stats"):
+        arrays.update({f"{owner}.{k}": v for k, v in vars(getattr(run, owner)).items() if isinstance(v, np.ndarray)})
+    return arrays
 
 
 def save_run_checkpoint(path: str | Path, config: TrainConfig, run: _RunState) -> Path:
     """Write ``run`` whole, atomically; ``resume_training`` reads it back, with
     every float64 array bit-exact."""
     rng_states = {name: rng.bit_generator.state for name, rng in run.rngs.items()}
-    header = _CheckpointHeader(config, run.epoch, run.global_step, rng_states, run.reports)
+    header = _CheckpointHeader(config, len(run.reports), rng_states, run.reports)
     text = json.dumps({"version": CHECKPOINT_VERSION, **asdict(header)})
-    arrays = {
-        "header": np.frombuffer(text.encode("utf-8"), dtype=np.uint8),
-        "params": run.state.params.flat,
-        "momentum": run.state.momentum.flat,
-        **_arrays("registry", run.registry),
-        **_arrays("stats", run.stats),
-    }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, header=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **_arrays(run))
     return path
 
 
@@ -488,49 +479,21 @@ def resume_training(
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     header = from_mapping(_CheckpointHeader, raw)
-    epoch, steps = header.epoch, header.global_step
-    if steps != epoch * header.config.steps_per_epoch or len(header.reports) != epoch:
-        raise ValueError(f"checkpoint global_step {steps} and {len(header.reports)} reports do not fit epoch {epoch}")
-    state = _build_model(header.config, splits)
-    for name in ("params", "momentum"):
-        flat = getattr(state, name).flat
-        if arrays[name].shape != flat.shape:
-            raise ValueError(
-                f"checkpoint {name} hold {arrays[name].size} values; the model "
-                f"for its config and this split has {flat.size}"
-            )
-        flat[...] = arrays[name]
-    rngs = _streams(0)
-    for name, rng in rngs.items():
-        rng.bit_generator.state = header.rng_states[name]
-    c = splits.spec.num_classes
-    ids = arrays.get("registry.ids", splits.unlabeled.ids)  # if missing, _restore names it
-    registry, stats = _cycle_owners(header.config, ids, c, state.config.rep_dim)
-    run = _RunState(
-        state=state,
-        rngs=rngs,
-        registry=_restore(registry, "registry", arrays),
-        stats=_restore(stats, "stats", arrays),
-        reports=header.reports,
-        global_step=header.global_step,
-        epoch=header.epoch,
-    )
-    return _run("cpg", header.config, splits, checkpoint_dir, run)
-
-
-def _arrays(prefix: str, obj) -> dict[str, np.ndarray]:
-    """Checkpoint form of a registry or class stats: its ndarray attributes,
-    each under ``<prefix>.<attribute>``."""
-    return {f"{prefix}.{k}": v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
-
-
-def _restore(obj, prefix: str, arrays: dict[str, np.ndarray]):
-    """Inverse of ``_arrays``: set each ndarray attribute of the fresh ``obj``
-    to the array saved under ``<prefix>.<attribute>``, which must be there
-    with the same shape and dtype."""
-    for key, fresh in _arrays(prefix, obj).items():
+    if len(header.reports) != header.epoch:
+        raise ValueError(f"checkpoint holds {len(header.reports)} reports for epoch {header.epoch}")
+    names = sorted(header.rng_states)
+    if names != sorted(STREAM_NAMES):
+        raise ValueError(f"checkpoint rng_states {names} are not the streams {sorted(STREAM_NAMES)}")
+    ids = arrays.get("registry.ids")  # if missing, the array rule below names it
+    if ids is not None and not np.array_equal(ids, splits.unlabeled.ids):
+        raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
+    run = _fresh_run(header.config, splits)
+    for key, fresh in _arrays(run).items():
         saved = arrays.get(key)
         if saved is None or saved.shape != fresh.shape or saved.dtype != fresh.dtype:
             raise ValueError(f"checkpoint {key} is missing or is not a {fresh.shape} array of {fresh.dtype}")
-        setattr(obj, key.partition(".")[2], saved)
-    return obj
+        fresh[...] = saved
+    for name, rng in run.rngs.items():
+        rng.bit_generator.state = header.rng_states[name]
+    run.reports = header.reports
+    return _run("cpg", header.config, splits, checkpoint_dir, run)

@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,10 +22,9 @@ import pseudopool.cycle
 import pseudopool.metrics
 import pseudopool.network
 import pseudopool.training
-from pseudopool.cycle import LabeledPool
-from pseudopool.datasets import UnlabeledSplit, generate_splits, policy_from_features
+from pseudopool.datasets import UnlabeledSplit, generate_splits
 from pseudopool.metrics import predict_batch
-from pseudopool.network import ModelConfig, OptimizerConfig, init
+from pseudopool.network import ModelConfig, OptimizerConfig, cosine_lr, init
 from pseudopool.records import ConfigError
 from pseudopool.training import (
     BASELINE_KINDS,
@@ -280,27 +280,16 @@ class TestTrainingRun:
 
 
 def fresh_cpg_call(config: TrainConfig, splits) -> tuple:
-    """A fresh run record and the call record of a "cpg" run, built as
-    ``training._run`` builds them."""
-    uview = splits.unlabeled_view()
-    c = splits.spec.num_classes
-    state = pseudopool.training._build_model(config, splits)
-    registry, stats = pseudopool.training._cycle_owners(config, uview.ids, c, state.config.rep_dim)
-    run = pseudopool.training._RunState(state, pseudopool.training._streams(config.seed), registry, stats)
-    policy = policy_from_features(splits.labeled.features, splits.unlabeled.features)
-    pool = LabeledPool(splits.labeled.features, splits.labeled.labels, c)
-    call = pseudopool.training._Call(
-        config, policy, uview, adjusted=True, gated_consistency=False, pool=pool, labels=registry.resolved
-    )
-    return run, call
+    """A fresh run record and the call record of a "cpg" run, from the two
+    builders ``training._run`` uses."""
+    run = pseudopool.training._fresh_run(config, splits)
+    return run, pseudopool.training._Call.start("cpg", config, splits, run.registry.resolved)
 
 
 def step_fields(config, run) -> dict:
-    """``run_fields`` without what only ``_run`` writes: the epoch's report
-    and the count of completed epochs."""
+    """``run_fields`` without what only ``_run`` writes: the epoch's report."""
     fields = run_fields(config, run)
     del fields["reports"]
-    fields["counters"] = run.global_step
     return fields
 
 
@@ -530,6 +519,23 @@ class TestCheckpointResume:
         assert np.array_equal(resumed.pool.pseudo_rows, full.pool.pseudo_rows)
         assert np.array_equal(resumed.pool.pseudo_labels, full.pool.pseudo_labels)
 
+    def test_steps_walk_the_cosine_schedule_once(self, tiny_splits, tmp_path, monkeypatch):
+        # a step's schedule index follows from its epoch and step: a run, and
+        # a run resumed from any checkpoint, step through [0, total_steps) in order
+        cfg = fast_config(total_epochs=6, warmup_epochs=2, steps_per_epoch=3, checkpoint_every=2)
+        lrs = []
+        sgd_step = pseudopool.training.sgd_step
+        monkeypatch.setattr(
+            pseudopool.training, "sgd_step", lambda state, opt, lr: (lrs.append(lr), sgd_step(state, opt, lr))
+        )
+        train(cfg, tiny_splits, checkpoint_dir=tmp_path)
+        schedule = [cosine_lr(t, cfg.optimizer.base_lr, cfg.total_steps) for t in range(cfg.total_steps)]
+        assert lrs == schedule
+        for epoch in (2, 4):
+            lrs.clear()
+            resume_training(tmp_path / f"checkpoint_epoch{epoch:04d}.npz", tiny_splits)
+            assert lrs == schedule[epoch * cfg.steps_per_epoch :]
+
     def test_resume_onto_other_unlabeled_rows_rejected(self, tiny_splits, tmp_path):
         cfg = fast_config(total_epochs=10, warmup_epochs=2, checkpoint_every=4)
         train(cfg, tiny_splits, checkpoint_dir=tmp_path)
@@ -549,7 +555,6 @@ def run_fields(config, run) -> dict:
         "grow_only": run.registry.grow_only,
         "arrays": {k: v.tobytes() for k, v in arrays.items() if isinstance(v, np.ndarray)},
         "reports": [asdict(r) for r in run.reports],
-        "counters": (run.global_step, run.epoch),
     }
 
 
@@ -610,7 +615,7 @@ class TestRunCheckpoint:
             pseudopool.training.save_run_checkpoint(path, config, run)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        assert self.read(monkeypatch, path, tiny_splits)[1].epoch == 4
+        assert len(self.read(monkeypatch, path, tiny_splits)[1].reports) == 4
 
     def test_other_version_rejected(self, tiny_splits, tmp_path, monkeypatch):
         monkeypatch.setattr(pseudopool.training, "CHECKPOINT_VERSION", CHECKPOINT_VERSION - 1)
@@ -634,7 +639,45 @@ class TestRunCheckpoint:
         with np.load(path) as data:
             short = data[name][:-1]
         rewrite_checkpoint(path, **{name: short})
-        with pytest.raises(ValueError, match=f"checkpoint {name} hold {short.size} values"):
+        expected = f"checkpoint {name} is missing or is not a ({short.size + 1},) array of float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            resume_training(path, tiny_splits)
+
+    @pytest.mark.parametrize(
+        "name, recast",
+        [
+            ("params", lambda flat: flat.astype(np.float32)),
+            ("momentum", lambda flat: flat.astype(np.int64)),
+            ("params", lambda flat: flat.reshape(2, -1)),
+        ],
+        ids=["float32-params", "int64-momentum", "2d-params"],
+    )
+    def test_flat_vector_of_other_dtype_or_shape_rejected(self, tiny_splits, tmp_path, name, recast):
+        # a recast vector holds the right number of values; copying it into
+        # the model would cast or reshape it silently
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        with np.load(path) as data:
+            flat = data[name]
+        rewrite_checkpoint(path, **{name: recast(flat)})
+        expected = f"checkpoint {name} is missing or is not a ({flat.size},) array of float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            resume_training(path, tiny_splits)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda states: states.pop("audit"),
+            lambda states: states.update(spare=states["audit"]),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_rng_streams_other_than_the_runs_rejected(self, tiny_splits, tmp_path, edit):
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        rewrite_checkpoint(path, lambda header: edit(header["rng_states"]))
+        streams = re.escape("['audit', 'labeled', 'synth', 'unlabeled', 'views']")
+        with pytest.raises(ValueError, match=rf"^checkpoint rng_states \[.*\] are not the streams {streams}$"):
             resume_training(path, tiny_splits)
 
     @pytest.mark.parametrize(
@@ -653,22 +696,13 @@ class TestRunCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {key} is missing or is not a "):
             resume_training(path, tiny_splits)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda header: header.update(global_step=0),
-            lambda header: header.update(global_step=10**6),
-            lambda header: header["reports"].pop(),
-        ],
-        ids=["step-restarted", "step-past-the-schedule", "report-missing"],
-    )
-    def test_step_count_that_disagrees_with_epoch_rejected(self, tiny_splits, tmp_path, edit):
-        # every resumed step must lie in the schedule's [0, total_steps): the
-        # learning rate is positive there, and the step checks nothing itself
+    def test_report_count_that_disagrees_with_epoch_rejected(self, tiny_splits, tmp_path):
+        # the resumed run starts after its last report, so a lost report would
+        # replay an epoch the saved state has already trained
         train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
         path = tmp_path / "checkpoint_epoch0004.npz"
-        rewrite_checkpoint(path, edit)
-        with pytest.raises(ValueError, match="^checkpoint global_step .* do not fit epoch 4$"):
+        rewrite_checkpoint(path, lambda header: header["reports"].pop())
+        with pytest.raises(ValueError, match="^checkpoint holds 3 reports for epoch 4$"):
             resume_training(path, tiny_splits)
 
 
