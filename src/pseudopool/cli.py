@@ -22,7 +22,7 @@ from pathlib import Path
 from . import experiments
 from .datasets import generate_splits, save_splits
 from .experiments import ConfigError, OUTPUT_ROOT_ENV
-from .records import atomic_open
+from .records import write_json
 from .training import TrainingDiverged
 
 
@@ -71,9 +71,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(experiments.format_comparison(report))
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True))
-        print(out)
+        print(write_json(out, report))
     return 0
 
 

@@ -13,7 +13,6 @@ training code receives an ``UnlabeledView`` projection that does not carry it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import atomic_open, from_mapping
+from .records import read_json, write_csv, write_json
 
 LABELED_SHAPES = ("long_tailed", "arbitrary")
 UNLABELED_SHAPES = ("consistent", "inverse", "uniform", "arbitrary")
@@ -444,19 +443,11 @@ def _numbered_rows(reader, path: Path):
         row_num += 1
 
 
-def _write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(features.shape[1]))
-        for feats, label in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in feats] + [int(label)])
-
-
 def save_splits(bundle: SplitBundle, out_dir: str | Path) -> dict[str, Path]:
     """Persist a bundle as one CSV per role plus a JSON sidecar with the spec.
 
     Any old sidecar goes first and the new one is written last, each file
-    through ``atomic_open``: a write that fails leaves no ``dataset.json``,
+    through ``records.atomic_open``: a write that fails leaves no ``dataset.json``,
     so ``load_splits`` never reads a mix of old and new splits.
     """
     out_dir = Path(out_dir)
@@ -468,18 +459,20 @@ def save_splits(bundle: SplitBundle, out_dir: str | Path) -> dict[str, Path]:
         "spec": out_dir / "dataset.json",
     }
     paths["spec"].unlink(missing_ok=True)
-    _write_csv(paths["labeled"], bundle.labeled.features, bundle.labeled.labels)
-    _write_csv(paths["unlabeled"], bundle.unlabeled.features, bundle.unlabeled.hidden_labels)
-    _write_csv(paths["test"], bundle.test.features, bundle.test.labels)
-    with atomic_open(paths["spec"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(bundle.spec), indent=2, sort_keys=True))
+    for role in CSV_ROLES:
+        split = getattr(bundle, role)
+        labels = split.hidden_labels if role == "unlabeled" else split.labels
+        rows = ([repr(float(v)) for v in feats] + [int(label)] for feats, label in zip(split.features, labels))
+        write_csv(paths[role], _expected_header(split.features.shape[1]), rows)
+    write_json(paths["spec"], asdict(bundle.spec))
     return paths
 
 
 def load_splits(in_dir: str | Path) -> SplitBundle:
-    """Rebuild a bundle from ``save_splits`` output (ids reassigned globally)."""
+    """Rebuild a bundle from ``save_splits`` output (ids reassigned globally).
+    A malformed ``dataset.json`` raises ``ConfigError`` naming the file."""
     in_dir = Path(in_dir)
-    spec = from_mapping(DatasetSpec, json.loads((in_dir / "dataset.json").read_text()), "dataset")
+    spec = read_json(DatasetSpec, in_dir / "dataset.json")
     c = spec.num_classes
     labeled = load_csv(in_dir / "labeled.csv", "labeled", c, id_start=0)
     unlabeled = load_csv(in_dir / "unlabeled.csv", "unlabeled", c, id_start=labeled.ids.size)

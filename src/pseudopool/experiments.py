@@ -8,8 +8,6 @@ resolved config reproduces all metric files byte-identically.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +18,7 @@ from . import training
 from .cycle import RegistrySnapshot
 from .datasets import UNLABELED_SHAPES, DatasetSpec, generate_splits
 from .metrics import welch_t_test
-from .records import ConfigError, as_tuples, atomic_open, from_mapping
+from .records import ConfigError, as_tuples, from_mapping, read_json, write_csv, write_json, write_jsonl
 from .training import BASELINE_KINDS, TrainConfig
 
 METHODS = ("cpg", *BASELINE_KINDS)
@@ -89,19 +87,6 @@ def _run_single(config: ExperimentConfig, seed: int, seed_dir: Path | None) -> t
     return training.run_baseline(config.method, train_cfg, splits)
 
 
-def _write_resolved_config(config: ExperimentConfig, out_dir: Path) -> Path:
-    path = out_dir / "resolved_config.json"
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(config), indent=2, sort_keys=True))
-    return path
-
-
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 @dataclass
 class MetricSummary:
     """Mean +/- sample std of one final-epoch metric across seeds (None
@@ -130,15 +115,6 @@ class RunSummary:
     method: str
     seeds: list[int]
     metrics: SummaryMetrics
-
-
-def _read_record(cls, path: Path):
-    """``cls`` read back from the JSON file ``path``; a malformed file raises
-    ``ConfigError`` naming the file and the dotted field."""
-    try:
-        return from_mapping(cls, json.loads(path.read_text()))
-    except (json.JSONDecodeError, ConfigError) as exc:
-        raise ConfigError(str(path), str(exc)) from None
 
 
 def _final_summary(method: str, finals: dict[int, dict]) -> RunSummary:
@@ -174,7 +150,7 @@ def run_experiment(
         (out_dir / name).unlink(missing_ok=True)
     finals: dict[int, dict] = {}
     plot_records: dict[int, list[dict]] = {}
-    paths = [_write_resolved_config(config, out_dir)]
+    paths = [write_json(out_dir / "resolved_config.json", asdict(config))]
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
@@ -183,56 +159,29 @@ def run_experiment(
             path.unlink(missing_ok=True)
         history = _run_single(config, seed, seed_dir)
         records = history.to_records()
-        _write_jsonl(seed_dir / "history.jsonl", records)
-        paths.append(seed_dir / "history.jsonl")
+        paths.append(write_jsonl(seed_dir / "history.jsonl", records))
         if history.registry is not None:
-            with atomic_open(seed_dir / "registry.json", "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(history.registry.snapshot()), indent=2, sort_keys=True))
-            paths.append(seed_dir / "registry.json")
+            paths.append(write_json(seed_dir / "registry.json", asdict(history.registry.snapshot())))
         if config.method == "cpg" and config.train.use_synthesis:
-            stats_path = seed_dir / "class_stats.csv"
-            _write_class_stats(stats_path, history)
-            paths.append(stats_path)
+            header = ["epoch", "class", "alpha", "radius", "count"]
+            stats = ([r.epoch, *(row[k] for k in header[1:])] for r in history.reports for row in r.class_stats or ())
+            paths.append(write_csv(seed_dir / "class_stats.csv", header, stats))
         finals[seed] = records[-1]
         if emit_plot_data:
             plot_records[seed] = records
 
     if emit_plot_data:
-        _write_plot_data(out_dir / "plot_data.csv", plot_records)
-        paths.append(out_dir / "plot_data.csv")
+        # tidy long-format per-epoch metrics for external plotting tools
+        plot_rows = (
+            [seed, record["epoch"], name, record[name]]
+            for seed, seed_records in plot_records.items() for record in seed_records
+            for name in SUMMARY_METRICS if record[name] is not None
+        )
+        paths.append(write_csv(out_dir / "plot_data.csv", ["seed", "epoch", "metric", "value"], plot_rows))
     summary = asdict(_final_summary(config.method, finals))
-    with atomic_open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True))
-    paths.append(out_dir / "summary.json")
+    paths.append(write_json(out_dir / "summary.json", summary))
     summary["paths"] = [str(p) for p in paths]
     return summary
-
-
-def _write_class_stats(path: Path, history: training.RunHistory) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "class", "alpha", "radius", "count"])
-        for report in history.reports:
-            if not report.class_stats:
-                continue
-            for row in report.class_stats:
-                writer.writerow(
-                    [report.epoch, row["class"], row["alpha"], row["radius"], row["count"]]
-                )
-
-
-def _write_plot_data(path: Path, records: dict[int, list[dict]]) -> None:
-    """Tidy long-format per-epoch metrics for external plotting tools, from
-    each seed's ``history.jsonl`` records (seed -> records)."""
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "epoch", "metric", "value"])
-        for seed, seed_records in records.items():
-            for record in seed_records:
-                for name in SUMMARY_METRICS:
-                    value = record[name]
-                    if value is not None:
-                        writer.writerow([seed, record["epoch"], name, value])
 
 
 def compare_runs(dir_a: str | Path, dir_b: str | Path) -> dict:
@@ -241,8 +190,8 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path) -> dict:
     Requires matching seed counts and at least two seeds each (one seed has
     no variance to test).
     """
-    summary_a = _read_record(RunSummary, Path(dir_a) / "summary.json")
-    summary_b = _read_record(RunSummary, Path(dir_b) / "summary.json")
+    summary_a = read_json(RunSummary, Path(dir_a) / "summary.json")
+    summary_b = read_json(RunSummary, Path(dir_b) / "summary.json")
     if len(summary_a.seeds) != len(summary_b.seeds):
         raise ValueError(f"seed counts differ: {len(summary_a.seeds)} vs {len(summary_b.seeds)}")
     if len(summary_a.seeds) < 2:
@@ -283,16 +232,20 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     Emits ``ablation.csv`` whose cells hold the mean final accuracy per
     (component row, scenario), plus a row average column, and the per-seed
-    ``ablation.json``; an earlier ablation's two files are removed first.
+    ``ablation.json``; an earlier ablation's two files are removed first. A
+    config with ``train.checkpoint_every`` set is rejected before anything
+    is written, as no cell checkpoints.
     """
     if config.method != "cpg":
         raise ConfigError("method", "ablation requires the cpg method")
+    if config.train.checkpoint_every:
+        raise ConfigError("train.checkpoint_every", "ablation cells do not checkpoint")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out_dir / "ablation.csv", out_dir / "ablation.json"
     csv_path.unlink(missing_ok=True)
     json_path.unlink(missing_ok=True)
-    _write_resolved_config(config, out_dir)
+    write_json(out_dir / "resolved_config.json", asdict(config))
 
     cells: dict[str, dict[str, float]] = {}
     details: dict[str, dict[str, list[float]]] = {}
@@ -310,17 +263,10 @@ def run_ablation(config: ExperimentConfig, out_dir: str | Path) -> dict:
             details[label][scenario] = [float(a) for a in accs]
         cells[label]["average"] = float(np.mean([cells[label][s] for s in config.scenarios]))
 
-    with atomic_open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", *config.scenarios, "average"])
-        for label, *_ in ABLATION_ROWS:
-            writer.writerow(
-                [label]
-                + [f"{cells[label][s]:.6f}" for s in config.scenarios]
-                + [f"{cells[label]['average']:.6f}"]
-            )
-    with atomic_open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(details, indent=2, sort_keys=True))
+    columns = (*config.scenarios, "average")
+    table = ([label, *(f"{cells[label][c]:.6f}" for c in columns)] for label, *_ in ABLATION_ROWS)
+    write_csv(csv_path, ["variant", *columns], table)
+    write_json(json_path, details)
     return {"cells": cells, "csv": str(csv_path), "json": str(json_path)}
 
 
@@ -329,7 +275,7 @@ def inspect_registry(run_dir: str | Path) -> dict:
     path = Path(run_dir) / "registry.json"
     if not path.exists():
         raise FileNotFoundError(f"no registry snapshot at {path}")
-    snapshot = _read_record(RegistrySnapshot, path)
+    snapshot = read_json(RegistrySnapshot, path)
     resolved = [e.resolved for e in snapshot.entries.values() if e.resolved is not None]
     per_class: dict[str, int] = {}
     for label in resolved:

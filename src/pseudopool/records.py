@@ -1,12 +1,16 @@
 """Typed records read from and written to files.
 
 ``from_mapping`` is the one reader of every config and record read back from
-a file, and ``atomic_open`` the one way a file is written. This module
-imports no other module of the package, so every module may import it.
+a file, and ``atomic_open`` the one way a file is written. ``write_json``,
+``write_jsonl`` and ``write_csv`` are the one writer of each text format,
+and ``read_json`` the one reader of a JSON record. This module imports no
+other module of the package, so every module may import it.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 import types
 import typing
@@ -40,6 +44,30 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_json(path: str | Path, data) -> Path:
+    """``data`` as indented, key-sorted JSON at ``path``."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True))
+    return Path(path)
+
+
+def write_jsonl(path: str | Path, rows) -> Path:
+    """One key-sorted JSON line per row of ``rows`` at ``path``."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    return Path(path)
+
+
+def write_csv(path: str | Path, header: list, rows) -> Path:
+    """A CSV file at ``path``: the ``header`` row, then each of ``rows``."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return Path(path)
 
 
 def as_tuples(record, *names: str) -> None:
@@ -88,6 +116,15 @@ def from_mapping(cls, data, path: str = ""):
         raise
     except ValueError as exc:
         raise ConfigError(path or "<root>", str(exc)) from None
+
+
+def read_json(cls, path: str | Path):
+    """``cls`` read back from the JSON file ``path``; a malformed file raises
+    ``ConfigError`` naming the file and the dotted field."""
+    try:
+        return from_mapping(cls, json.loads(Path(path).read_text()))
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise ConfigError(str(path), str(exc)) from None
 
 
 def _typed(hint, value, path: str):

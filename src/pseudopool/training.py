@@ -488,7 +488,10 @@ def resume_training(
     if ids is not None and not np.array_equal(ids, splits.unlabeled.ids):
         raise ValueError("checkpoint registry ids do not match the unlabeled split's rows")
     run = _fresh_run(header.config, splits)
-    for key, fresh in _arrays(run).items():
+    expected = _arrays(run)
+    if unexpected := sorted(arrays.keys() - expected.keys()):
+        raise ValueError(f"checkpoint holds arrays {unexpected} that a run does not have")
+    for key, fresh in expected.items():
         saved = arrays.get(key)
         if saved is None or saved.shape != fresh.shape or saved.dtype != fresh.dtype:
             raise ValueError(f"checkpoint {key} is missing or is not a {fresh.shape} array of {fresh.dtype}")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -499,9 +500,9 @@ class TestCsv:
         save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
         sidecar = tmp_path / "dataset.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "mean_scale": 2.5}))
-        with pytest.raises(ConfigError, match="^dataset.mean_scale: unknown field") as err:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(sidecar))}: mean_scale: unknown field") as err:
             load_splits(tmp_path)
-        assert err.value.fieldname == "dataset.mean_scale"
+        assert err.value.fieldname == str(sidecar)
 
     @pytest.mark.parametrize(
         "change, message",
@@ -516,9 +517,17 @@ class TestCsv:
         save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
         sidecar = tmp_path / "dataset.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
-        with pytest.raises(ConfigError, match=f"^dataset: {message}") as err:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(sidecar))}: <root>: {message}") as err:
             load_splits(tmp_path)
-        assert err.value.fieldname == "dataset"
+        assert err.value.fieldname == str(sidecar)
+
+    def test_non_json_sidecar_names_its_file(self, tmp_path):
+        save_splits(generate_splits(tiny_spec(seed=4)), tmp_path)
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text('{"num_classes": 3,')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(sidecar))}: Expecting property name") as err:
+            load_splits(tmp_path)
+        assert err.value.fieldname == str(sidecar)
 
     # cells a malformed row may carry: text of any kind (NUL, quotes,
     # newlines), non-finite or out-of-range numbers, and a field past the csv

@@ -655,6 +655,15 @@ class TestAblation:
         with pytest.raises(ConfigError, match="method"):
             run_ablation(from_mapping(ExperimentConfig, data), tmp_path / "abl")
 
+    def test_checkpoint_every_rejected_before_anything_is_written(self, tmp_path):
+        # no ablation cell checkpoints, so the files the config asks for would never appear
+        data = json.loads(json.dumps(TINY_CONFIG))
+        data["train"]["checkpoint_every"] = 3
+        with pytest.raises(ConfigError, match="^train.checkpoint_every: ") as err:
+            run_ablation(from_mapping(ExperimentConfig, data), tmp_path / "abl")
+        assert err.value.fieldname == "train.checkpoint_every"
+        assert list(tmp_path.iterdir()) == []
+
 
 STATS = {"mean": 0.5, "std": 0.1, "values": [0.4, 0.6]}
 SUMMARY = {"method": "cpg", "seeds": [0, 1], "metrics": {name: STATS for name in SUMMARY_METRICS}}

@@ -61,6 +61,33 @@ def test_package_import_is_caught():
     assert package_imports(source) == [".network", ".cycle", "pseudopool.training", "pseudopool"]
 
 
+def modules_naming(name: str, sources: dict[str, str]) -> list[str]:
+    """The modules in ``sources`` (module name -> source) that define, import
+    or reference ``name``, by name or as an attribute (an imported name is an
+    ``alias`` node's ``name``)."""
+    return sorted(
+        module
+        for module, source in sources.items()
+        if any(name in (getattr(node, key, None) for key in ("id", "attr", "name")) for node in ast.walk(ast.parse(source)))
+    )
+
+
+def test_only_records_and_the_checkpoint_open_files_atomically():
+    # records writes every JSON, JSON-lines and CSV artifact; the checkpoint's npz is the one other file
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert modules_naming("atomic_open", sources) == ["records", "training"]
+
+
+def test_module_naming_is_caught():
+    sources = {
+        "a": "from .records import atomic_open as ao\n",
+        "b": "from . import records\nrecords.atomic_open('x')\n",
+        "c": "def atomic_open():\n    pass\n",
+        "d": "import records\nrecords.write_json('x', {})\n",
+    }
+    assert modules_naming("atomic_open", sources) == ["a", "b", "c"]
+
+
 def validate_uses(source: str) -> list[str]:
     """Each method named ``validate`` that ``source`` defines and each call of
     a ``.validate`` attribute, by line: a config record checks itself when it

@@ -696,6 +696,17 @@ class TestRunCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {key} is missing or is not a "):
             resume_training(path, tiny_splits)
 
+    def test_unexpected_array_rejected(self, tiny_splits, tmp_path):
+        # no writer of this version makes the extra array, so resuming would
+        # drop state the file claims to hold
+        train(fast_config(**self.CONFIG), tiny_splits, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_epoch0004.npz"
+        with np.load(path) as data:
+            rewrite_checkpoint(path, **{"registry.stale": data["registry.votes"]})
+        expected = "checkpoint holds arrays ['registry.stale'] that a run does not have"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            resume_training(path, tiny_splits)
+
     def test_report_count_that_disagrees_with_epoch_rejected(self, tiny_splits, tmp_path):
         # the resumed run starts after its last report, so a lost report would
         # replay an epoch the saved state has already trained
